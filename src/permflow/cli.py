@@ -26,6 +26,7 @@ from .core import (
     Permutation,
     SizeLimitError,
     disorder_squared,
+    require_finite_positive,
     reverse_disorder,
     vertex_of,
 )
@@ -209,8 +210,7 @@ def _cmd_flow_events(args, digits: int) -> str:
 def _cmd_flow_trace(args, digits: int) -> str:
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
-    if args.t_end <= 0:
-        raise ValueError(f"--t-end must be > 0, got {args.t_end}")
+    require_finite_positive("--t-end", args.t_end)
     start = _parse_start(args.start, args.n)
     x0 = vertex_of(start)
     wanted = [args.t_end * k / (args.samples - 1) for k in range(args.samples)]

@@ -117,6 +117,12 @@ def as_state(x: StateVector | Sequence[float] | np.ndarray) -> StateVector:
     return StateVector(np.asarray(x, dtype=float))
 
 
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def hyperplane_sum(n: int) -> int:
     """Coordinate sum shared by every rearrangement of (1, ..., n)."""
     return n * (n + 1) // 2

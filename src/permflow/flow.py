@@ -27,6 +27,7 @@ from .core import (
     disorder_squared,
     in_hyperplane,
     inversions,
+    require_finite_positive,
     vertex_of,
 )
 
@@ -116,10 +117,9 @@ def disorder_at(x0: StateVector | Sequence[float], t: float) -> float:
 def time_to_epsilon(d0: float, epsilon: float) -> float:
     """Time until the squared distance d0*exp(-2t) first reaches epsilon^2.
 
-    Returns max(0, 0.5 * ln(d0 / epsilon^2)).
+    Returns max(0, 0.5 * ln(d0 / epsilon^2)); epsilon must be finite.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    require_finite_positive("epsilon", epsilon)
     if d0 < 0:
         raise ValueError(f"d0 must be >= 0, got {d0}")
     if d0 <= epsilon * epsilon:
@@ -190,11 +190,14 @@ def lemma_lower_bound(n: int, d0: float, epsilon: float, c: float) -> float:
     """Operation lower bound (n/c) * 0.5 * ln(d0 / epsilon^2).
 
     For d0 = reverse_disorder(n) this grows like (3/(2c)) * n * ln(n).
+    epsilon and c must be finite.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d0 <= 0 or epsilon <= 0 or c <= 0:
-        raise ValueError("d0, epsilon and c must all be > 0")
+    if d0 <= 0:
+        raise ValueError(f"d0 must be > 0, got {d0}")
+    require_finite_positive("epsilon", epsilon)
+    require_finite_positive("c", c)
     return (n / c) * 0.5 * math.log(d0 / (epsilon * epsilon))
 
 
@@ -221,12 +224,10 @@ def estimate_sorting(
     Uses the dt = c/n stepping rule. When the start is already within the
     epsilon ball (d0 <= epsilon^2) all time and operation figures are 0,
     which also covers the sorted start where the raw lower-bound formula
-    would be undefined.
+    would be undefined. epsilon and c must be finite and > 0.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if c <= 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    require_finite_positive("epsilon", epsilon)
+    require_finite_positive("c", c)
     x0 = vertex_of(p)
     d0 = disorder_squared(x0).d0
     if d0 <= epsilon * epsilon:

@@ -4,12 +4,27 @@ When several coordinates of the state are equal (within tolerance) they
 form a tie block, and a velocity whose components would immediately
 re-invert the block's internal target order gets replaced, inside the
 block, by its closest non-decreasing surrogate: pool-adjacent-violators
-averaging in index order. The projection p of a velocity g onto that
-cone satisfies <g, p> = ||p||^2, so the potential V = 0.5*||x - v_s||^2
-never increases along the projected field. Along the pull g = v_s - x
-itself the block components are already increasing, pooling never fires,
-and an explicit Euler loop with step h contracts V by (1 - h)^2 per
-step — at least as fast as the continuous rate exp(-2t).
+(PAV) averaging in index order. The projection p of a velocity g onto
+that cone satisfies <g, p> = ||p||^2, so the potential V = 0.5*||x - v_s||^2
+never increases along the projected field.
+
+`integrate_projected` applies this to the pull g = v_s - x, where pooling
+can fire only when a block is wide. Each Euler state is sorted once;
+neighbours in value order whose gap is at most `tol` join a block, and
+that one grouping gives both the sample's block count and the test below.
+When the within-block gaps sum to less than 1/2, every block spans less
+than 1, so for block members i < j
+
+    g_j - g_i = (j - i) - (x_j - x_i) > 1 - 1/2 > 0,
+
+the block's components of g already increase with the index (rounding
+is monotone, so the computed g does too), and PAV returns g bit for bit.
+The step then skips the projection. Only when the gaps sum to 1/2 or
+more -- which the default tol = 1e-9*n cannot reach below n ~ 20000 --
+does it call `project_velocity` on `active_ties` of the state, and
+pooling does fire there, e.g. at [1, 3, 2] with tol = 2. An explicit
+Euler step h then contracts V by (1 - h)^2 -- at least as fast as the
+continuous rate exp(-2t).
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StateVector, as_state, disorder_squared
+from .core import StateVector, as_state, require_finite_positive
 
 __all__ = [
     "TieBlocks",
@@ -35,9 +50,35 @@ __all__ = [
 #: Largest admissible Euler step for integrate_projected.
 MAX_STEP = 1e-2
 
+# Within-block gaps summing below this keep every block narrower than 1,
+# which is what makes pooling along the pull a no-op (module docstring).
+_POOL_MARGIN = 0.5
 
-def _default_tol(n: int) -> float:
-    return 1e-9 * n
+
+def _resolve_tol(n: int, tol: float | None) -> float:
+    """The grouping tolerance: 1e-9 * n by default, else finite and > 0."""
+    if tol is None:
+        return 1e-9 * n
+    require_finite_positive("tol", tol)
+    return tol
+
+
+def _group(coords: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort coords once: value order, gaps between neighbours, gaps <= tol.
+
+    A gap at most tol joins its two neighbours into one block; the stable
+    sort puts equal values in index order.
+    """
+    order = np.argsort(coords, kind="stable")
+    values = coords[order]
+    gaps = values[1:] - values[:-1]
+    return order, gaps, gaps <= tol
+
+
+def _count_blocks(joined: np.ndarray) -> int:
+    """Number of tie blocks with two or more members: runs of joining gaps."""
+    # each run of k joining gaps holds k - 1 adjacent joining pairs
+    return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
 @dataclass(frozen=True)
@@ -63,23 +104,16 @@ class TieBlocks:
 def active_ties(x: StateVector | Sequence[float], tol: float | None = None) -> TieBlocks:
     """Group coordinates whose values chain together within tol.
 
-    Default tolerance is 1e-9 * n. Consecutive values in sorted order
-    that differ by at most tol land in the same block (transitively), so
-    a block's spread can exceed tol only through chaining.
+    Default tolerance is 1e-9 * n; an explicit tol must be finite and
+    > 0. Consecutive values in sorted order that differ by at most tol
+    land in the same block (transitively), so a block's spread can exceed
+    tol only through chaining.
     """
     x = as_state(x)
-    if tol is None:
-        tol = _default_tol(x.n)
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    order = sorted(range(x.n), key=lambda k: (x.coords[k], k))
-    groups: list[list[int]] = [[order[0]]]
-    for prev, k in zip(order, order[1:]):
-        if x.coords[k] - x.coords[prev] <= tol:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    blocks = tuple(tuple(sorted(k + 1 for k in g)) for g in groups)
+    tol = _resolve_tol(x.n, tol)
+    order, _, joined = _group(x.coords, tol)
+    groups = np.split(order + 1, np.flatnonzero(~joined) + 1)
+    blocks = tuple(tuple(sorted(g.tolist())) for g in groups)
     return TieBlocks(blocks=blocks, tol=tol)
 
 
@@ -105,6 +139,11 @@ def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_tangent(g: np.ndarray) -> None:
+    if abs(float(g.sum())) > 1e-9:
+        raise ValueError("velocity must sum to 0 (tangent to the hyperplane)")
+
+
 def project_velocity(
     x: StateVector | Sequence[float],
     g: np.ndarray | Sequence[float],
@@ -123,8 +162,7 @@ def project_velocity(
     g = np.asarray(g, dtype=float)
     if g.shape != (x.n,):
         raise ValueError(f"velocity must have shape ({x.n},), got {g.shape}")
-    if abs(float(g.sum())) > 1e-9:
-        raise ValueError("velocity must sum to 0 (tangent to the hyperplane)")
+    _require_tangent(g)
     if ties is None:
         ties = active_ties(x)
     p = g.copy()
@@ -166,16 +204,6 @@ class ProjectedTrace:
         return np.array([s.potential for s in self.samples])
 
 
-def _sample_at(t: float, coords: np.ndarray, tol: float | None) -> ProjectedSample:
-    state = StateVector(coords)
-    return ProjectedSample(
-        t=t,
-        state=state,
-        potential=0.5 * disorder_squared(state).d0,
-        active_block_count=len(active_ties(state, tol).nontrivial),
-    )
-
-
 def integrate_projected(
     x0: StateVector | Sequence[float],
     t_end: float,
@@ -184,31 +212,52 @@ def integrate_projected(
 ) -> ProjectedTrace:
     """Explicit Euler on the projected pull toward the sorted vertex.
 
-    Each step recomputes the tie blocks of the current state, projects
-    the raw velocity g = v_s - x against them, and advances by `step`
-    (the last step is shortened to land exactly on t_end). Requires
-    0 < step <= MAX_STEP so each step contracts the potential by at
-    least (1 - step)^2 <= exp(-2*step). Samples record the potential
+    Each step takes the raw velocity g = v_s - x, projects it against the
+    tie blocks of the current state, and advances x by `step` times the
+    result (the last step is shortened to land exactly on t_end). The
+    projection is skipped, as provably the identity, when the
+    within-block gaps of x sum to less than 1/2; otherwise the step calls
+    `project_velocity(x, g, active_ties(x, tol))` (see the module
+    docstring). Requires a finite start, finite 0 < t_end and
+    0 < step <= MAX_STEP, so each step contracts the potential by at
+    least (1 - step)^2 <= exp(-2*step), and a finite tol > 0 when given.
+    g must stay tangent to the hyperplane (sum within 1e-9), as
+    `project_velocity` requires. Samples record the potential
     0.5*||x - v_s||^2 and the number of active tie blocks; the first
     sample is the start at t = 0.
     """
     x0 = as_state(x0)
-    if t_end <= 0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    if not np.isfinite(x0.coords).all():
+        raise ValueError("start coordinates must be finite")
+    require_finite_positive("t_end", t_end)
     if not (0 < step <= MAX_STEP):
         raise ValueError(f"step must be in (0, {MAX_STEP}], got {step}")
+    tol = _resolve_tol(x0.n, tol)
     full_steps = int(math.floor(t_end / step + 1e-12))
     times = [k * step for k in range(1, full_steps + 1)]
     if not times or times[-1] < t_end - 1e-12:
         times.append(t_end)
     targets = np.arange(1, x0.n + 1, dtype=float)
-    x = x0.coords.copy()
-    samples = [_sample_at(0.0, x, tol)]
+    x = x0.coords
+    samples = []
     prev = 0.0
-    for t in times:
+    for t in (*times, None):
         g = targets - x
-        p = project_velocity(StateVector(x), g, active_ties(x, tol))
-        x = x + (t - prev) * p
+        _, gaps, joined = _group(x, tol)
+        block_count = _count_blocks(joined)
+        samples.append(
+            ProjectedSample(
+                t=prev,
+                state=StateVector(x),
+                potential=0.5 * float(np.dot(g, g)),
+                active_block_count=block_count,
+            )
+        )
+        if t is None:
+            break
+        _require_tangent(g)
+        if block_count and float(gaps[joined].sum()) >= _POOL_MARGIN:
+            g = project_velocity(x, g, active_ties(x, tol))
+        x = x + (t - prev) * g
         prev = t
-        samples.append(_sample_at(t, x, tol))
     return ProjectedTrace(samples=tuple(samples), step=step)

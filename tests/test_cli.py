@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -169,6 +170,61 @@ class TestFlowTrace:
             code, _, err = run(argv, capsys)
             assert code == 2
             assert err.startswith("error:")
+
+    # sha256 of stdout for fixed argv: projected traces must keep their bytes
+    GOLDEN = [
+        (
+            ["--n", "6", "--start", "reverse", "--t-end", "2"],
+            "58e46d7a98395f4aa051271b8aa62457fc390aa33caa23103d6db7b99fc0e22f",
+        ),
+        (
+            ["--n", "9", "--start", "random:5", "--t-end", "1.5", "--format", "csv"],
+            "b353e3d0a03cef8fcce671bd9862b9ff5caad46524ca9c4004aa60cfccf00dac",
+        ),
+        (
+            ["--n", "12", "--start", "random:42", "--t-end", "1", "--step", "0.005",
+             "--samples", "21"],
+            "21e9cc572a81f7880a8b9dd7eeb1d393496aec672590a27bc50720193015d641",
+        ),
+        (
+            ["--n", "40", "--start", "reverse", "--t-end", "3", "--format", "csv",
+             "--precision", "17"],
+            "11cb8c051f236882c3a82515e0141d9ad35d748cbf136fefb3efe77d3d67cb5e",
+        ),
+        (
+            ["--n", "25", "--start", "random:7", "--t-end", "0.8", "--step", "0.005",
+             "--precision", "17"],
+            "5442f5c104b342b06672ee25733a717edc3a6e90c2283b3f2c8fea4287428f11",
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_projected_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["flow", "trace", "--projected", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "trace", "--n", "4", "--projected", "--t-end", "inf"],
+            ["flow", "trace", "--n", "4", "--projected", "--t-end", "nan"],
+            ["flow", "trace", "--n", "4", "--t-end", "nan"],
+            ["flow", "trace", "--n", "4", "--t-end", "inf"],
+            ["flow", "trace", "--n", "4", "--projected", "--t-end", "1", "--step", "nan"],
+            ["flow", "events", "--n", "4", "--epsilon", "nan"],
+            ["flow", "events", "--n", "4", "--epsilon", "inf"],
+            ["flow", "events", "--n", "4", "--c", "inf"],
+            ["flow", "events", "--n", "4", "--c", "nan"],
+        ],
+    )
+    def test_non_finite_parameters_exit_two(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestDtree:

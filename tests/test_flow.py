@@ -113,8 +113,9 @@ class TestTimeToEpsilon:
             assert 1.3 <= t / math.log(n) <= 1.7
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            time_to_epsilon(8.0, 0.0)
+        for eps in [0.0, math.nan, math.inf]:
+            with pytest.raises(ValueError):
+                time_to_epsilon(8.0, eps)
         with pytest.raises(ValueError):
             time_to_epsilon(-1.0, 1.0)
 
@@ -215,7 +216,16 @@ class TestEstimates:
         assert abs(bound - asym) / asym < 0.10
 
     def test_lemma_lower_bound_validation(self):
-        for bad in [(0, 8.0, 1.0, 1.0), (3, 0.0, 1.0, 1.0), (3, 8.0, 0.0, 1.0), (3, 8.0, 1.0, 0.0)]:
+        for bad in [
+            (0, 8.0, 1.0, 1.0),
+            (3, 0.0, 1.0, 1.0),
+            (3, 8.0, 0.0, 1.0),
+            (3, 8.0, 1.0, 0.0),
+            (3, 8.0, math.nan, 1.0),
+            (3, 8.0, math.inf, 1.0),
+            (3, 8.0, 1.0, math.nan),
+            (3, 8.0, 1.0, math.inf),
+        ]:
             with pytest.raises(ValueError):
                 lemma_lower_bound(*bad)
 
@@ -233,6 +243,19 @@ class TestEstimates:
         assert est.discrete_estimate == 0.0
         assert est.lemma_lower_bound == 0.0
         assert est.crossing_count == 0
+
+    def test_estimate_sorting_validation(self):
+        p = Permutation.reverse(4)
+        for kwargs in [
+            {"epsilon": 0.0},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"c": -1.0},
+            {"c": math.nan},
+            {"c": math.inf},
+        ]:
+            with pytest.raises(ValueError):
+                estimate_sorting(p, **kwargs)
 
     def test_estimate_counts_match_events(self):
         for ranks in itertools.permutations(range(1, 5)):

@@ -3,16 +3,114 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permflow import (
     MAX_STEP,
     Permutation,
+    StateVector,
+    TieBlocks,
     active_ties,
+    as_state,
+    disorder_squared,
     flow_state,
     integrate_projected,
     project_velocity,
     vertex_of,
 )
+
+
+# --- reference: the per-step loop that groups and projects on every step ----
+
+
+def reference_blocks(coords, tol):
+    """Pure-Python tie grouping: sort by (value, index), join gaps <= tol."""
+    order = sorted(range(len(coords)), key=lambda k: (coords[k], k))
+    groups = [[order[0]]]
+    for prev, k in zip(order, order[1:]):
+        if coords[k] - coords[prev] <= tol:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return tuple(tuple(sorted(k + 1 for k in g)) for g in groups)
+
+
+def reference_integrate(x0, t_end, step=MAX_STEP, tol=None):
+    """Euler loop that groups each state twice and runs PAV on every step.
+
+    Returns (t, coords, potential, active_block_count) per sample.
+    """
+    x0 = as_state(x0)
+    if tol is None:
+        tol = 1e-9 * x0.n
+    full_steps = int(math.floor(t_end / step + 1e-12))
+    times = [k * step for k in range(1, full_steps + 1)]
+    if not times or times[-1] < t_end - 1e-12:
+        times.append(t_end)
+
+    def sample(t, coords):
+        state = StateVector(coords)
+        blocks = reference_blocks(state.coords, tol)
+        return (
+            t,
+            state.coords,
+            0.5 * disorder_squared(state).d0,
+            sum(1 for b in blocks if len(b) > 1),
+        )
+
+    targets = np.arange(1, x0.n + 1, dtype=float)
+    x = x0.coords.copy()
+    samples = [sample(0.0, x)]
+    prev = 0.0
+    for t in times:
+        g = targets - x
+        ties = TieBlocks(blocks=reference_blocks(x, tol), tol=tol)
+        p = project_velocity(StateVector(x), g, ties)
+        x = x + (t - prev) * p
+        prev = t
+        samples.append(sample(t, x))
+    return samples
+
+
+def assert_matches_reference(x0, t_end, step=MAX_STEP, tol=None):
+    trace = integrate_projected(x0, t_end, step=step, tol=tol)
+    want = reference_integrate(x0, t_end, step=step, tol=tol)
+    assert len(trace.samples) == len(want)
+    for got, (t, coords, potential, count) in zip(trace.samples, want):
+        assert got.t == t
+        assert got.state.coords.tobytes() == coords.tobytes()
+        assert got.potential == potential
+        assert got.active_block_count == count
+
+
+def block_average(values, sizes):
+    """Replace runs of consecutive ranks by their mean: a tied point of P_n."""
+    mean_of = {}
+    r = 1
+    for size in sizes:
+        group = range(r, min(r + size, len(values) + 1))
+        for v in group:
+            mean_of[v] = sum(group) / len(group)
+        r += size
+        if r > len(values):
+            break
+    return [mean_of.get(v, float(v)) for v in values]
+
+
+@st.composite
+def starts(draw):
+    """Vertex, block-averaged tied and facet starts of P_n."""
+    n = draw(st.integers(2, 12))
+    perm = draw(st.permutations(range(1, n + 1)))
+    kind = draw(st.sampled_from(["vertex", "tied", "facet"]))
+    if kind == "vertex":
+        return [float(v) for v in perm]
+    if kind == "tied":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        return block_average(perm, sizes)
+    low = draw(st.integers(2, n))
+    return block_average(perm, [low])
 
 
 class TestActiveTies:
@@ -195,3 +293,80 @@ class TestIntegrateProjected:
         trace = integrate_projected([3.0, 2.0, 1.0], 0.025, step=0.01)
         assert trace.samples[-1].t == 0.025
         assert len(trace.samples) == 4  # t = 0, 0.01, 0.02, 0.025
+
+
+class TestMatchesReferenceLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x0=starts(),
+        t_end=st.sampled_from([0.003, 0.05, 0.37, 1.0]),
+        step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
+        tol=st.sampled_from([None, 1e-6, 0.3, 2.0]),
+    )
+    def test_samples_bit_identical(self, x0, t_end, step, tol):
+        assert_matches_reference(x0, t_end, step=step, tol=tol)
+
+    @pytest.mark.parametrize(
+        "x0, tol",
+        [
+            ([1.0, 3.0, 2.0], 2.0),
+            ([5.0, 1.0, 3.0, 2.0, 4.0], 10.0),
+            ([0.95, 2.05], 1.5),
+        ],
+    )
+    def test_pooling_cases_bit_identical(self, x0, tol):
+        # a wide tol puts coordinates more than their index gap apart into
+        # one block, where PAV pools; the last block spans only 1.1
+        g = np.arange(1.0, len(x0) + 1) - np.asarray(x0)
+        assert not np.array_equal(project_velocity(x0, g, active_ties(x0, tol)), g)
+        assert_matches_reference(x0, 1.0, tol=tol)
+
+    def test_final_state_matches_product_form(self):
+        # x_k = v_s + (x0 - v_s) * prod(1 - h_k), up to rounding
+        rng = random.Random(3)
+        for n in (5, 40, 200):
+            ranks = list(range(1, n + 1))
+            rng.shuffle(ranks)
+            x0 = np.array(ranks, dtype=float)
+            trace = integrate_projected(x0, 0.525, step=0.01)
+            targets = np.arange(1.0, n + 1)
+            want = targets + (x0 - targets) * (0.99 ** 52 * 0.995)
+            assert np.allclose(trace.final.coords, want, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 2.0, 3.5, -1.0]), min_size=1, max_size=12),
+        tol=st.sampled_from([None, 1e-12, 1e-9, 0.6, 1.6]),
+    )
+    def test_active_ties_matches_reference_grouping(self, x, tol):
+        ref_tol = 1e-9 * len(x) if tol is None else tol
+        assert active_ties(x, tol).blocks == reference_blocks(np.asarray(x), ref_tol)
+
+
+class TestRejectsOutOfModelInputs:
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -math.inf])
+    def test_non_finite_t_end(self, t_end):
+        with pytest.raises(ValueError):
+            integrate_projected([3.0, 2.0, 1.0], t_end)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_non_finite_step(self, step):
+        with pytest.raises(ValueError):
+            integrate_projected([3.0, 2.0, 1.0], 1.0, step=step)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_tol(self, tol):
+        with pytest.raises(ValueError):
+            integrate_projected([3.0, 2.0, 1.0], 1.0, tol=tol)
+        with pytest.raises(ValueError):
+            active_ties([3.0, 2.0, 1.0], tol=tol)
+
+    @pytest.mark.parametrize("x0", [[math.nan, 2.0, 4.0], [math.inf, -math.inf, 6.0]])
+    def test_non_finite_start(self, x0):
+        with pytest.raises(ValueError):
+            integrate_projected(x0, 1.0)
+
+    def test_start_off_the_hyperplane(self):
+        # the pull is then not tangent, which project_velocity refuses
+        with pytest.raises(ValueError):
+            integrate_projected([1.0, 1.0, 1.0], 1.0)
