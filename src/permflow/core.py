@@ -149,11 +149,36 @@ def vertex_of(p: Permutation | Iterable[int]) -> StateVector:
 
 
 def inversions(p: Permutation | Iterable[int]) -> int:
-    """Count pairs i < j with ranks[i] > ranks[j]."""
+    """Count pairs i < j with ranks[i] > ranks[j].
+
+    Bottom-up merge sort in O(n log n): when the head of a right run is
+    taken before the rest of its left run, it forms an inversion with
+    every key still waiting on the left.
+    """
     if not isinstance(p, Permutation):
         p = Permutation.of(p)
-    r = p.ranks
-    return sum(1 for i in range(p.n) for j in range(i + 1, p.n) if r[i] > r[j])
+    runs = list(p.ranks)
+    count = 0
+    width = 1
+    while width < p.n:
+        merged: list[int] = []
+        for lo in range(0, p.n, 2 * width):
+            left = runs[lo : lo + width]
+            right = runs[lo + width : lo + 2 * width]
+            i = j = 0
+            while i < len(left) and j < len(right):
+                if right[j] < left[i]:
+                    merged.append(right[j])
+                    j += 1
+                    count += len(left) - i
+                else:
+                    merged.append(left[i])
+                    i += 1
+            merged += left[i:]
+            merged += right[j:]
+        runs = merged
+        width *= 2
+    return count
 
 
 def disorder_squared(x: StateVector | Sequence[float]) -> DisorderReport:

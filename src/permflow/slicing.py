@@ -7,14 +7,17 @@ A correct comparison sort drives that count from n! down to exactly 1 —
 the sorted assignment — and the per-comparison information
 bits = log2(count_before / count_after) telescopes to log2(n!) over any
 complete run. `instrument` replays four classical sorts while recording
-this contraction; `feasible_count` does the counting, with a subset
-dynamic program as the scalable path and brute-force enumeration as the
-cross-checking oracle.
+this contraction. `feasible_count` does the counting: it multiplies over
+the connected components of the constraint graph and counts each one by
+a dynamic program over its down-sets (the lattice of ideals of the
+constraint poset), so it only visits label sets that some feasible order
+places first. Brute-force enumeration is the cross-checking oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -43,7 +46,8 @@ __all__ = [
     "reduction_report",
 ]
 
-#: Subset dynamic programming iterates over 2^n index sets.
+#: Counting one connected component visits its down-sets, up to 2^n of them
+#: when the constraints are few but connect every label (a star, say).
 DP_LIMIT = 18
 #: Brute-force enumeration materializes all n! rank assignments.
 BRUTE_LIMIT = 10
@@ -119,30 +123,63 @@ def parse_constraints(text: str, n: int) -> ConstraintSet:
 def feasible_count(s: ConstraintSet) -> int:
     """Number of rank assignments to labels 1..n satisfying every constraint.
 
-    Subset dynamic programming over the labels placed so far: a label may
-    receive the next-larger rank once every label required to rank below
-    it has been placed. Exact integer arithmetic throughout; 0 when the
-    constraints are contradictory.
+    Labels in different connected components of the constraint graph never
+    constrain each other, so the count is the multinomial n! / prod |C|!
+    (the ways to share the ranks out among the components) times the
+    count of each component on its own. A component is counted over its
+    down-sets (label sets closed under "must rank below"), which a label
+    joins once all its lower labels are in, so sets no feasible order
+    places first are never visited. Exact integer arithmetic throughout;
+    0 when the constraints are contradictory.
     """
     n = s.n
     if n > DP_LIMIT:
         raise SizeLimitError(f"subset counting is limited to n <= {DP_LIMIT}, got {n}")
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
     below = [0] * n  # below[v] = bitmask of labels that must rank under label v+1
     for c in s.constraints:
         below[c.hi - 1] |= 1 << (c.lo - 1)
-    full = (1 << n) - 1
-    counts = [0] * (full + 1)
-    counts[0] = 1
-    for mask in range(full + 1):
-        base = counts[mask]
-        if base == 0:
-            continue
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit or below[v] & ~mask:
-                continue
-            counts[mask | bit] += base
-    return counts[full]
+        root[find(c.lo - 1)] = find(c.hi - 1)
+    components: dict[int, int] = {}  # root label -> bitmask of its component
+    for v in range(n):
+        r = find(v)
+        components[r] = components.get(r, 0) | 1 << v
+    total = math.factorial(n)
+    for labels in components.values():
+        size = labels.bit_count()
+        total //= math.factorial(size)
+        if size > 1:
+            total *= _count_down_sets(below, labels)
+            if total == 0:
+                return 0
+    return total
+
+
+def _count_down_sets(below: list[int], labels: int) -> int:
+    """Orders of one component's labels, one down-set layer at a time.
+
+    A layer maps each down-set of one size to the number of orders that
+    place exactly that set first; it comes out empty only on a cycle.
+    """
+    joins = [(1 << v, below[v]) for v in range(len(below)) if labels >> v & 1]
+    layer = {0: 1}
+    for _ in joins:
+        grown: defaultdict[int, int] = defaultdict(int)
+        for mask, ways in layer.items():
+            for bit, need in joins:
+                if not (mask & bit or need & ~mask):
+                    grown[mask | bit] += ways
+        if not grown:
+            return 0
+        layer = grown
+    return layer[labels]
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +325,19 @@ _SORTS: dict[str, Callable[[list, Less], list]] = {
 }
 
 
+def _sort_and_input(
+    algorithm: str, p: Permutation | Sequence[int]
+) -> tuple[Callable[[list, Less], list], Permutation]:
+    """The named sort variant and p as a Permutation; ValueError on either."""
+    if algorithm not in _SORTS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
+        )
+    if not isinstance(p, Permutation):
+        p = Permutation.of(p)
+    return _SORTS[algorithm], p
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One comparison: the constraint it fixed and the count contraction."""
@@ -331,12 +381,7 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
     insertion's backward shift, top-down merge splitting at floor(n/2),
     quicksort on the first-element pivot, and a max-heap with sift-down.
     """
-    if algorithm not in _SORTS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
-        )
-    if not isinstance(p, Permutation):
-        p = Permutation.of(p)
+    sort, p = _sort_and_input(algorithm, p)
     if p.n > INSTRUMENT_LIMIT:
         raise SizeLimitError(
             f"instrumented runs are limited to n <= {INSTRUMENT_LIMIT}, got {p.n}"
@@ -365,7 +410,7 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
         )
         return u < v
 
-    out = _SORTS[algorithm](list(p.ranks), less)
+    out = sort(list(p.ranks), less)
     expected = list(range(1, p.n + 1))
     if out != expected or (p.n <= BRUTE_FORCE_LIMIT and out != brute_force_sort(p.ranks)):
         raise RuntimeError(f"{algorithm} failed to sort {p.ranks}: got {out}")
@@ -384,12 +429,7 @@ def comparison_count(algorithm: str, p: Permutation | Sequence[int]) -> int:
     Unlike instrument, no feasible sets are maintained, so this scales to
     any n that the plain sort itself can handle.
     """
-    if algorithm not in _SORTS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
-        )
-    if not isinstance(p, Permutation):
-        p = Permutation.of(p)
+    sort, p = _sort_and_input(algorithm, p)
     hits = 0
 
     def less(u: int, v: int) -> bool:
@@ -397,7 +437,7 @@ def comparison_count(algorithm: str, p: Permutation | Sequence[int]) -> int:
         hits += 1
         return u < v
 
-    out = _SORTS[algorithm](list(p.ranks), less)
+    out = sort(list(p.ranks), less)
     if out != list(range(1, p.n + 1)):
         raise RuntimeError(f"{algorithm} failed to sort {p.ranks}: got {out}")
     return hits

@@ -326,6 +326,96 @@ class TestSlice:
         assert lines[1] == "step,lo,hi,feasible_before,feasible_after,bits"
         assert lines[2:] == ["1,1,2,6,3,1", "2,1,3,3,2,0.584963", "3,2,3,2,1,1"]
 
+    # sha256 of stdout for fixed argv, recorded from the flat 2^n subset DP:
+    # counting by components and down-sets must keep every byte
+    GOLDEN = [
+        (
+            ["--n", "16", "--constraints", "1<2,3<4,5<6,7<8,9<10,11<12,13<14,15<16"],
+            "b5db3cbe4d4420a6cb729b52daf8ae18cbab1efbbc5a50e5266172ff53dc9884",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<2,3<4,5<6,7<8,9<10,11<12,13<14,15<16",
+             "--format", "csv"],
+            "bff042c130a09a2122f22b6b9d8589924a25cde631beb98c1b56412cea4282ee",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<2,2<3,3<4,4<5,6<7,7<8,8<9,10<11,11<12,12<13,13<14"],
+            "a65ec633575866e461f74b0e61ea636bc5ec708d35506e212b9b3be8968ba6ba",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<2,2<3,3<4,4<5,6<7,7<8,8<9,10<11,11<12,12<13,13<14",
+             "--format", "csv"],
+            "db93a83a889c2da88d86381175f7eff64c46dc20abd1015c3d9419c2ee2c6bb1",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<2,2<3,3<1,4<5,8<9"],
+            "e2c0edee5d3e829baa0f944a3ae6aeb3606b14e4487f32311f3a9c16bf15d779",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<2,2<3,3<1,4<5,8<9", "--format", "csv"],
+            "75dfd9e08c8ec0e3e2cacbe3e5607d4e61298622c995f7ee1a8fb58001af1c15",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<3,2<3,3<4,3<5,4<6,5<6,7<9,8<9,10<12"],
+            "b5a7b3e47c4f45b0e8c851b492c9184945b1cd31855678fbb2c8b86c2073f8d6",
+        ),
+        (
+            ["--n", "16", "--constraints", "1<3,2<3,3<4,3<5,4<6,5<6,7<9,8<9,10<12",
+             "--format", "csv"],
+            "dfd43ce7cbd718a94d81e53842f4e178445d4024521ce05e9b8a9e6d6a9b8cce",
+        ),
+        (
+            ["--n", "16", "--constraints", ""],
+            "2d95eff6037e469d5940bf097132debaeeb3e4e30cd6f26e149965cefd4fb5e6",
+        ),
+        (
+            ["--n", "16", "--constraints", "", "--format", "csv"],
+            "962867066a646aeb6b65781980525850450b48974c397bb33d496fb8e48f25bb",
+        ),
+        (
+            ["--n", "8", "--instrument", "insertion", "--input", "5,8,2,7,1,4,6,3"],
+            "e8bc4c4f3cccf415a38444afb75aca83718c713d3f4566d78bfccea910d81d51",
+        ),
+        (
+            ["--n", "8", "--instrument", "insertion", "--input", "5,8,2,7,1,4,6,3",
+             "--format", "csv"],
+            "e4a66647711b12829dd89227a800c50cf479d0d143070fc8049e44a956d5703f",
+        ),
+        (
+            ["--n", "8", "--instrument", "merge", "--input", "5,8,2,7,1,4,6,3"],
+            "813d6eb31d25e149ef79eb509306660b2226ada180c45cd6bdd14b3c7d2671f4",
+        ),
+        (
+            ["--n", "8", "--instrument", "merge", "--input", "5,8,2,7,1,4,6,3",
+             "--format", "csv"],
+            "b9dbf2def61f5f9ec46116578e4a359f4779d32f6350d836ada00b83efe83393",
+        ),
+        (
+            ["--n", "8", "--instrument", "quick", "--input", "5,8,2,7,1,4,6,3"],
+            "08e714df9fc15e2cbe950a7d5dff8fbefdd0ea9b0f58b86d87bf0a01238fbb0e",
+        ),
+        (
+            ["--n", "8", "--instrument", "quick", "--input", "5,8,2,7,1,4,6,3",
+             "--format", "csv"],
+            "8de29e241fdbc0c086a2d6bad0571208fcf556e6138e2f60f7f95c90e47c1fbd",
+        ),
+        (
+            ["--n", "8", "--instrument", "heap", "--input", "5,8,2,7,1,4,6,3"],
+            "e9df01874a4b47be9343b9ac42155e8ac135d9210c86ee6efb42ddfd983c3780",
+        ),
+        (
+            ["--n", "8", "--instrument", "heap", "--input", "5,8,2,7,1,4,6,3",
+             "--format", "csv"],
+            "8f45a5d32416df561dcf2126e9011c0a99c9074bb04b2d403478f194746713e2",
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["slice", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_instrument_requires_input(self, capsys):
         code, _, err = run(["slice", "--n", "3", "--instrument", "merge"], capsys)
         assert code == 2

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permflow import (
     BRUTE_FORCE_LIMIT,
@@ -75,6 +78,12 @@ def test_sorted_vertex_and_embedding():
         sorted_vertex(0)
 
 
+def reference_inversions(ranks):
+    """The definition, pair by pair: the oracle for the merge count."""
+    n = len(ranks)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if ranks[i] > ranks[j])
+
+
 class TestInversions:
     def test_known_values(self):
         assert inversions(Permutation.identity(5)) == 0
@@ -85,6 +94,20 @@ class TestInversions:
     def test_reverse_maximizes(self):
         for n in range(1, 7):
             assert inversions(Permutation.reverse(n)) == n * (n - 1) // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_matches_pairwise_definition(self, ranks):
+        assert inversions(ranks) == reference_inversions(ranks)
+
+    def test_every_small_permutation(self):
+        for n in range(1, 7):
+            for ranks in itertools.permutations(range(1, n + 1)):
+                assert inversions(ranks) == reference_inversions(ranks)
+
+    def test_rejects_non_permutations(self):
+        with pytest.raises(ValueError):
+            inversions([1, 1, 2])
 
 
 class TestDisorder:

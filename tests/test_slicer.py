@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permflow import (
     ALGORITHMS,
@@ -23,6 +25,69 @@ from permflow import (
     parse_constraints,
     reduction_report,
 )
+
+
+def reference_count(s):
+    """The flat subset DP over all 2^n label sets: the oracle for n > BRUTE_LIMIT."""
+    n = s.n
+    below = [0] * n  # below[v] = bitmask of labels that must rank under label v+1
+    for c in s.constraints:
+        below[c.hi - 1] |= 1 << (c.lo - 1)
+    full = (1 << n) - 1
+    counts = [0] * (full + 1)
+    counts[0] = 1
+    for mask in range(full + 1):
+        base = counts[mask]
+        if base == 0:
+            continue
+        for v in range(n):
+            bit = 1 << v
+            if mask & bit or below[v] & ~mask:
+                continue
+            counts[mask | bit] += base
+    return counts[full]
+
+
+def constraint_set(n, pairs):
+    """Pairs as a ConstraintSet over 1..n, later duplicates dropped."""
+    return ConstraintSet(n, tuple(Constraint(a, b) for a, b in dict.fromkeys(pairs)))
+
+
+@st.composite
+def random_sets(draw, n_min, n_max, max_pairs, acyclic=False):
+    """Random pairs over 1..n; with acyclic, each points up a hidden order."""
+    n = draw(st.integers(n_min, n_max))
+    if n == 1:
+        return ConstraintSet.empty(1)
+    labels = st.integers(1, n)
+    pairs = draw(
+        st.lists(
+            st.tuples(labels, labels).filter(lambda ab: ab[0] != ab[1]),
+            max_size=max_pairs(n),
+        )
+    )
+    if acyclic:
+        rank = {v: k for k, v in enumerate(draw(st.permutations(range(1, n + 1))))}
+        pairs = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs]
+    return constraint_set(n, pairs)
+
+
+@st.composite
+def connected_sets(draw, n_min, n_max):
+    """A random spanning tree with random orientations, plus a few extra pairs."""
+    n = draw(st.integers(n_min, n_max))
+    pairs = []
+    for v in range(2, n + 1):
+        u = draw(st.integers(1, v - 1))
+        pairs.append((u, v) if draw(st.booleans()) else (v, u))
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
+    pairs += [(a, b) for a, b in extra if a != b]
+    return constraint_set(n, pairs)
+
+
+def shifted(s, offset):
+    """The pairs of s with every label moved up by offset."""
+    return [(c.lo + offset, c.hi + offset) for c in s.constraints]
 
 
 class TestConstraintSet:
@@ -140,6 +205,62 @@ class TestFeasibleCount:
         assert feasible_count(ConstraintSet.empty(12)) == math.factorial(12)
 
 
+class TestFeasibleCountOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(random_sets(1, BRUTE_LIMIT - 1, lambda n: 2 * n))
+    def test_matches_brute_force(self, s):
+        assert feasible_count(s) == feasible_count_brute(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_sets(2, BRUTE_LIMIT - 1, lambda n: n * (n - 1), acyclic=True))
+    def test_dense_acyclic_matches_brute_force(self, s):
+        assert feasible_count(s) == feasible_count_brute(s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_sets(10, 14, lambda n: n // 2))
+    def test_sparse_matches_reference(self, s):
+        assert feasible_count(s) == reference_count(s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_sets(10, 14, lambda n: 3 * n, acyclic=True))
+    def test_dense_matches_reference(self, s):
+        assert feasible_count(s) == reference_count(s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_sets(10, 14, lambda n: 3 * n))
+    def test_dense_with_cycles_matches_reference(self, s):
+        assert feasible_count(s) == reference_count(s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_sets(10, 14))
+    def test_connected_matches_reference(self, s):
+        assert feasible_count(s) == reference_count(s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_sets(2, 7), random_sets(1, 7, lambda n: n))
+    def test_disjoint_union_is_multinomial(self, a, b):
+        n = a.n + b.n
+        union = constraint_set(n, shifted(a, 0) + shifted(b, a.n))
+        want = math.comb(n, a.n) * feasible_count(a) * feasible_count(b)
+        assert feasible_count(union) == want
+        if n >= 10:
+            assert feasible_count(union) == reference_count(union)
+
+    def test_disjoint_chains_past_brute_limit(self):
+        # chains of 5, 4 and 5 labels plus two free labels: 16!/(5! 4! 5!)
+        pairs = [(v, v + 1) for v in (1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13)]
+        s = constraint_set(16, pairs)
+        assert feasible_count(s) == math.factorial(16) // (120 * 24 * 120)
+
+    def test_unconstrained_at_limit(self):
+        s = ConstraintSet.empty(DP_LIMIT)
+        assert feasible_count(s) == math.factorial(DP_LIMIT)
+
+    def test_cycle_in_one_component_zeroes_all(self):
+        s = parse_constraints("1<2,2<3,3<1,4<5", 16)
+        assert feasible_count(s) == 0
+
+
 class TestContradiction:
     def test_acyclic_is_fine(self):
         assert not is_contradictory(parse_constraints("1<2,2<3,1<3", 3))
@@ -158,6 +279,11 @@ class TestContradiction:
             k = rng.randint(0, min(len(pairs), 7))
             s = ConstraintSet(n, tuple(Constraint(a, b) for a, b in rng.sample(pairs, k)))
             assert is_contradictory(s) == (feasible_count(s) == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_sets(1, DP_LIMIT, lambda n: n + 4))
+    def test_cycle_iff_zero_count(self, s):
+        assert is_contradictory(s) == (feasible_count(s) == 0)
 
 
 class TestIsolatesSorted:
