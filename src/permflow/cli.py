@@ -31,8 +31,6 @@ from .core import (
     vertex_of,
 )
 from .dtree import (
-    BUILD_FAST_LIMIT,
-    BUILD_LIMIT,
     build_optimal,
     info_lower_bound,
     tree_to_json,
@@ -220,7 +218,14 @@ def _cmd_flow_trace(args, digits: int) -> str:
         picked = []
         for t in wanted:
             idx = last if t == wanted[-1] else min(int(round(t / args.step)), last)
-            picked.append(trace.samples[idx])
+            sample = trace.samples[idx]
+            if abs(sample.t - t) > 1e-9 * t:
+                raise ValueError(
+                    f"sample time {t:g} is off the Euler grid (nearest step "
+                    f"time {sample.t:g}); choose --step and --samples so that "
+                    "t-end/(samples-1) is a multiple of --step"
+                )
+            picked.append(sample)
         rows = [
             (s.t, s.state.coords, disorder_squared(s.state).d0) for s in picked
         ]
@@ -250,11 +255,7 @@ def _cmd_flow_trace(args, digits: int) -> str:
 
 def _cmd_dtree(args, digits: int) -> str:
     bound = info_lower_bound(args.n)
-    if BUILD_FAST_LIMIT < args.n <= BUILD_LIMIT and not args.allow_slow:
-        raise ValueError(
-            f"n = {args.n} is slow to search exhaustively; pass --allow-slow"
-        )
-    built = build_optimal(args.n, allow_slow=args.allow_slow)
+    built = build_optimal(args.n)
     if args.emit_tree:
         with open(args.emit_tree, "w", newline="") as fh:
             fh.write(tree_to_json(built.root) + "\n")
@@ -531,11 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dtree = sub.add_parser("dtree", parents=[common], help="optimal comparison trees")
     dtree.add_argument("--n", type=int, required=True)
-    dtree.add_argument(
-        "--allow-slow",
-        action="store_true",
-        help="permit the n=5 exhaustive search",
-    )
     dtree.add_argument("--emit-tree", default=None, help="also write the tree JSON here")
 
     slc = sub.add_parser("slice", parents=[common], help="constraint counting and instrumented sorts")

@@ -3,9 +3,9 @@
 A binary tree whose internal nodes compare two input positions and whose
 leaves output an ordering can sort all n! inputs only if it has at least
 n! leaves, hence height at least ceil(log2(n!)). `build_optimal` finds a
-tree meeting that height exactly for n <= 4 (and n = 5 behind a flag) by
-exhaustive branch-and-bound over comparison choices, and `verify_tree`
-replays every permutation to confirm a tree really sorts.
+tree meeting that height exactly for every n <= 5 by exhaustive
+branch-and-bound over comparison choices, and `verify_tree` replays every
+permutation to confirm a tree really sorts.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "TreeStats",
     "OptimalTree",
     "BUILD_LIMIT",
-    "BUILD_FAST_LIMIT",
     "info_lower_bound",
     "build_optimal",
     "verify_tree",
@@ -38,8 +37,6 @@ __all__ = [
 
 #: build_optimal refuses n beyond this outright.
 BUILD_LIMIT = 5
-#: Largest n built without opting in to the slower search.
-BUILD_FAST_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def _argsort_perm(ranks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(1, len(ranks) + 1), key=lambda k: ranks[k - 1]))
 
 
-def build_optimal(n: int, allow_slow: bool = False) -> OptimalTree:
+def build_optimal(n: int) -> OptimalTree:
     """Minimal-height comparison tree that sorts every permutation of 1..n.
 
     Exhaustive search over comparison pairs with the remaining set of
@@ -111,18 +108,13 @@ def build_optimal(n: int, allow_slow: bool = False) -> OptimalTree:
     lexicographic-code) form of that set and pruned by the counting
     bound ceil(log2 |consistent|). Ties between equally tall candidates
     resolve to the lexicographically smallest comparison pair, so the
-    result is deterministic. n = 5 is noticeably slower and must be
-    requested with allow_slow; larger n is refused.
+    result is deterministic. n > BUILD_LIMIT is refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > BUILD_LIMIT:
         raise SizeLimitError(
             f"optimal tree search is limited to n <= {BUILD_LIMIT}, got {n}"
-        )
-    if n > BUILD_FAST_LIMIT and not allow_slow:
-        raise ValueError(
-            f"n = {n} is slow to search exhaustively; pass allow_slow=True"
         )
 
     perms = list(itertools.permutations(range(1, n + 1)))

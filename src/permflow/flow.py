@@ -142,7 +142,11 @@ def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional
     if not (1 <= i and j <= x0.n):
         raise ValueError(f"indices must be in 1..{x0.n}, got ({i}, {j})")
     _require_hyperplane(x0)
-    a = _offsets(x0)
+    return _meeting_time(_offsets(x0), i, j)
+
+
+def _meeting_time(a: Sequence[float], i: int, j: int) -> Optional[float]:
+    """Meeting time of coordinates i < j (1-based) with offsets a, or None."""
     denom = a[i - 1] - a[j - 1]
     if denom == 0:
         return None
@@ -157,17 +161,19 @@ def crossing_events(x0: StateVector | Sequence[float]) -> list[CrossingEvent]:
 
     For a vertex start the event count equals the inversion count of the
     underlying permutation. Simultaneous meetings (degenerate starts such
-    as the full reverse at n = 3) are ordered by lexicographic pair.
+    as the full reverse at n = 3) are ordered by lexicographic pair. A
+    start off the hyperplane raises ValueError, also at n = 1.
     """
     x0 = as_state(x0)
-    a = _offsets(x0)
+    _require_hyperplane(x0)
+    a = _offsets(x0).tolist()
     events = []
     for i in range(1, x0.n + 1):
         for j in range(i + 1, x0.n + 1):
-            t = crossing_time(x0, i, j)
+            t = _meeting_time(a, i, j)
             if t is None:
                 continue
-            meet = float(i + a[i - 1] * math.exp(-t))
+            meet = i + a[i - 1] * math.exp(-t)
             events.append(CrossingEvent(pair=(i, j), time=t, meeting_value=meet))
     events.sort(key=lambda e: (e.time, e.pair))
     return events

@@ -98,6 +98,64 @@ class TestFlowEvents:
             assert out == ""
             assert err.startswith("error:")
 
+    # sha256 of stdout for fixed argv: the crossing schedule must keep its bytes
+    GOLDEN = [
+        (
+            ["--n", "3", "--start", "reverse"],
+            "55a7e54559bca001a673d84544c9184b0612acff3074819843847eafb387a605",
+        ),
+        (
+            ["--n", "3", "--start", "reverse", "--precision", "17"],
+            "8177630de3e2214fcd80e580cf93531c63b038e365efc949d4cf669b480e976d",
+        ),
+        (
+            ["--n", "3", "--start", "reverse", "--format", "csv"],
+            "1f80b583834b9ba28319789a9e2b61a5cae20297b769fb8c8daaf2b771e5eca7",
+        ),
+        (
+            ["--n", "3", "--start", "reverse", "--format", "csv", "--precision", "17"],
+            "a3d6a8d6ac7e4adffb40ff93fa5b9e8c4d13d3713758075fe243b2f999e07647",
+        ),
+        (
+            ["--n", "6", "--start", "random:42"],
+            "3fa0e53280506ad9c4f9a5b5071f800857147302f4963902936eaa6787f507b3",
+        ),
+        (
+            ["--n", "6", "--start", "random:42", "--precision", "17"],
+            "dc1f7ff8c415dcb44be023001276a3f5d451920b4477506c497e7cf7728cef67",
+        ),
+        (
+            ["--n", "6", "--start", "random:42", "--format", "csv"],
+            "5d5b92d3b92eca5b02ae24848ed4c27c1077556291bcd14d807c37a140ba31f5",
+        ),
+        (
+            ["--n", "6", "--start", "random:42", "--format", "csv", "--precision", "17"],
+            "fe61501053777a3fad158474f98f45f738c6475463d89ef13ee530b8c04d55d7",
+        ),
+        (
+            ["--n", "120", "--start", "random:1"],
+            "fb16f011556568a6f8218e7468b08a089a607994fad92de277f56b7a329c4d21",
+        ),
+        (
+            ["--n", "120", "--start", "random:1", "--precision", "17"],
+            "91a96452306928c263c0b8c666c7afa92c75b320632fc472374aaf412bff7c9e",
+        ),
+        (
+            ["--n", "120", "--start", "random:1", "--format", "csv"],
+            "8c2daf7c1ea3ae5140b7666b418b9d3804d698b1e8749a8cdbca2b425baef817",
+        ),
+        (
+            ["--n", "120", "--start", "random:1", "--format", "csv", "--precision", "17"],
+            "7b114f16c25e2ec3b5c443110a4cdaea654c39daf65476a80842ee1f66b7fe07",
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["flow", "events", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestFlowTrace:
     def test_csv_header_and_endpoints(self, capsys):
@@ -170,6 +228,17 @@ class TestFlowTrace:
             code, _, err = run(argv, capsys)
             assert code == 2
             assert err.startswith("error:")
+
+    def test_projected_time_off_grid(self, capsys):
+        # 0.05 / 10 = 0.005 falls between the 0.01 Euler steps
+        code, out, err = run(
+            ["flow", "trace", "--projected", "--n", "4", "--t-end", "0.05", "--samples", "11"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--step" in err and "--samples" in err
 
     # sha256 of stdout for fixed argv: projected traces must keep their bytes
     GOLDEN = [
@@ -246,18 +315,29 @@ class TestDtree:
         ok, bad = verify_tree(root, 4)
         assert ok and bad is None
 
-    def test_slow_size_needs_flag(self, capsys):
-        code, _, err = run(["dtree", "--n", "5"], capsys)
-        assert code == 2
-        assert "allow" in err
+    # sha256 of the tree JSON that --emit-tree writes, for every buildable n
+    TREE_GOLDEN = [
+        (1, "9623a3806160ac52aed0ca1fa51f859e6e511357dc62fdd71c79938c40bdcbeb"),
+        (2, "2421655f3978707b38e10eada4a250bd72af9b406dd74aa65559094c2f62f8ff"),
+        (3, "1a0c4ce1fcbc6a6df2859857ca81584d3a44ca05b9d0d5d4f49ffe44e2f985c3"),
+        (4, "c78e7d90c0f389e888e6717dbc2e63463198a36a948c04e8e4df041d40dc9436"),
+        (5, "72728183d3071a66871598fbba8ad7698b9eb15069290a5f4041de322c1d1d6e"),
+    ]
 
-    def test_allow_slow_unlocks_five(self, capsys):
-        code, out, _ = run(["dtree", "--n", "5", "--allow-slow"], capsys)
+    @pytest.mark.parametrize("n, digest", TREE_GOLDEN)
+    def test_emitted_tree_golden_bytes(self, n, digest, capsys, tmp_path):
+        path = tmp_path / "tree.json"
+        code, _, _ = run(["dtree", "--n", str(n), "--emit-tree", str(path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_five_keys_build(self, capsys):
+        code, out, _ = run(["dtree", "--n", "5"], capsys)
         assert code == 0
         assert json.loads(out) == {"n": 5, "info_bound": 7, "height": 7, "leaf_count": 120}
 
     def test_hard_cap_is_exit_three(self, capsys):
-        code, _, err = run(["dtree", "--n", "6", "--allow-slow"], capsys)
+        code, _, err = run(["dtree", "--n", "6"], capsys)
         assert code == 3
         assert err.startswith("error:")
 

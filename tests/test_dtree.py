@@ -4,7 +4,6 @@ import math
 import pytest
 
 from permflow import (
-    BUILD_FAST_LIMIT,
     BUILD_LIMIT,
     Internal,
     Leaf,
@@ -43,24 +42,24 @@ class TestInfoLowerBound:
 
 class TestBuildOptimal:
     def test_heights_meet_info_bound(self):
-        for n in range(1, BUILD_FAST_LIMIT + 1):
+        for n in range(1, BUILD_LIMIT + 1):
             tree = build_optimal(n)
             assert tree.height == info_lower_bound(n)
             assert tree.stats.leaf_count == math.factorial(n)
             assert tree.stats.n == n
 
     def test_five_keys_needs_seven_comparisons(self):
-        tree = build_optimal(5, allow_slow=True)
+        tree = build_optimal(5)
         assert tree.height == 7
         assert tree.stats.leaf_count == 120
 
     def test_trees_sort_correctly(self):
-        for n in range(1, BUILD_FAST_LIMIT + 1):
+        for n in range(1, BUILD_LIMIT + 1):
             ok, bad = verify_tree(build_optimal(n).root, n)
             assert ok and bad is None
 
     def test_five_key_tree_sorts_correctly(self):
-        ok, bad = verify_tree(build_optimal(5, allow_slow=True).root, 5)
+        ok, bad = verify_tree(build_optimal(5).root, 5)
         assert ok and bad is None
 
     def test_single_key_is_a_leaf(self):
@@ -80,14 +79,9 @@ class TestBuildOptimal:
     def test_deterministic(self):
         assert build_optimal(4).root == build_optimal(4).root
 
-    def test_slow_sizes_need_opt_in(self):
-        with pytest.raises(ValueError) as err:
-            build_optimal(BUILD_FAST_LIMIT + 1)
-        assert not isinstance(err.value, SizeLimitError)
-
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            build_optimal(BUILD_LIMIT + 1, allow_slow=True)
+            build_optimal(BUILD_LIMIT + 1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -135,7 +129,7 @@ class TestTreeStats:
         assert (stats.height, stats.leaf_count) == (0, 1)
 
     def test_counting_bound_enforced(self):
-        for n in range(1, BUILD_FAST_LIMIT + 1):
+        for n in range(1, BUILD_LIMIT + 1):
             stats = build_optimal(n).stats
             assert stats.leaf_count <= 2**stats.height
 
@@ -156,7 +150,7 @@ class TestSerialization:
         }
 
     def test_json_round_trip(self):
-        for n in range(1, BUILD_FAST_LIMIT + 1):
+        for n in range(1, BUILD_LIMIT + 1):
             root = build_optimal(n).root
             assert tree_from_json(tree_to_json(root)) == root
 

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permflow import (
     Permutation,
@@ -186,6 +188,27 @@ class TestCrossingEvents:
             for e in crossing_events(vertex_of(Permutation.of(ranks))):
                 assert e.time > 0
                 assert 0 < math.exp(-e.time) < 1
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0, 7.0], [5.0]])
+    def test_rejects_off_hyperplane_start(self, start):
+        # checked once up front, so also when there is no pair to examine
+        with pytest.raises(ValueError):
+            crossing_events(start)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
+    def test_events_are_the_pairs_crossing_time_reports(self, offsets):
+        n = len(offsets)
+        x = np.arange(1, n + 1) + np.array(offsets)
+        x += (hyperplane_sum(n) - x.sum()) / n
+        expected = {}
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            t = crossing_time(x, i, j)
+            if t is not None:
+                expected[(i, j)] = t
+        events = crossing_events(x)
+        assert len(events) == len(expected)
+        assert {e.pair: e.time for e in events} == expected
 
 
 class TestEstimates:
