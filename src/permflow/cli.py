@@ -41,7 +41,7 @@ from .flow import (
     sample_trace,
     time_to_epsilon,
 )
-from .projection import MAX_STEP, integrate_projected
+from .projection import MAX_STEP, _step_times, integrate_projected
 from .slicing import (
     ALGORITHMS,
     feasible_count,
@@ -134,18 +134,14 @@ def _fmt(x: float, digits: int) -> str:
     return format(x, f".{digits}g")
 
 
-def _round_floats(obj, digits: int):
-    if isinstance(obj, float):
-        return float(_fmt(obj, digits))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v, digits) for v in obj]
-    return obj
+def _round(x: float, digits: int) -> float:
+    """x cut to `digits` significant digits: the real a JSON payload carries.
 
-
-def _to_json(payload: dict, digits: int) -> str:
-    return json.dumps(_round_floats(payload, digits))
+    JSON handlers round each float field once where they build the
+    payload (long rows inline `float(format(v, spec))`), and leave ints
+    and bools as they are.
+    """
+    return float(_fmt(x, digits))
 
 
 def _bool(b: bool) -> str:
@@ -172,19 +168,20 @@ def _cmd_flow_events(args, digits: int) -> str:
     est = estimate_sorting(start, epsilon=args.epsilon, c=args.c)
     d0 = disorder_squared(x0).d0
     if args.format == "json":
-        return _to_json(
+        spec = f".{digits}g"
+        return json.dumps(
             {
                 "n": start.n,
                 "start": list(start.ranks),
-                "d0": d0,
+                "d0": _round(d0, digits),
                 "events": [
-                    {"i": e.pair[0], "j": e.pair[1], "t": e.time} for e in events
+                    {"i": e.pair[0], "j": e.pair[1], "t": float(format(e.time, spec))}
+                    for e in events
                 ],
-                "t_eps": est.continuous_time,
-                "estimate": est.discrete_estimate,
-                "lemma_lb": est.lemma_lower_bound,
-            },
-            digits,
+                "t_eps": _round(est.continuous_time, digits),
+                "estimate": _round(est.discrete_estimate, digits),
+                "lemma_lb": _round(est.lemma_lower_bound, digits),
+            }
         )
     lines = [
         f"# n={start.n} start={','.join(map(str, start.ranks))}",
@@ -213,37 +210,44 @@ def _cmd_flow_trace(args, digits: int) -> str:
     x0 = vertex_of(start)
     wanted = [args.t_end * k / (args.samples - 1) for k in range(args.samples)]
     if args.projected:
-        trace = integrate_projected(x0, args.t_end, step=args.step)
-        last = len(trace.samples) - 1
+        # sample k of the trace sits at grid[k]; reject off-grid times
+        # before paying for the integration
+        grid = [0.0, *_step_times(args.t_end, args.step)]
+        last = len(grid) - 1
         picked = []
         for t in wanted:
             idx = last if t == wanted[-1] else min(int(round(t / args.step)), last)
-            sample = trace.samples[idx]
-            if abs(sample.t - t) > 1e-9 * t:
+            if abs(grid[idx] - t) > 1e-9 * t:
                 raise ValueError(
                     f"sample time {t:g} is off the Euler grid (nearest step "
-                    f"time {sample.t:g}); choose --step and --samples so that "
+                    f"time {grid[idx]:g}); choose --step and --samples so that "
                     "t-end/(samples-1) is a multiple of --step"
                 )
-            picked.append(sample)
+            picked.append(idx)
+        samples = integrate_projected(x0, args.t_end, step=args.step).samples
         rows = [
-            (s.t, s.state.coords, disorder_squared(s.state).d0) for s in picked
+            (s.t, s.state.coords, disorder_squared(s.state).d0)
+            for s in (samples[k] for k in picked)
         ]
     else:
         trace = sample_trace(x0, wanted)
         rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
     if args.format == "json":
-        return _to_json(
+        spec = f".{digits}g"
+        return json.dumps(
             {
                 "n": start.n,
                 "start": list(start.ranks),
                 "projected": bool(args.projected),
                 "rows": [
-                    {"t": t, "x": list(map(float, x)), "disorder": d}
+                    {
+                        "t": _round(t, digits),
+                        "x": [float(format(v, spec)) for v in x.tolist()],
+                        "disorder": _round(d, digits),
+                    }
                     for t, x, d in rows
                 ],
-            },
-            digits,
+            }
         )
     header = "t," + ",".join(f"x{k}" for k in range(1, start.n + 1)) + ",disorder"
     lines = [header]
@@ -261,14 +265,13 @@ def _cmd_dtree(args, digits: int) -> str:
             fh.write(tree_to_json(built.root) + "\n")
     stats = built.stats
     if args.format == "json":
-        return _to_json(
+        return json.dumps(
             {
                 "n": args.n,
                 "info_bound": bound,
                 "height": stats.height,
                 "leaf_count": stats.leaf_count,
-            },
-            digits,
+            }
         )
     return "n,info_bound,height,leaf_count\n" + (
         f"{args.n},{bound},{stats.height},{stats.leaf_count}"
@@ -286,7 +289,7 @@ def _cmd_slice(args, digits: int) -> str:
         report = reduction_report(run)
         iso = isolates_sorted(run.constraints)
         if args.format == "json":
-            return _to_json(
+            return json.dumps(
                 {
                     "algorithm": run.algorithm,
                     "n": start.n,
@@ -298,18 +301,17 @@ def _cmd_slice(args, digits: int) -> str:
                             "hi": s.constraint.hi,
                             "feasible_before": s.feasible_before,
                             "feasible_after": s.feasible_after,
-                            "bits": s.bits,
+                            "bits": _round(s.bits, digits),
                         }
                         for k, s in enumerate(run.trace, start=1)
                     ],
                     "comparisons": report.comparisons,
-                    "total_bits": report.total_bits,
-                    "max_bits": report.max_bits,
-                    "halving_fraction": report.halving_fraction,
+                    "total_bits": _round(report.total_bits, digits),
+                    "max_bits": _round(report.max_bits, digits),
+                    "halving_fraction": _round(report.halving_fraction, digits),
                     "final_count": report.final_feasible,
                     "isolates_sorted": iso,
-                },
-                digits,
+                }
             )
         lines = [
             "# algorithm={} input={} comparisons={} total_bits={} max_bits={} "
@@ -337,15 +339,14 @@ def _cmd_slice(args, digits: int) -> str:
     iso = isolates_sorted(constraints)
     contra = is_contradictory(constraints)
     if args.format == "json":
-        return _to_json(
+        return json.dumps(
             {
                 "n": args.n,
                 "constraints": [[c.lo, c.hi] for c in constraints.constraints],
                 "count": count,
                 "isolates_sorted": iso,
                 "contradictory": contra,
-            },
-            digits,
+            }
         )
     return "n,count,isolates_sorted,contradictory\n" + (
         f"{args.n},{count},{_bool(iso)},{_bool(contra)}"
@@ -385,22 +386,21 @@ def _cmd_report(args, digits: int) -> str:
         ),
     ]
     if args.format == "json":
-        return _to_json(
+        return json.dumps(
             {
                 "n": 3,
                 "start": list(start.ranks),
-                "d0": d0,
-                "t1": t1,
+                "d0": _round(d0, digits),
+                "t1": _round(t1, digits),
                 "crossings": len(events),
                 "info_bound": bound,
-                "t_total": t_total,
-                "dt": dt,
-                "estimate": est.discrete_estimate,
+                "t_total": _round(t_total, digits),
+                "dt": _round(dt, digits),
+                "estimate": _round(est.discrete_estimate, digits),
                 "estimate_ceiling": math.ceil(est.discrete_estimate),
-                "lemma_lb": est.lemma_lower_bound,
+                "lemma_lb": _round(est.lemma_lower_bound, digits),
                 "deviations": deviations,
-            },
-            digits,
+            }
         )
     if args.format == "csv":
         buf = io.StringIO()
@@ -452,21 +452,21 @@ def _cmd_bench(args, digits: int) -> str:
         asymptote = 1.5 * n * math.log(n)
         rows.append((n, d0, t, n_t, asymptote, n_t / asymptote))
     if args.format == "json":
-        return _to_json(
+        spec = f".{digits}g"
+        return json.dumps(
             {
                 "rows": [
                     {
                         "n": n,
                         "d0": d0,
-                        "t": t,
-                        "n_t": n_t,
-                        "asymptote": asym,
-                        "ratio": ratio,
+                        "t": float(format(t, spec)),
+                        "n_t": float(format(n_t, spec)),
+                        "asymptote": float(format(asym, spec)),
+                        "ratio": float(format(ratio, spec)),
                     }
                     for n, d0, t, n_t, asym, ratio in rows
                 ]
-            },
-            digits,
+            }
         )
     lines = ["n,d0,t,n_t,asymptote,ratio"]
     for n, d0, t, n_t, asym, ratio in rows:

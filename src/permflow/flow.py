@@ -15,6 +15,7 @@ integration is involved anywhere in this module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -114,17 +115,35 @@ def disorder_at(x0: StateVector | Sequence[float], t: float) -> float:
     return disorder_squared(x0).d0 * math.exp(-2.0 * t)
 
 
+def _log_ratio(d0: float, epsilon: float) -> float:
+    """ln(d0 / epsilon^2) for finite d0 > 0 and epsilon > 0, always finite.
+
+    The quotient is taken directly while epsilon^2 is a normal float and
+    the quotient neither overflows nor underflows; otherwise epsilon^2
+    (which underflows below epsilon ~ 1.5e-154 and overflows above
+    ~ 1.3e154) is kept out of the arithmetic as ln(d0) - 2 ln(epsilon).
+    """
+    eps2 = epsilon * epsilon
+    if eps2 >= sys.float_info.min:
+        ratio = d0 / eps2
+        if 0.0 < ratio < math.inf:
+            return math.log(ratio)
+    return math.log(d0) - 2.0 * math.log(epsilon)
+
+
 def time_to_epsilon(d0: float, epsilon: float) -> float:
     """Time until the squared distance d0*exp(-2t) first reaches epsilon^2.
 
-    Returns max(0, 0.5 * ln(d0 / epsilon^2)); epsilon must be finite.
+    Returns max(0, 0.5 * ln(d0 / epsilon^2)), a finite number for every
+    finite d0 >= 0 and finite epsilon > 0, also where epsilon^2 underflows
+    or overflows.
     """
     require_finite_positive("epsilon", epsilon)
-    if d0 < 0:
-        raise ValueError(f"d0 must be >= 0, got {d0}")
+    if not (0 <= d0 < math.inf):
+        raise ValueError(f"d0 must be finite and >= 0, got {d0}")
     if d0 <= epsilon * epsilon:
         return 0.0
-    return 0.5 * math.log(d0 / (epsilon * epsilon))
+    return max(0.0, 0.5 * _log_ratio(d0, epsilon))
 
 
 def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional[float]:
@@ -142,12 +161,8 @@ def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional
     if not (1 <= i and j <= x0.n):
         raise ValueError(f"indices must be in 1..{x0.n}, got ({i}, {j})")
     _require_hyperplane(x0)
-    return _meeting_time(_offsets(x0), i, j)
-
-
-def _meeting_time(a: Sequence[float], i: int, j: int) -> Optional[float]:
-    """Meeting time of coordinates i < j (1-based) with offsets a, or None."""
-    denom = a[i - 1] - a[j - 1]
+    a = _offsets(x0)
+    denom = float(a[i - 1] - a[j - 1])
     if denom == 0:
         return None
     ratio = (j - i) / denom
@@ -163,20 +178,34 @@ def crossing_events(x0: StateVector | Sequence[float]) -> list[CrossingEvent]:
     underlying permutation. Simultaneous meetings (degenerate starts such
     as the full reverse at n = 3) are ordered by lexicographic pair. A
     start off the hyperplane raises ValueError, also at n = 1.
+
+    The ratio (j - i) / (a_i - a_j) of every pair i < j comes from one
+    numpy pass over the upper triangle, the same IEEE subtraction and
+    division as in `crossing_time`; a zero denominator gives an infinite
+    ratio and drops out with the others outside (0, 1). Only the pairs
+    that cross take -ln(ratio) and the meeting value i + a_i * exp(-t),
+    with `math.log` and `math.exp`, so each time and value matches
+    `crossing_time` bit for bit.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
-    a = _offsets(x0).tolist()
-    events = []
-    for i in range(1, x0.n + 1):
-        for j in range(i + 1, x0.n + 1):
-            t = _meeting_time(a, i, j)
-            if t is None:
-                continue
-            meet = i + a[i - 1] * math.exp(-t)
-            events.append(CrossingEvent(pair=(i, j), time=t, meeting_value=meet))
-    events.sort(key=lambda e: (e.time, e.pair))
-    return events
+    a = _offsets(x0)
+    i, j = np.triu_indices(x0.n, k=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (j - i) / (a[i] - a[j])
+    cross = np.flatnonzero((0.0 < ratio) & (ratio < 1.0))
+    i, j = i[cross], j[cross]
+    found = []
+    for r, lo, hi, a_lo in zip(
+        ratio[cross].tolist(), (i + 1).tolist(), (j + 1).tolist(), a[i].tolist()
+    ):
+        t = -math.log(r)
+        found.append((t, lo, hi, lo + a_lo * math.exp(-t)))
+    found.sort()
+    return [
+        CrossingEvent(pair=(lo, hi), time=t, meeting_value=meet)
+        for t, lo, hi, meet in found
+    ]
 
 
 def discrete_estimate(n: int, t: float, dt: Optional[float] = None) -> float:
@@ -196,15 +225,22 @@ def lemma_lower_bound(n: int, d0: float, epsilon: float, c: float) -> float:
     """Operation lower bound (n/c) * 0.5 * ln(d0 / epsilon^2).
 
     For d0 = reverse_disorder(n) this grows like (3/(2c)) * n * ln(n).
-    epsilon and c must be finite.
+    d0, epsilon and c must be finite; a c so small that the bound
+    overflows raises ValueError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if d0 <= 0:
-        raise ValueError(f"d0 must be > 0, got {d0}")
+    if not (0 < d0 < math.inf):
+        raise ValueError(f"d0 must be finite and > 0, got {d0}")
     require_finite_positive("epsilon", epsilon)
     require_finite_positive("c", c)
-    return (n / c) * 0.5 * math.log(d0 / (epsilon * epsilon))
+    bound = (n / c) * 0.5 * _log_ratio(d0, epsilon)
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"c is too small for a finite bound (n/c) * 0.5 * ln(d0/epsilon^2), "
+            f"got c = {c}, epsilon = {epsilon}"
+        )
+    return bound
 
 
 def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> FlowTrace:
@@ -230,7 +266,8 @@ def estimate_sorting(
     Uses the dt = c/n stepping rule. When the start is already within the
     epsilon ball (d0 <= epsilon^2) all time and operation figures are 0,
     which also covers the sorted start where the raw lower-bound formula
-    would be undefined. epsilon and c must be finite and > 0.
+    would be undefined. epsilon and c must be finite and > 0, and c large
+    enough that the operation figures stay finite (ValueError otherwise).
     """
     require_finite_positive("epsilon", epsilon)
     require_finite_positive("c", c)
@@ -242,8 +279,11 @@ def estimate_sorting(
         bound = 0.0
     else:
         t = time_to_epsilon(d0, epsilon)
-        estimate = discrete_estimate(p.n, t, c / p.n)
+        # a finite n/c keeps c/n > 0, so the bound goes first
         bound = lemma_lower_bound(p.n, d0, epsilon, c)
+        estimate = discrete_estimate(p.n, t, c / p.n)
+        if not math.isfinite(estimate):
+            raise ValueError(f"c is too small for a finite estimate t*n/c, got c = {c}")
     return SortingEstimate(
         n=p.n,
         continuous_time=t,

@@ -63,6 +63,24 @@ def _resolve_tol(n: int, tol: float | None) -> float:
     return tol
 
 
+def _step_times(t_end: float, step: float) -> list[float]:
+    """End times of the Euler steps from 0 to t_end, the last one t_end.
+
+    Step k ends at k * step; a final shorter step lands on t_end unless
+    the last full step already does (within 1e-12). Validates t_end
+    (finite, > 0) and step (0 < step <= MAX_STEP), so a caller can check
+    requested sample times against this grid before any step runs.
+    """
+    require_finite_positive("t_end", t_end)
+    if not (0 < step <= MAX_STEP):
+        raise ValueError(f"step must be in (0, {MAX_STEP}], got {step}")
+    full_steps = int(math.floor(t_end / step + 1e-12))
+    times = [k * step for k in range(1, full_steps + 1)]
+    if not times or times[-1] < t_end - 1e-12:
+        times.append(t_end)
+    return times
+
+
 def _group(coords: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort coords once: value order, gaps between neighbours, gaps <= tol.
 
@@ -229,14 +247,8 @@ def integrate_projected(
     x0 = as_state(x0)
     if not np.isfinite(x0.coords).all():
         raise ValueError("start coordinates must be finite")
-    require_finite_positive("t_end", t_end)
-    if not (0 < step <= MAX_STEP):
-        raise ValueError(f"step must be in (0, {MAX_STEP}], got {step}")
+    times = _step_times(t_end, step)
     tol = _resolve_tol(x0.n, tol)
-    full_steps = int(math.floor(t_end / step + 1e-12))
-    times = [k * step for k in range(1, full_steps + 1)]
-    if not times or times[-1] < t_end - 1e-12:
-        times.append(t_end)
     targets = np.arange(1, x0.n + 1, dtype=float)
     x = x0.coords
     samples = []

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,7 +6,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import permflow.cli
 from permflow import tree_from_json, verify_tree
 from permflow.cli import PRECISION_ENV, main
 
@@ -240,6 +244,19 @@ class TestFlowTrace:
         assert err.startswith("error:")
         assert "--step" in err and "--samples" in err
 
+    def test_off_grid_time_rejected_before_integrating(self, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a request with an off-grid sample time")
+
+        monkeypatch.setattr(permflow.cli, "integrate_projected", no_integration)
+        code, out, err = run(
+            ["flow", "trace", "--projected", "--n", "200", "--t-end", "50", "--samples", "7"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "off the Euler grid" in err
+
     # sha256 of stdout for fixed argv: projected traces must keep their bytes
     GOLDEN = [
         (
@@ -273,6 +290,55 @@ class TestFlowTrace:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout for fixed argv, recorded while JSON floats were
+    # rounded by a recursive walk over the finished payload
+    CLOSED_GOLDEN = [
+        (
+            ["--n", "5", "--start", "reverse", "--t-end", "2", "--precision", "1"],
+            "0894269aeb14da064c6ed0f1168f0c80f2b0ec1ce36333d9eea657b854d0855f",
+        ),
+        (
+            ["--n", "5", "--start", "reverse", "--t-end", "2", "--precision", "17"],
+            "e3eca646fcd36666890c64132eeae0e6175383aa966cdcc5d6eacc7009aa1f8d",
+        ),
+        (
+            ["--n", "5", "--start", "reverse", "--t-end", "2", "--format", "csv",
+             "--precision", "1"],
+            "a7207e8ae0ff9f5fb3278c0c90ec339a04547b4aa1952cd9b7c11f452f3d47dd",
+        ),
+        (
+            ["--n", "5", "--start", "reverse", "--t-end", "2", "--format", "csv",
+             "--precision", "17"],
+            "0bb0daa7b87254a2c9f2d17b98f6498bbe60f23b453266226cbc8c6ce20c362b",
+        ),
+        (
+            ["--n", "30", "--start", "random:3", "--t-end", "4", "--samples", "9",
+             "--precision", "1"],
+            "c7069a4c11200d04b89339134daa643f562534f0d11c73ddc436382989db64e9",
+        ),
+        (
+            ["--n", "30", "--start", "random:3", "--t-end", "4", "--samples", "9",
+             "--precision", "17"],
+            "23529b150191af0094488ec0be675162e2ee27f3a3329645fd259e2ee12dea09",
+        ),
+        (
+            ["--n", "30", "--start", "random:3", "--t-end", "4", "--samples", "9",
+             "--format", "csv", "--precision", "1"],
+            "4984eb976601f3194b5d3767f6150310c551f3e3fdd2209e2520baeb8675d8ae",
+        ),
+        (
+            ["--n", "30", "--start", "random:3", "--t-end", "4", "--samples", "9",
+             "--format", "csv", "--precision", "17"],
+            "5ecbdc2af188878cda7166b4e5aaf49d8ae555146eda2895e1052ac36f54d511",
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, digest", CLOSED_GOLDEN)
+    def test_closed_form_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["flow", "trace", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize(
@@ -294,6 +360,55 @@ class TestNonFiniteParameters:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+# subnormals and the ends of the range, then anything in between
+finite_positive = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-170, 1e-160, 1.0, 1e154, 1e308]),
+    st.floats(5e-324, 1e308),
+)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestFlowEventsFiniteOutput:
+    def test_tiny_epsilon_gives_the_finite_time(self, capsys):
+        for eps in ["1e-160", "1e-170"]:
+            code, out, err = run(
+                ["flow", "events", "--n", "20", "--epsilon", eps, "--precision", "17"], capsys
+            )
+            assert code == 0 and err == ""
+            payload = json.loads(out, parse_constant=reject_constant)
+            want = 0.5 * math.log(payload["d0"]) - math.log(float(eps))
+            assert math.isclose(payload["t_eps"], want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("c", ["1e-310", "5e-324"])
+    def test_tiny_c_exits_two_naming_c(self, c, capsys):
+        code, out, err = run(["flow", "events", "--n", "20", "--c", c], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: c is too small")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12),
+        finite_positive,
+        finite_positive,
+    )
+    def test_exit_two_or_strict_json(self, n, eps, c):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["flow", "events", "--n", str(n), "--epsilon", repr(eps), "--c", repr(c)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: c is too small")
+        else:
+            assert code == 0
+            payload = json.loads(out.getvalue(), parse_constant=reject_constant)
+            assert payload["t_eps"] >= 0.0
 
 
 class TestDtree:
@@ -330,6 +445,21 @@ class TestDtree:
         code, _, _ = run(["dtree", "--n", str(n), "--emit-tree", str(path)], capsys)
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    # sha256 of stdout for every buildable n
+    STDOUT_GOLDEN = [
+        (1, "a53a8d6c7da0510059743dcaa63880828af31821918c8b9e4de1d02d1f98e514"),
+        (2, "4294c3e4c6342503c070e21cb27d75c6cb912f18db75563047aaed3007c4d8d1"),
+        (3, "08738f856d43373ea7dd0632033aabec12fab0797b24b9bde97d710301ebccfd"),
+        (4, "8a6a59360ffac6ea82ddd871f8c3b02a8dd8b0a0c87b59d2fd74014782b1f7ab"),
+        (5, "4e4cc68603e76e78cbeeccfc0b6d59d573a39f913fab6972ffbb4cd4d74931c6"),
+    ]
+
+    @pytest.mark.parametrize("n, digest", STDOUT_GOLDEN)
+    def test_stdout_golden_bytes(self, n, digest, capsys):
+        code, out, _ = run(["dtree", "--n", str(n)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_five_keys_build(self, capsys):
         code, out, _ = run(["dtree", "--n", "5"], capsys)
@@ -562,6 +692,37 @@ class TestReport:
         assert table["info_bound"] == "3"
         assert "deviation_1" in table and "deviation_2" in table
 
+    # sha256 of stdout for fixed argv
+    GOLDEN = [
+        ([], "a7d06135eaa34e4f26728e8d06d5902df0fb5191a605674b76e0a0c3c334d549"),
+        (
+            ["--format", "json"],
+            "04423377cca35acb1dc756640b0324a3b70e7fe909a9938798af1a2169fb2ddc",
+        ),
+        (
+            ["--format", "csv"],
+            "b12dba2d9e788bf857068fdcce4c093be9b883667ae80e17c34d5063946554f5",
+        ),
+        (
+            ["--precision", "17"],
+            "973c04fcd4518c923f505d7ad01df28834c5f1d5f1c93d8d916bb644144f63e1",
+        ),
+        (
+            ["--format", "json", "--precision", "17"],
+            "70b58ce4f211c220f2410d800719b0ff70e864d1bc5fe19a12006bf0092456a5",
+        ),
+        (
+            ["--format", "csv", "--precision", "17"],
+            "a8ed79e446ea6c64ab8577a2618dc88536aec481dae4fef3c9fd52f0196ed0d2",
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["report", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBench:
     def test_csv_table(self, capsys):
@@ -607,6 +768,33 @@ class TestBench:
             code, _, err = run(argv, capsys)
             assert code == 2
             assert err.startswith("error:")
+
+    # sha256 of stdout for fixed argv
+    GOLDEN = [
+        (
+            ["--n-min", "2", "--n-max", "400", "--step", "3"],
+            "f406a386ed399955098d6ea4fb23b091ec57db5177f5a752a9d578f89957c9eb",
+        ),
+        (
+            ["--n-min", "2", "--n-max", "400", "--step", "3", "--format", "csv"],
+            "e972b9b50697c15821f67256aed1a8207f756e0afe5b696538e36a7203bdc023",
+        ),
+        (
+            ["--n-min", "999990", "--n-max", "1000000", "--precision", "17"],
+            "26e1cb27f19d2ac32871ba4b5c322ad4bd35d060b0452cfe5ccef175913eb9cd",
+        ),
+        (
+            ["--n-min", "999990", "--n-max", "1000000", "--precision", "17",
+             "--format", "csv"],
+            "1309005b9cf6bd6211809c21b995a0fcd474b0e77f52fd39e04f1b7f3688153c",
+        ),
+    ]
+
+    @pytest.mark.parametrize("args, digest", GOLDEN)
+    def test_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["bench", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCommonOptions:

@@ -35,6 +35,61 @@ def random_hyperplane_state(n, rng):
     return x
 
 
+def reference_crossing_events(x0):
+    """The per-pair loop: one division and one test per pair i < j."""
+    x = np.asarray(x0, dtype=float)
+    n = len(x)
+    a = (x - np.arange(1, n + 1)).tolist()
+    events = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            denom = a[i - 1] - a[j - 1]
+            if denom == 0:
+                continue
+            ratio = (j - i) / denom
+            if not (0.0 < ratio < 1.0):
+                continue
+            t = -math.log(ratio)
+            meet = i + a[i - 1] * math.exp(-t)
+            events.append((t, (i, j), meet))
+    events.sort(key=lambda e: (e[0], e[1]))
+    return [(pair, t.hex(), meet.hex()) for t, pair, meet in events]
+
+
+def event_bits(events):
+    return [(e.pair, e.time.hex(), e.meeting_value.hex()) for e in events]
+
+
+@st.composite
+def vertex_starts(draw, max_n=200):
+    n = draw(st.integers(1, max_n))
+    return [float(r) for r in draw(st.permutations(range(1, n + 1)))]
+
+
+@st.composite
+def hyperplane_starts(draw):
+    offsets = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    n = len(offsets)
+    x = np.arange(1, n + 1) + np.array(offsets)
+    return (x + (hyperplane_sum(n) - x.sum()) / n).tolist()
+
+
+@st.composite
+def tied_starts(draw):
+    # few distinct values: many exactly equal coordinates and equal meeting times
+    values = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 2.5, 4.0, 7.0]), min_size=1, max_size=40))
+    n = len(values)
+    x = np.array(values)
+    return (x + (hyperplane_sum(n) - x.sum()) / n).tolist()
+
+
+# subnormals and the ends of the range, then anything in between
+finite_positive = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-170, 1e-160, 1.0, 1e154, 1e308]),
+    st.floats(5e-324, 1e308),
+)
+
+
 class TestFlowState:
     def test_reversed_triple_meets_at_ln2(self):
         x = flow_state(vertex_of(Permutation.reverse(3)), LN2)
@@ -118,8 +173,22 @@ class TestTimeToEpsilon:
         for eps in [0.0, math.nan, math.inf]:
             with pytest.raises(ValueError):
                 time_to_epsilon(8.0, eps)
-        with pytest.raises(ValueError):
-            time_to_epsilon(-1.0, 1.0)
+        for d0 in [-1.0, math.nan, math.inf]:
+            with pytest.raises(ValueError):
+                time_to_epsilon(d0, 1.0)
+
+    @pytest.mark.parametrize("d0, eps", [(10.0, 1e-170), (2660.0, 1e-160), (8.0, 5e-324),
+                                         (1e300, 1e-10), (1e-300, 1e-160)])
+    def test_finite_where_epsilon_squared_underflows(self, d0, eps):
+        # eps^2 underflows to 0 or to a subnormal, or d0/eps^2 overflows
+        t = time_to_epsilon(d0, eps)
+        assert math.isclose(t, 0.5 * math.log(d0) - math.log(eps), rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e308), finite_positive)
+    def test_finite_for_every_finite_input(self, d0, eps):
+        t = time_to_epsilon(d0, eps)
+        assert math.isfinite(t) and t >= 0.0
 
 
 class TestCrossingTime:
@@ -210,6 +279,24 @@ class TestCrossingEvents:
         assert len(events) == len(expected)
         assert {e.pair: e.time for e in events} == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_starts())
+    def test_matches_reference_loop_on_vertex_starts(self, x0):
+        assert event_bits(crossing_events(x0)) == reference_crossing_events(x0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(hyperplane_starts(), tied_starts()))
+    def test_matches_reference_loop_off_the_vertices(self, x0):
+        assert event_bits(crossing_events(x0)) == reference_crossing_events(x0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
+    def test_matches_reference_loop_on_reverse(self, n):
+        # every pair meets at once at the centre: the order is the pair order
+        x0 = vertex_of(Permutation.reverse(n))
+        events = crossing_events(x0)
+        assert event_bits(events) == reference_crossing_events(x0.coords)
+        assert all(type(e.time) is float and type(e.meeting_value) is float for e in events)
+
 
 class TestEstimates:
     def test_discrete_estimate_defaults_to_n_steps(self):
@@ -238,10 +325,19 @@ class TestEstimates:
         asym = 1.5 * n * math.log(n)
         assert abs(bound - asym) / asym < 0.10
 
+    def test_lemma_lower_bound_tiny_epsilon(self):
+        # eps^2 underflows to 0: the bound is still (n/c)*(0.5 ln d0 - ln eps)
+        bound = lemma_lower_bound(3, 8.0, 1e-170, 1.0)
+        assert math.isclose(bound, 3 * (0.5 * math.log(8.0) - math.log(1e-170)), rel_tol=1e-12)
+
     def test_lemma_lower_bound_validation(self):
         for bad in [
             (0, 8.0, 1.0, 1.0),
             (3, 0.0, 1.0, 1.0),
+            (3, math.inf, 1.0, 1.0),
+            (3, math.nan, 1.0, 1.0),
+            (3, 8.0, 1.0, 1e-310),
+            (3, 8.0, 1.0, 5e-324),
             (3, 8.0, 0.0, 1.0),
             (3, 8.0, 1.0, 0.0),
             (3, 8.0, math.nan, 1.0),
@@ -276,9 +372,26 @@ class TestEstimates:
             {"c": -1.0},
             {"c": math.nan},
             {"c": math.inf},
+            {"c": 1e-310},
+            {"c": 5e-324},
         ]:
             with pytest.raises(ValueError):
                 estimate_sorting(p, **kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 30),
+        finite_positive,
+        finite_positive,
+    )
+    def test_estimate_sorting_finite_or_names_c(self, n, eps, c):
+        try:
+            est = estimate_sorting(Permutation.reverse(n), epsilon=eps, c=c)
+        except ValueError as exc:
+            assert str(exc).startswith("c is too small")
+            return
+        figures = (est.continuous_time, est.discrete_estimate, est.lemma_lower_bound)
+        assert all(math.isfinite(v) for v in figures)
 
     def test_estimate_counts_match_events(self):
         for ranks in itertools.permutations(range(1, 5)):
