@@ -10,15 +10,14 @@ the spending schedule differs.
 
 import math
 
-from permflow import ALGORITHMS, instrument, isolates_sorted, reduction_report
+from permflow import ALGORITHMS, instrument, isolates_sorted
 
 start = (4, 1, 3, 2)
 print(f"input {start}, log2(4!) = {math.log2(24):.5f} bits to spend")
 print()
 for algo in ALGORITHMS:
     run = instrument(algo, start)
-    rep = reduction_report(run)
-    print(f"{algo:>9}: {rep.comparisons} comparisons, {rep.total_bits:.5f} bits total")
+    print(f"{algo:>9}: {run.comparisons} comparisons, {run.total_bits:.5f} bits total")
     for k, step in enumerate(run.trace, start=1):
         c = step.constraint
         print(
@@ -31,8 +30,7 @@ for algo in ALGORITHMS:
 
 print("slow sorts pay with redundant, zero-bit questions; the total never lies:")
 wasteful = instrument("quick", (1, 2, 3, 4, 5, 6))
-rep = reduction_report(wasteful)
 print(
-    f"    quick on already-sorted 6 keys: {rep.comparisons} comparisons "
-    f"for {rep.total_bits:.4f} bits (log2 6! = {math.log2(720):.4f})"
+    f"    quick on already-sorted 6 keys: {wasteful.comparisons} comparisons "
+    f"for {wasteful.total_bits:.4f} bits (log2 6! = {math.log2(720):.4f})"
 )

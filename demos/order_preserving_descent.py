@@ -21,14 +21,13 @@ starts = {
 }
 
 for name, x0 in starts.items():
-    ties = active_ties(x0)
     trace = integrate_projected(x0, t_end=4.0, step=0.01)
     v0 = trace.samples[0].potential
     worst = max(
         s.potential / (v0 * math.exp(-2 * s.t)) for s in trace.samples[1:] if v0 > 0
     ) if v0 > 0 else 0.0
     print(f"{name}")
-    print(f"   tie blocks at start: {ties.blocks}")
+    print(f"   tie blocks at start: {active_ties(x0)}")
     print(f"   potential {v0:.4f} -> {trace.samples[-1].potential:.8f} over t = 4")
     print(f"   worst sample ratio V(t) / (V0 e^-2t) = {worst:.6f}  (<= 1 means on schedule)")
     print(f"   final state: {np.round(trace.final.coords, 5)}")

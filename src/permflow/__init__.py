@@ -16,13 +16,11 @@ point toward the sorted vertex v_s = (1, ..., n).
 """
 
 from .core import (
-    BRUTE_FORCE_LIMIT,
     DisorderReport,
     Permutation,
     SizeLimitError,
     StateVector,
     as_state,
-    brute_force_sort,
     disorder_squared,
     hyperplane_sum,
     in_hyperplane,
@@ -66,7 +64,7 @@ from .projection import (
     MAX_STEP,
     ProjectedSample,
     ProjectedTrace,
-    TieBlocks,
+    STEP_LIMIT,
     active_ties,
     integrate_projected,
     project_velocity,
@@ -79,7 +77,6 @@ from .slicing import (
     DP_LIMIT,
     INSTRUMENT_LIMIT,
     InstrumentedRun,
-    ReductionReport,
     TraceStep,
     comparison_count,
     feasible_count,
@@ -88,14 +85,12 @@ from .slicing import (
     is_contradictory,
     isolates_sorted,
     parse_constraints,
-    reduction_report,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BRUTE_FORCE_LIMIT",
     "BRUTE_LIMIT",
     "BUILD_LIMIT",
     "Constraint",
@@ -114,16 +109,14 @@ __all__ = [
     "Permutation",
     "ProjectedSample",
     "ProjectedTrace",
-    "ReductionReport",
+    "STEP_LIMIT",
     "SizeLimitError",
     "SortingEstimate",
     "StateVector",
-    "TieBlocks",
     "TraceStep",
     "TreeStats",
     "as_state",
     "active_ties",
-    "brute_force_sort",
     "build_optimal",
     "comparison_count",
     "crossing_events",
@@ -147,7 +140,6 @@ __all__ = [
     "log2_factorial",
     "parse_constraints",
     "project_velocity",
-    "reduction_report",
     "reverse_disorder",
     "sample_trace",
     "sorted_vertex",

@@ -49,7 +49,6 @@ from .slicing import (
     is_contradictory,
     isolates_sorted,
     parse_constraints,
-    reduction_report,
 )
 
 __all__ = ["main"]
@@ -286,7 +285,6 @@ def _cmd_slice(args, digits: int) -> str:
         if start.n != args.n:
             raise ValueError(f"--input has {start.n} entries but --n is {args.n}")
         run = instrument(args.instrument, start)
-        report = reduction_report(run)
         iso = isolates_sorted(run.constraints)
         if args.format == "json":
             return json.dumps(
@@ -305,11 +303,11 @@ def _cmd_slice(args, digits: int) -> str:
                         }
                         for k, s in enumerate(run.trace, start=1)
                     ],
-                    "comparisons": report.comparisons,
-                    "total_bits": _round(report.total_bits, digits),
-                    "max_bits": _round(report.max_bits, digits),
-                    "halving_fraction": _round(report.halving_fraction, digits),
-                    "final_count": report.final_feasible,
+                    "comparisons": run.comparisons,
+                    "total_bits": _round(run.total_bits, digits),
+                    "max_bits": _round(run.max_bits, digits),
+                    "halving_fraction": _round(run.halving_fraction, digits),
+                    "final_count": run.final_feasible,
                     "isolates_sorted": iso,
                 }
             )
@@ -318,11 +316,11 @@ def _cmd_slice(args, digits: int) -> str:
             "halving_fraction={} final_count={} isolates_sorted={}".format(
                 run.algorithm,
                 ",".join(map(str, start.ranks)),
-                report.comparisons,
-                _fmt(report.total_bits, digits),
-                _fmt(report.max_bits, digits),
-                _fmt(report.halving_fraction, digits),
-                report.final_feasible,
+                run.comparisons,
+                _fmt(run.total_bits, digits),
+                _fmt(run.max_bits, digits),
+                _fmt(run.halving_fraction, digits),
+                run.final_feasible,
                 _bool(iso),
             ),
             "step,lo,hi,feasible_before,feasible_after,bits",
@@ -358,83 +356,60 @@ def _cmd_report(args, digits: int) -> str:
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
     events = crossing_events(x0)
-    t1 = events[0].time
-    t_total = time_to_epsilon(d0, 1.0)
-    dt = 1.0 / 3.0
     est = estimate_sorting(start)
-    bound = info_lower_bound(3)
+    fields = [
+        ("d0", d0),
+        ("t1", events[0].time),
+        ("crossings", len(events)),
+        ("info_bound", info_lower_bound(3)),
+        ("t_total", time_to_epsilon(d0, 1.0)),
+        ("dt", 1.0 / 3.0),
+        ("estimate", est.discrete_estimate),
+        ("estimate_ceiling", math.ceil(est.discrete_estimate)),
+        ("lemma_lb", est.lemma_lower_bound),
+    ]
+    shown = {k: _fmt(v, digits) if isinstance(v, float) else v for k, v in fields}
+    ln2 = [_fmt(k * math.log(2), digits) for k in (1, 2, 3)]
     deviations = [
         "staged boundary times ln 2, 2 ln 2, 3 ln 2 ({}, {}, {}) are mutually "
-        "inconsistent with the quoted total 1.5 ln 2 = {}; the single closed-form "
-        "flow has all three pairs meeting at once at t = {}, and {} is its "
-        "epsilon = 1 stopping time rather than a sum of stage times.".format(
-            _fmt(math.log(2), digits),
-            _fmt(2 * math.log(2), digits),
-            _fmt(3 * math.log(2), digits),
-            _fmt(t_total, digits),
-            _fmt(t1, digits),
-            _fmt(t_total, digits),
-        ),
-        "the operation count t/dt with t = {} and dt = {} evaluates to {}; "
-        "equality with the integer minimum info_bound = {} holds only after "
-        "rounding down, so the unrounded value is reported with its ceiling {}.".format(
-            _fmt(t_total, digits),
-            _fmt(dt, digits),
-            _fmt(est.discrete_estimate, digits),
-            bound,
-            math.ceil(est.discrete_estimate),
-        ),
+        "inconsistent with the quoted total 1.5 ln 2 = {t_total}; the single closed-form "
+        "flow has all three pairs meeting at once at t = {t1}, and {t_total} is its "
+        "epsilon = 1 stopping time rather than a sum of stage times.".format(*ln2, **shown),
+        "the operation count t/dt with t = {t_total} and dt = {dt} evaluates to {estimate}; "
+        "equality with the integer minimum info_bound = {info_bound} holds only after "
+        "rounding down, so the unrounded value is reported with its ceiling "
+        "{estimate_ceiling}.".format(**shown),
     ]
     if args.format == "json":
         return json.dumps(
             {
                 "n": 3,
                 "start": list(start.ranks),
-                "d0": _round(d0, digits),
-                "t1": _round(t1, digits),
-                "crossings": len(events),
-                "info_bound": bound,
-                "t_total": _round(t_total, digits),
-                "dt": _round(dt, digits),
-                "estimate": _round(est.discrete_estimate, digits),
-                "estimate_ceiling": math.ceil(est.discrete_estimate),
-                "lemma_lb": _round(est.lemma_lower_bound, digits),
+                **{k: _round(v, digits) if isinstance(v, float) else v for k, v in fields},
                 "deviations": deviations,
             }
         )
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerow(["n", 3])
-        writer.writerow(["start", ",".join(map(str, start.ranks))])
-        writer.writerow(["d0", _fmt(d0, digits)])
-        writer.writerow(["t1", _fmt(t1, digits)])
-        writer.writerow(["crossings", len(events)])
-        writer.writerow(["info_bound", bound])
-        writer.writerow(["t_total", _fmt(t_total, digits)])
-        writer.writerow(["dt", _fmt(dt, digits)])
-        writer.writerow(["estimate", _fmt(est.discrete_estimate, digits)])
-        writer.writerow(["estimate_ceiling", math.ceil(est.discrete_estimate)])
-        writer.writerow(["lemma_lb", _fmt(est.lemma_lower_bound, digits)])
-        writer.writerow(["deviation_1", deviations[0]])
-        writer.writerow(["deviation_2", deviations[1]])
+        writer.writerows(
+            [
+                ("key", "value"),
+                ("n", 3),
+                ("start", ",".join(map(str, start.ranks))),
+                *shown.items(),
+                ("deviation_1", deviations[0]),
+                ("deviation_2", deviations[1]),
+            ]
+        )
         return buf.getvalue().rstrip("\n")
-    lines = [
-        "worked example: start = {} (n = 3)".format(",".join(map(str, start.ranks))),
-        f"d0 = {_fmt(d0, digits)}",
-        f"t1 = {_fmt(t1, digits)}",
-        f"crossings = {len(events)}",
-        f"info_bound = {bound}",
-        f"t_total = {_fmt(t_total, digits)}",
-        f"dt = {_fmt(dt, digits)}",
-        f"estimate = {_fmt(est.discrete_estimate, digits)}",
-        f"estimate_ceiling = {math.ceil(est.discrete_estimate)}",
-        f"lemma_lb = {_fmt(est.lemma_lower_bound, digits)}",
-        f"NOTED-DEVIATION: {deviations[0]}",
-        f"NOTED-DEVIATION: {deviations[1]}",
-    ]
-    return "\n".join(lines)
+    return "\n".join(
+        [
+            "worked example: start = {} (n = 3)".format(",".join(map(str, start.ranks))),
+            *(f"{k} = {v}" for k, v in shown.items()),
+            *(f"NOTED-DEVIATION: {d}" for d in deviations),
+        ]
+    )
 
 
 def _cmd_bench(args, digits: int) -> str:

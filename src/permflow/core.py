@@ -3,8 +3,7 @@
 Everything else in the package is grounded here: permutations of ranks
 1..n, their embedding as vertices of the rank polytope (the convex hull
 of all rearrangements of (1, 2, ..., n), which lives in the hyperplane
-sum(x) = n(n+1)/2), the squared-distance disorder measure, and a
-brute-force sorting oracle used by the test suites.
+sum(x) = n(n+1)/2), and the squared-distance disorder measure.
 
 Indices and ranks are 1-based throughout the public API.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,14 +27,10 @@ __all__ = [
     "inversions",
     "disorder_squared",
     "reverse_disorder",
-    "brute_force_sort",
     "log2_factorial",
     "hyperplane_sum",
     "in_hyperplane",
 ]
-
-# Enumerating all n! arrangements stops being a sane oracle around here.
-BRUTE_FORCE_LIMIT = 8
 
 HYPERPLANE_TOL = 1e-9
 
@@ -202,26 +196,6 @@ def reverse_disorder(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n * (n * n - 1) // 3
-
-
-def brute_force_sort(values: Sequence) -> list:
-    """Sort by enumerating arrangements until a non-decreasing one appears.
-
-    The quadratic-factorial oracle every fast path is tested against.
-    Duplicates are fine; the first sorted witness in enumeration order is
-    returned. Refuses inputs longer than BRUTE_FORCE_LIMIT.
-    """
-    items = list(values)
-    if len(items) > BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"brute-force sort is limited to {BRUTE_FORCE_LIMIT} items, got {len(items)}"
-        )
-    if len(items) <= 1:
-        return items
-    for candidate in _permutations(items):
-        if all(candidate[k] <= candidate[k + 1] for k in range(len(candidate) - 1)):
-            return list(candidate)
-    raise AssertionError("unreachable: some arrangement is always sorted")
 
 
 def log2_factorial(n: int) -> float:

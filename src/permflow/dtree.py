@@ -83,15 +83,15 @@ class OptimalTree:
 def info_lower_bound(n: int) -> int:
     """ceil(log2(n!)): minimum height of any tree that sorts n keys.
 
-    Computed on exact integers (bit length of n! - 1), so no rounding
-    step is involved.
+    Computed on exact integers, so no rounding step is involved.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return (math.factorial(n) - 1).bit_length()
+    return _ceil_log2(math.factorial(n))
 
 
 def _ceil_log2(m: int) -> int:
+    """ceil(log2 m) for an integer m >= 1: the bit length of m - 1."""
     return (m - 1).bit_length()
 
 
@@ -223,10 +223,6 @@ def tree_stats(tree: Node) -> TreeStats:
             stack.append((node.high, depth + 1))
         else:
             raise ValueError(f"not a tree node: {node!r}")
-    if leaves > 2**height:
-        raise ValueError(
-            f"binary tree of height {height} cannot hold {leaves} leaves"
-        )
     return TreeStats(height=height, leaf_count=leaves, n=n)
 
 

@@ -21,27 +21,27 @@ the block's components of g already increase with the index (rounding
 is monotone, so the computed g does too), and PAV returns g bit for bit.
 The step then skips the projection. Only when the gaps sum to 1/2 or
 more -- which the default tol = 1e-9*n cannot reach below n ~ 20000 --
-does it call `project_velocity` on `active_ties` of the state, and
-pooling does fire there, e.g. at [1, 3, 2] with tol = 2. An explicit
-Euler step h then contracts V by (1 - h)^2 -- at least as fast as the
-continuous rate exp(-2t).
+does it pool, over the blocks of that same grouping, and pooling does
+fire there, e.g. at [1, 3, 2] with tol = 2. An explicit Euler step h
+then contracts V by (1 - h)^2 -- at least as fast as the continuous
+rate exp(-2t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import StateVector, as_state, require_finite_positive
+from .core import SizeLimitError, StateVector, as_state, require_finite_positive
 
 __all__ = [
-    "TieBlocks",
     "ProjectedSample",
     "ProjectedTrace",
     "MAX_STEP",
+    "STEP_LIMIT",
     "active_ties",
     "project_velocity",
     "integrate_projected",
@@ -49,6 +49,10 @@ __all__ = [
 
 #: Largest admissible Euler step for integrate_projected.
 MAX_STEP = 1e-2
+#: Most Euler steps one integration takes. Each costs about 25 us and
+#: keeps a sample of 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11), so the
+#: limit bounds a run near 2.5 s and 50 MB + 0.8 MB per coordinate.
+STEP_LIMIT = 100_000
 
 # Within-block gaps summing below this keep every block narrower than 1,
 # which is what makes pooling along the pull a no-op (module docstring).
@@ -68,15 +72,24 @@ def _step_times(t_end: float, step: float) -> list[float]:
 
     Step k ends at k * step; a final shorter step lands on t_end unless
     the last full step already does (within 1e-12). Validates t_end
-    (finite, > 0) and step (0 < step <= MAX_STEP), so a caller can check
-    requested sample times against this grid before any step runs.
+    (finite, > 0) and step (0 < step <= MAX_STEP), and raises
+    SizeLimitError before building the list when there would be more
+    than STEP_LIMIT steps, so a caller can check requested sample times
+    against this grid before any step runs.
     """
     require_finite_positive("t_end", t_end)
     if not (0 < step <= MAX_STEP):
         raise ValueError(f"step must be in (0, {MAX_STEP}], got {step}")
-    full_steps = int(math.floor(t_end / step + 1e-12))
+    # capped, so an overflowing t_end / step still counts as over the limit
+    full_steps = math.floor(min(t_end / step + 1e-12, STEP_LIMIT + 1))
+    lands = full_steps > 0 and full_steps * step >= t_end - 1e-12
+    if full_steps + (not lands) > STEP_LIMIT:
+        raise SizeLimitError(
+            f"projected traces are limited to {STEP_LIMIT} Euler steps; "
+            f"t_end {t_end:g} at step {step:g} needs more"
+        )
     times = [k * step for k in range(1, full_steps + 1)]
-    if not times or times[-1] < t_end - 1e-12:
+    if not lands:
         times.append(t_end)
     return times
 
@@ -93,46 +106,32 @@ def _group(coords: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     return order, gaps, gaps <= tol
 
 
+def _blocks(order: np.ndarray, joined: np.ndarray) -> list[np.ndarray]:
+    """The tie blocks of a grouping, each as ascending 0-based indices."""
+    return [np.sort(b) for b in np.split(order, np.flatnonzero(~joined) + 1)]
+
+
 def _count_blocks(joined: np.ndarray) -> int:
     """Number of tie blocks with two or more members: runs of joining gaps."""
     # each run of k joining gaps holds k - 1 adjacent joining pairs
     return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
-@dataclass(frozen=True)
-class TieBlocks:
-    """Partition of coordinate indices 1..n into equal-value groups.
-
-    Grouping chains coordinates transitively: two coordinates share a
-    block when a sequence of value gaps, each at most `tol`, connects
-    them in value order. Blocks of size one are kept so the partition
-    covers every index; each block lists its members in ascending index
-    order (the order of their pull targets).
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    tol: float
-
-    @property
-    def nontrivial(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks with at least two members — the active ties."""
-        return tuple(b for b in self.blocks if len(b) > 1)
-
-
-def active_ties(x: StateVector | Sequence[float], tol: float | None = None) -> TieBlocks:
-    """Group coordinates whose values chain together within tol.
+def active_ties(
+    x: StateVector | Sequence[float], tol: float | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Partition of the indices 1..n into groups whose values chain within tol.
 
     Default tolerance is 1e-9 * n; an explicit tol must be finite and
     > 0. Consecutive values in sorted order that differ by at most tol
     land in the same block (transitively), so a block's spread can exceed
-    tol only through chaining.
+    tol only through chaining. Blocks come in ascending value order, each
+    listing its members in ascending index order (the order of their pull
+    targets); blocks of one index are kept so the partition covers 1..n.
     """
     x = as_state(x)
-    tol = _resolve_tol(x.n, tol)
-    order, _, joined = _group(x.coords, tol)
-    groups = np.split(order + 1, np.flatnonzero(~joined) + 1)
-    blocks = tuple(tuple(sorted(g.tolist())) for g in groups)
-    return TieBlocks(blocks=blocks, tol=tol)
+    order, _, joined = _group(x.coords, _resolve_tol(x.n, tol))
+    return tuple(tuple((b + 1).tolist()) for b in _blocks(order, joined))
 
 
 def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
@@ -157,6 +156,15 @@ def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pool(g: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """A copy of g with PAV run over each block of two or more 0-based indices."""
+    p = g.copy()
+    for idx in blocks:
+        if len(idx) > 1:
+            p[idx] = _pool_adjacent_violators(g[idx])
+    return p
+
+
 def _require_tangent(g: np.ndarray) -> None:
     if abs(float(g.sum())) > 1e-9:
         raise ValueError("velocity must sum to 0 (tangent to the hyperplane)")
@@ -165,29 +173,26 @@ def _require_tangent(g: np.ndarray) -> None:
 def project_velocity(
     x: StateVector | Sequence[float],
     g: np.ndarray | Sequence[float],
-    ties: TieBlocks | None = None,
+    blocks: Sequence[Sequence[int]] | None = None,
 ) -> np.ndarray:
     """Closest velocity to g that respects the tie blocks of x.
 
-    Within each block (members in index order) the result is the nearest
-    non-decreasing vector to g's restriction, by pool-adjacent-violators;
-    components outside any tie pass through unchanged, and block sums are
-    preserved. The input must be tangent to the hyperplane (sum(g) = 0
-    within 1e-9). Projecting is idempotent and the output p satisfies
-    <g, p> = ||p||^2.
+    `blocks` is a partition of 1..n as `active_ties` returns it, and
+    defaults to `active_ties(x)`. Within each block (members in the order
+    listed, ascending index) the result is the nearest non-decreasing
+    vector to g's restriction, by pool-adjacent-violators; components
+    outside any tie pass through unchanged, and block sums are preserved.
+    The input must be tangent to the hyperplane (sum(g) = 0 within 1e-9).
+    Projecting is idempotent and the output p satisfies <g, p> = ||p||^2.
     """
     x = as_state(x)
     g = np.asarray(g, dtype=float)
     if g.shape != (x.n,):
         raise ValueError(f"velocity must have shape ({x.n},), got {g.shape}")
     _require_tangent(g)
-    if ties is None:
-        ties = active_ties(x)
-    p = g.copy()
-    for block in ties.nontrivial:
-        idx = np.asarray(block) - 1
-        p[idx] = _pool_adjacent_violators(g[idx])
-    return p
+    if blocks is None:
+        blocks = active_ties(x)
+    return _pool(g, (np.asarray(b) - 1 for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -234,11 +239,13 @@ def integrate_projected(
     tie blocks of the current state, and advances x by `step` times the
     result (the last step is shortened to land exactly on t_end). The
     projection is skipped, as provably the identity, when the
-    within-block gaps of x sum to less than 1/2; otherwise the step calls
+    within-block gaps of x sum to less than 1/2; otherwise the step pools
+    g over the blocks of the grouping it already made, which equals
     `project_velocity(x, g, active_ties(x, tol))` (see the module
     docstring). Requires a finite start, finite 0 < t_end and
     0 < step <= MAX_STEP, so each step contracts the potential by at
-    least (1 - step)^2 <= exp(-2*step), and a finite tol > 0 when given.
+    least (1 - step)^2 <= exp(-2*step), and a finite tol > 0 when given;
+    more than STEP_LIMIT steps raise SizeLimitError before the first one.
     g must stay tangent to the hyperplane (sum within 1e-9), as
     `project_velocity` requires. Samples record the potential
     0.5*||x - v_s||^2 and the number of active tie blocks; the first
@@ -255,7 +262,7 @@ def integrate_projected(
     prev = 0.0
     for t in (*times, None):
         g = targets - x
-        _, gaps, joined = _group(x, tol)
+        order, gaps, joined = _group(x, tol)
         block_count = _count_blocks(joined)
         samples.append(
             ProjectedSample(
@@ -269,7 +276,7 @@ def integrate_projected(
             break
         _require_tangent(g)
         if block_count and float(gaps[joined].sum()) >= _POOL_MARGIN:
-            g = project_velocity(x, g, active_ties(x, tol))
+            g = _pool(g, _blocks(order, joined))
         x = x + (t - prev) * g
         prev = t
     return ProjectedTrace(samples=tuple(samples), step=step)

@@ -31,7 +31,6 @@ __all__ = [
     "ConstraintSet",
     "TraceStep",
     "InstrumentedRun",
-    "ReductionReport",
     "ALGORITHMS",
     "DP_LIMIT",
     "BRUTE_LIMIT",
@@ -43,7 +42,6 @@ __all__ = [
     "isolates_sorted",
     "instrument",
     "comparison_count",
-    "reduction_report",
 ]
 
 #: Counting one connected component visits its down-sets, up to 2^n of them
@@ -350,6 +348,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class InstrumentedRun:
+    """One instrumented sort: its trace and the ledger summed over it."""
+
     algorithm: str
     input: Permutation
     trace: tuple[TraceStep, ...]
@@ -363,6 +363,17 @@ class InstrumentedRun:
     @property
     def total_bits(self) -> float:
         return float(sum(step.bits for step in self.trace))
+
+    @property
+    def max_bits(self) -> float:
+        return float(max((step.bits for step in self.trace), default=0.0))
+
+    @property
+    def halving_fraction(self) -> float:
+        """Share of comparisons that at least halved the count (bits >= 1 - 1e-9)."""
+        if not self.trace:
+            return 0.0
+        return sum(1 for step in self.trace if step.bits >= 1.0 - 1e-9) / len(self.trace)
 
     @property
     def final_feasible(self) -> int:
@@ -440,39 +451,3 @@ def comparison_count(algorithm: str, p: Permutation | Sequence[int]) -> int:
     if out != list(range(1, p.n + 1)):
         raise RuntimeError(f"{algorithm} failed to sort {p.ranks}: got {out}")
     return hits
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Aggregate view of one run's information ledger."""
-
-    algorithm: str
-    comparisons: int
-    total_bits: float
-    max_bits: float
-    halving_fraction: float
-    initial_feasible: int
-    final_feasible: int
-
-
-def reduction_report(run: InstrumentedRun) -> ReductionReport:
-    """Summarize a trace: comparisons, bit totals, and the halving share.
-
-    halving_fraction is the share of comparisons that at least halved the
-    feasible count (bits >= 1 - 1e-9); individual comparisons may carry
-    more than one bit, it is only the orientation actually observed that
-    cannot beat halving on both sides at once.
-    """
-    comparisons = len(run.trace)
-    total = float(sum(s.bits for s in run.trace))
-    peak = max((s.bits for s in run.trace), default=0.0)
-    halved = sum(1 for s in run.trace if s.bits >= 1.0 - 1e-9)
-    return ReductionReport(
-        algorithm=run.algorithm,
-        comparisons=comparisons,
-        total_bits=total,
-        max_bits=float(peak),
-        halving_fraction=halved / comparisons if comparisons else 0.0,
-        initial_feasible=run.trace[0].feasible_before if run.trace else math.factorial(run.input.n),
-        final_feasible=run.final_feasible,
-    )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permflow.cli
-from permflow import tree_from_json, verify_tree
+from permflow import MAX_STEP, STEP_LIMIT, tree_from_json, verify_tree
 from permflow.cli import PRECISION_ENV, main
 
 
@@ -256,6 +256,20 @@ class TestFlowTrace:
         assert code == 2
         assert out == ""
         assert "off the Euler grid" in err
+
+    def test_over_step_limit_exits_three_before_integrating(self, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a request beyond the step limit")
+
+        monkeypatch.setattr(permflow.cli, "integrate_projected", no_integration)
+        t_end = (STEP_LIMIT + 1) * MAX_STEP
+        code, out, err = run(
+            ["flow", "trace", "--projected", "--n", "5", "--t-end", repr(t_end), "--samples", "2"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and f"{STEP_LIMIT} Euler steps" in err
 
     # sha256 of stdout for fixed argv: projected traces must keep their bytes
     GOLDEN = [

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permflow import (
-    BRUTE_FORCE_LIMIT,
     Permutation,
-    SizeLimitError,
     StateVector,
-    brute_force_sort,
     disorder_squared,
     hyperplane_sum,
     in_hyperplane,
@@ -134,25 +131,6 @@ class TestDisorder:
     def test_reverse_disorder_validates(self):
         with pytest.raises(ValueError):
             reverse_disorder(0)
-
-
-class TestBruteForceSort:
-    def test_sorts_small_inputs(self):
-        assert brute_force_sort([3, 1, 2]) == [1, 2, 3]
-        assert brute_force_sort([]) == []
-        assert brute_force_sort([5]) == [5]
-        assert brute_force_sort([2, 2, 1]) == [1, 2, 2]
-
-    def test_agrees_with_sorted_on_everything_small(self):
-        import itertools
-
-        for n in range(1, 6):
-            for perm in itertools.permutations(range(1, n + 1)):
-                assert brute_force_sort(perm) == sorted(perm)
-
-    def test_refuses_big_inputs(self):
-        with pytest.raises(SizeLimitError):
-            brute_force_sort(list(range(BRUTE_FORCE_LIMIT + 1)))
 
 
 def test_log2_factorial_sums():

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permflow.projection
 from permflow import (
     MAX_STEP,
     Permutation,
+    STEP_LIMIT,
+    SizeLimitError,
     StateVector,
-    TieBlocks,
     active_ties,
     as_state,
     disorder_squared,
@@ -19,6 +21,7 @@ from permflow import (
     project_velocity,
     vertex_of,
 )
+from permflow.projection import _step_times
 
 
 # --- reference: the per-step loop that groups and projects on every step ----
@@ -65,8 +68,7 @@ def reference_integrate(x0, t_end, step=MAX_STEP, tol=None):
     prev = 0.0
     for t in times:
         g = targets - x
-        ties = TieBlocks(blocks=reference_blocks(x, tol), tol=tol)
-        p = project_velocity(StateVector(x), g, ties)
+        p = project_velocity(StateVector(x), g, reference_blocks(x, tol))
         x = x + (t - prev) * p
         prev = t
         samples.append(sample(t, x))
@@ -115,39 +117,33 @@ def starts(draw):
 
 class TestActiveTies:
     def test_all_equal_is_one_block(self):
-        assert active_ties([2.0, 2.0, 2.0]).blocks == ((1, 2, 3),)
+        assert active_ties([2.0, 2.0, 2.0]) == ((1, 2, 3),)
 
     def test_strict_order_is_singletons(self):
-        assert active_ties([1.0, 2.0, 3.0]).blocks == ((1,), (2,), (3,))
+        assert active_ties([1.0, 2.0, 3.0]) == ((1,), (2,), (3,))
 
     def test_partial_tie(self):
-        assert active_ties([2.0, 2.0, 3.0]).blocks == ((1, 2), (3,))
+        assert active_ties([2.0, 2.0, 3.0]) == ((1, 2), (3,))
 
     def test_blocks_partition_all_indices(self):
         rng = random.Random(5)
         for _ in range(50):
             x = [rng.choice([1.0, 1.0, 2.0, 3.5]) for _ in range(6)]
-            ties = active_ties(x)
-            flat = sorted(i for block in ties.blocks for i in block)
+            flat = sorted(i for block in active_ties(x) for i in block)
             assert flat == list(range(1, 7))
 
     def test_transitive_chaining(self):
         # consecutive gaps within tol chain into one block even though the
         # extremes differ by more than tol
         x = [1.0, 1.0 + 1e-10, 1.0 + 2e-10, 2.0]
-        ties = active_ties(x, tol=1.5e-10)
-        assert ties.blocks == ((1, 2, 3), (4,))
+        assert active_ties(x, tol=1.5e-10) == ((1, 2, 3), (4,))
 
     def test_grouping_ignores_position(self):
-        assert active_ties([3.0, 1.0, 3.0]).blocks == ((2,), (1, 3))
+        assert active_ties([3.0, 1.0, 3.0]) == ((2,), (1, 3))
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             active_ties([1.0, 2.0], tol=0.0)
-
-    def test_nontrivial_filter(self):
-        ties = active_ties([2.0, 2.0, 3.0])
-        assert ties.nontrivial == ((1, 2),)
 
 
 class TestProjectVelocity:
@@ -179,7 +175,7 @@ class TestProjectVelocity:
             g = np.array([rng.uniform(-1, 1) for _ in range(5)])
             g -= g.mean()
             p = project_velocity(x, g)
-            for block in active_ties(x).blocks:
+            for block in active_ties(x):
                 idx = np.array(block) - 1
                 assert math.isclose(float(p[idx].sum()), float(g[idx].sum()), abs_tol=1e-12)
 
@@ -190,10 +186,10 @@ class TestProjectVelocity:
             x = [rng.choice([1.0, 1.0, 1.0, 3.0, 3.0]) for _ in range(5)]
             g = np.array([rng.uniform(-2, 2) for _ in range(5)])
             g -= g.mean()
-            ties = active_ties(x)
-            p = project_velocity(x, g, ties)
+            blocks = active_ties(x)
+            p = project_velocity(x, g, blocks)
             assert math.isclose(float(np.dot(g, p)), float(np.dot(p, p)), abs_tol=1e-10)
-            assert np.allclose(project_velocity(x, p, ties), p, atol=1e-12)
+            assert np.allclose(project_velocity(x, p, blocks), p, atol=1e-12)
 
     def test_pooled_components_non_decreasing(self):
         rng = random.Random(37)
@@ -321,6 +317,16 @@ class TestMatchesReferenceLoop:
         assert not np.array_equal(project_velocity(x0, g, active_ties(x0, tol)), g)
         assert_matches_reference(x0, 1.0, tol=tol)
 
+    def test_pooled_step_groups_once(self, monkeypatch):
+        # the pooled branch pools the grouping it already made, without
+        # regrouping the state or going through the public projection
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Euler loop called a public grouping or projection")
+
+        monkeypatch.setattr(permflow.projection, "active_ties", refuse)
+        monkeypatch.setattr(permflow.projection, "project_velocity", refuse)
+        assert_matches_reference([5.0, 1.0, 3.0, 2.0, 4.0], 1.0, tol=10.0)
+
     def test_final_state_matches_product_form(self):
         # x_k = v_s + (x0 - v_s) * prod(1 - h_k), up to rounding
         rng = random.Random(3)
@@ -340,7 +346,29 @@ class TestMatchesReferenceLoop:
     )
     def test_active_ties_matches_reference_grouping(self, x, tol):
         ref_tol = 1e-9 * len(x) if tol is None else tol
-        assert active_ties(x, tol).blocks == reference_blocks(np.asarray(x), ref_tol)
+        assert active_ties(x, tol) == reference_blocks(np.asarray(x), ref_tol)
+
+
+class TestStepLimit:
+    def test_limit_is_reachable(self):
+        times = _step_times(STEP_LIMIT * MAX_STEP, MAX_STEP)
+        assert len(times) == STEP_LIMIT
+        assert times[-1] == STEP_LIMIT * MAX_STEP
+
+    @pytest.mark.parametrize(
+        "t_end, step",
+        [
+            ((STEP_LIMIT + 1) * MAX_STEP, MAX_STEP),
+            (STEP_LIMIT * MAX_STEP + 1e-6, MAX_STEP),
+            (1e300, MAX_STEP),
+            (1.0, 5e-324),
+        ],
+    )
+    def test_over_limit_raises_before_building(self, t_end, step):
+        with pytest.raises(SizeLimitError):
+            _step_times(t_end, step)
+        with pytest.raises(SizeLimitError):
+            integrate_projected([3.0, 2.0, 1.0], t_end, step=step)
 
 
 class TestRejectsOutOfModelInputs:

@@ -23,7 +23,6 @@ from permflow import (
     isolates_sorted,
     log2_factorial,
     parse_constraints,
-    reduction_report,
 )
 
 
@@ -459,25 +458,22 @@ class TestMergeRecurrence:
 class TestReductionReport:
     def test_fields_line_up(self):
         run = instrument("insertion", (4, 3, 2, 1))
-        report = reduction_report(run)
-        assert report.algorithm == "insertion"
-        assert report.comparisons == run.comparisons
-        assert math.isclose(report.total_bits, run.total_bits, abs_tol=1e-12)
-        assert report.initial_feasible == 24
-        assert report.final_feasible == 1
-        assert 0.0 <= report.halving_fraction <= 1.0
-        assert report.max_bits == max(s.bits for s in run.trace)
+        assert run.algorithm == "insertion"
+        assert run.comparisons == len(run.trace)
+        assert math.isclose(run.total_bits, math.log2(24), abs_tol=1e-12)
+        assert run.trace[0].feasible_before == 24
+        assert run.final_feasible == 1
+        assert 0.0 <= run.halving_fraction <= 1.0
+        assert run.max_bits == max(s.bits for s in run.trace)
 
     def test_halving_fraction_counts_big_steps(self):
         run = instrument("merge", (3, 1, 2))
-        report = reduction_report(run)
         # the trace contracts 6 -> 3 -> 2 -> 1: bits 1, 0.585, 1
-        assert math.isclose(report.halving_fraction, 2 / 3, abs_tol=1e-12)
+        assert math.isclose(run.halving_fraction, 2 / 3, abs_tol=1e-12)
 
     def test_max_bits_can_exceed_one(self):
         found = False
         for ranks in itertools.permutations(range(1, 5)):
-            report = reduction_report(instrument("insertion", ranks))
-            if report.max_bits > 1.0 + 1e-9:
+            if instrument("insertion", ranks).max_bits > 1.0 + 1e-9:
                 found = True
         assert found, "no insertion-sort comparison ever beat one bit on n = 4"
