@@ -55,6 +55,10 @@ __all__ = ["main"]
 
 DEFAULT_PRECISION = 6
 PRECISION_ENV = "PERMFLOW_PRECISION"
+#: Most rows `flow trace --samples` may ask for. Each row costs about
+#: 35 us and 1.2 KB before its n coordinates (n = 3: 10,000 rows took
+#: 0.7 s and 43 MB peak RSS on a 2-vCPU VM), and nothing bounded it.
+SAMPLE_LIMIT = 10_000
 
 
 # --- start-spec parsing ------------------------------------------------------
@@ -204,6 +208,10 @@ def _cmd_flow_events(args, digits: int) -> str:
 def _cmd_flow_trace(args, digits: int) -> str:
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
+    if args.samples > SAMPLE_LIMIT:
+        raise SizeLimitError(
+            f"traces are limited to {SAMPLE_LIMIT} samples, got {args.samples}"
+        )
     require_finite_positive("--t-end", args.t_end)
     start = _parse_start(args.start, args.n)
     x0 = vertex_of(start)
@@ -223,11 +231,8 @@ def _cmd_flow_trace(args, digits: int) -> str:
                     "t-end/(samples-1) is a multiple of --step"
                 )
             picked.append(idx)
-        samples = integrate_projected(x0, args.t_end, step=args.step).samples
-        rows = [
-            (s.t, s.state.coords, disorder_squared(s.state).d0)
-            for s in (samples[k] for k in picked)
-        ]
+        trace = integrate_projected(x0, args.t_end, step=args.step, keep=picked)
+        rows = [(s.t, s.state.coords, disorder_squared(s.state).d0) for s in trace.samples]
     else:
         trace = sample_trace(x0, wanted)
         rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]

@@ -9,7 +9,7 @@ that cone satisfies <g, p> = ||p||^2, so the potential V = 0.5*||x - v_s||^2
 never increases along the projected field.
 
 `integrate_projected` applies this to the pull g = v_s - x, where pooling
-can fire only when a block is wide. Each Euler state is sorted once;
+can fire only when a block is wide. A grouped state is sorted once;
 neighbours in value order whose gap is at most `tol` join a block, and
 that one grouping gives both the sample's block count and the test below.
 When the within-block gaps sum to less than 1/2, every block spans less
@@ -20,16 +20,21 @@ than 1, so for block members i < j
 the block's components of g already increase with the index (rounding
 is monotone, so the computed g does too), and PAV returns g bit for bit.
 The step then skips the projection. Only when the gaps sum to 1/2 or
-more -- which the default tol = 1e-9*n cannot reach below n ~ 20000 --
-does it pool, over the blocks of that same grouping, and pooling does
-fire there, e.g. at [1, 3, 2] with tol = 2. An explicit Euler step h
-then contracts V by (1 - h)^2 -- at least as fast as the continuous
-rate exp(-2t).
+more does it pool, over the blocks of that same grouping, and pooling
+does fire there, e.g. at [1, 3, 2] with tol = 2. There are at most n - 1
+joined gaps, each at most tol, so while 2*(n - 1)*tol stays below 1/2
+(the factor 2 leaves room for rounding in the sum) no step can pool.
+The default tol = 1e-9*n keeps that below n ~ 15,800; the loop then
+groups only the states it records, and a step between two recorded
+states is just g = v_s - x, the tangency check and x + h*g. An explicit
+Euler step h then contracts V by (1 - h)^2 -- at least as fast as the
+continuous rate exp(-2t).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,9 +54,11 @@ __all__ = [
 
 #: Largest admissible Euler step for integrate_projected.
 MAX_STEP = 1e-2
-#: Most Euler steps one integration takes. Each costs about 25 us and
-#: keeps a sample of 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11), so the
-#: limit bounds a run near 2.5 s and 50 MB + 0.8 MB per coordinate.
+#: Most Euler steps one integration takes. An unrecorded step costs about
+#: 6 us and keeps nothing; a recorded one about 25 us and a sample of
+#: 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step recorded
+#: (keep=None) the limit bounds a run near 2.5 s and 50 MB + 0.8 MB per
+#: coordinate.
 STEP_LIMIT = 100_000
 
 # Within-block gaps summing below this keep every block narrower than 1,
@@ -166,7 +173,18 @@ def _pool(g: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _require_tangent(g: np.ndarray) -> None:
-    if abs(float(g.sum())) > 1e-9:
+    """Raise ValueError unless |sum(g)| <= max(1e-9, n(n+1)/2 * 2**-41).
+
+    g = v_s - x differences two vectors that sum to n(n+1)/2, so rounding
+    alone leaves sum(g) off 0 by a multiple of n(n+1)/2 * 2**-52. Along an
+    Euler run from a vertex that multiple peaks when the state freezes,
+    near 0.17/h for step h: 9-19 at h = 0.01 for n = 200..5000, and at
+    n = 1000 up to 475 at h = 0.0003, where STEP_LIMIT ends the run.
+    2**11 = 2048 covers that with room to spare; below n ~ 66 the absolute
+    1e-9 still governs.
+    """
+    n = g.size
+    if abs(float(g.sum())) > max(1e-9, n * (n + 1) / 2 * 2.0**-41):
         raise ValueError("velocity must sum to 0 (tangent to the hyperplane)")
 
 
@@ -182,7 +200,8 @@ def project_velocity(
     listed, ascending index) the result is the nearest non-decreasing
     vector to g's restriction, by pool-adjacent-violators; components
     outside any tie pass through unchanged, and block sums are preserved.
-    The input must be tangent to the hyperplane (sum(g) = 0 within 1e-9).
+    The input must be tangent to the hyperplane: |sum(g)| at most
+    max(1e-9, n(n+1)/2 * 2**-41), a bound on rounding alone.
     Projecting is idempotent and the output p satisfies <g, p> = ||p||^2.
     """
     x = as_state(x)
@@ -232,6 +251,7 @@ def integrate_projected(
     t_end: float,
     step: float = MAX_STEP,
     tol: float | None = None,
+    keep: Sequence[int] | None = None,
 ) -> ProjectedTrace:
     """Explicit Euler on the projected pull toward the sorted vertex.
 
@@ -246,36 +266,58 @@ def integrate_projected(
     0 < step <= MAX_STEP, so each step contracts the potential by at
     least (1 - step)^2 <= exp(-2*step), and a finite tol > 0 when given;
     more than STEP_LIMIT steps raise SizeLimitError before the first one.
-    g must stay tangent to the hyperplane (sum within 1e-9), as
-    `project_velocity` requires. Samples record the potential
-    0.5*||x - v_s||^2 and the number of active tie blocks; the first
-    sample is the start at t = 0.
+    g must stay tangent to the hyperplane, as `project_velocity` requires.
+
+    Samples record the potential 0.5*||x - v_s||^2 and the number of
+    active tie blocks. Grid index k is the state after k steps: 0 is the
+    start at t = 0 and the last, len(samples) - 1 with keep=None, is
+    t_end. `keep`, a strictly increasing sequence of grid indices,
+    records only those states, each bit for bit as keep=None records it;
+    every step still runs and is checked. While 2*(n - 1)*tol < 1/2 no
+    step can pool (module docstring), so only recorded states are sorted
+    and memory no longer grows with t_end.
     """
     x0 = as_state(x0)
     if not np.isfinite(x0.coords).all():
         raise ValueError("start coordinates must be finite")
     times = _step_times(t_end, step)
     tol = _resolve_tol(x0.n, tol)
+    if keep is None:
+        keep = range(len(times) + 1)
+    else:
+        keep = [operator.index(k) for k in keep]
+        if any(a >= b for a, b in zip(keep, keep[1:])):
+            raise ValueError("keep must be strictly increasing")
+        if not keep or keep[0] < 0 or keep[-1] > len(times):
+            raise ValueError(
+                f"keep must hold one or more grid indices in 0..{len(times)}"
+            )
+    may_pool = 2 * (x0.n - 1) * tol >= _POOL_MARGIN
     targets = np.arange(1, x0.n + 1, dtype=float)
     x = x0.coords
     samples = []
+    wanted = iter(keep)
+    next_kept = next(wanted)
     prev = 0.0
-    for t in (*times, None):
+    for k, t in enumerate((*times, None)):
         g = targets - x
-        order, gaps, joined = _group(x, tol)
-        block_count = _count_blocks(joined)
-        samples.append(
-            ProjectedSample(
-                t=prev,
-                state=StateVector(x),
-                potential=0.5 * float(np.dot(g, g)),
-                active_block_count=block_count,
+        if k == next_kept or may_pool:
+            order, gaps, joined = _group(x, tol)
+            block_count = _count_blocks(joined)
+        if k == next_kept:
+            samples.append(
+                ProjectedSample(
+                    t=prev,
+                    state=StateVector(x),
+                    potential=0.5 * float(np.dot(g, g)),
+                    active_block_count=block_count,
+                )
             )
-        )
+            next_kept = next(wanted, None)
         if t is None:
             break
         _require_tangent(g)
-        if block_count and float(gaps[joined].sum()) >= _POOL_MARGIN:
+        if may_pool and block_count and float(gaps[joined].sum()) >= _POOL_MARGIN:
             g = _pool(g, _blocks(order, joined))
         x = x + (t - prev) * g
         prev = t

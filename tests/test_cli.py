@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import permflow.cli
 from permflow import MAX_STEP, STEP_LIMIT, tree_from_json, verify_tree
-from permflow.cli import PRECISION_ENV, main
+from permflow.cli import PRECISION_ENV, SAMPLE_LIMIT, main
 
 
 @pytest.fixture(autouse=True)
@@ -270,6 +270,45 @@ class TestFlowTrace:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and f"{STEP_LIMIT} Euler steps" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--projected"]])
+    def test_over_sample_limit_exits_three_before_sampling(self, mode, capsys, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("traced a request beyond the sample limit")
+
+        monkeypatch.setattr(permflow.cli, "sample_trace", no_trace)
+        monkeypatch.setattr(permflow.cli, "integrate_projected", no_trace)
+        code, out, err = run(
+            ["flow", "trace", *mode, "--n", "3", "--t-end", "1000",
+             "--samples", str(SAMPLE_LIMIT + 1)],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and f"{SAMPLE_LIMIT} samples" in err
+
+    def test_sample_limit_itself_is_traced(self, monkeypatch):
+        class Traced(Exception):
+            pass
+
+        def traced(x0, times):
+            assert len(times) == SAMPLE_LIMIT
+            raise Traced
+
+        monkeypatch.setattr(permflow.cli, "sample_trace", traced)
+        with pytest.raises(Traced):
+            main(["flow", "trace", "--n", "3", "--t-end", "1", "--samples", str(SAMPLE_LIMIT)])
+
+    def test_long_projected_run_at_n_1000(self, capsys):
+        # rounding drift in sum(x) passes an absolute 1e-9 from about step 3,262 here
+        code, out, err = run(
+            ["flow", "trace", "--projected", "--n", "1000", "--t-end", "40", "--samples", "2"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["t"] for r in rows] == [0.0, 40.0]
+        assert rows[1]["x"] == [float(k) for k in range(1, 1001)]
 
     # sha256 of stdout for fixed argv: projected traces must keep their bytes
     GOLDEN = [

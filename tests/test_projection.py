@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,79 @@ class TestMatchesReferenceLoop:
     def test_active_ties_matches_reference_grouping(self, x, tol):
         ref_tol = 1e-9 * len(x) if tol is None else tol
         assert active_ties(x, tol) == reference_blocks(np.asarray(x), ref_tol)
+
+
+class TestKeep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x0=starts(),
+        t_end=st.sampled_from([0.003, 0.05, 0.37, 1.0]),
+        step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
+        tol=st.sampled_from([None, 0.3, 1.0, 2.0, 5.0]),
+        data=st.data(),
+    )
+    def test_kept_samples_match_full_trace(self, x0, t_end, step, tol, data):
+        # tol >= 0.3 lets pooling fire, so every step is grouped there
+        full = integrate_projected(x0, t_end, step=step, tol=tol).samples
+        keep = sorted(
+            data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1), label="keep")
+        )
+        got = integrate_projected(x0, t_end, step=step, tol=tol, keep=keep).samples
+        assert len(got) == len(keep)
+        for s, k in zip(got, keep):
+            want = full[k]
+            assert s.t == want.t
+            assert s.state.coords.tobytes() == want.state.coords.tobytes()
+            assert s.potential == want.potential
+            assert s.active_block_count == want.active_block_count
+
+    @pytest.mark.parametrize("keep", [[], [-1, 2], [0, 6], [3, 2], [1, 1]])
+    def test_bad_keep(self, keep):
+        # t_end = 0.05 at the default step gives grid indices 0..5
+        with pytest.raises(ValueError, match="keep"):
+            integrate_projected([3.0, 2.0, 1.0], 0.05, keep=keep)
+
+    def test_only_kept_states_are_grouped(self, monkeypatch):
+        # below n ~ 15,800 the default tol cannot pool, so an unrecorded
+        # step never sorts its state
+        calls = []
+        group = permflow.projection._group
+
+        def spy(coords, tol):
+            calls.append(tol)
+            return group(coords, tol)
+
+        monkeypatch.setattr(permflow.projection, "_group", spy)
+        keep = [0, 7, 250, 500]
+        trace = integrate_projected(vertex_of(Permutation.reverse(30)), 5.0, keep=keep)
+        assert [s.t for s in trace.samples] == [0.0, 0.07, 2.5, 5.0]
+        assert len(calls) == len(keep)
+
+    def test_memory_does_not_grow_with_t_end(self):
+        # the full trace keeps 5,001 samples of about 0.5 KB + 1.6 KB each
+        x0 = vertex_of(Permutation.reverse(200))
+        last = len(_step_times(50.0, MAX_STEP))
+        peaks = []
+        for keep in (None, [0, last]):
+            tracemalloc.start()
+            try:
+                trace = integrate_projected(x0, 50.0, keep=keep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert trace.samples[-1].t == 50.0
+        full, ends = peaks
+        assert full > 5_000 * 2_000
+        assert ends * 20 < full
+
+    def test_long_small_step_run_stays_tangent(self):
+        # at h = 0.0005 rounding drift in sum(x) peaks near 336 units of
+        # n(n+1)/2 * 2**-52 (about 1.5e-9 at n = 200) when the state freezes
+        last = len(_step_times(40.0, 0.0005))
+        trace = integrate_projected(
+            vertex_of(Permutation.reverse(200)), 40.0, step=0.0005, keep=[0, last]
+        )
+        assert np.allclose(trace.final.coords, np.arange(1.0, 201.0))
 
 
 class TestStepLimit:
