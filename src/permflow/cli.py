@@ -36,6 +36,7 @@ from .dtree import (
     tree_to_json,
 )
 from .flow import (
+    _crossings,
     crossing_events,
     estimate_sorting,
     sample_trace,
@@ -59,6 +60,12 @@ PRECISION_ENV = "PERMFLOW_PRECISION"
 #: 35 us and 1.2 KB before its n coordinates (n = 3: 10,000 rows took
 #: 0.7 s and 43 MB peak RSS on a 2-vCPU VM), and nothing bounded it.
 SAMPLE_LIMIT = 10_000
+#: Most crossing events `flow events` may print. For a vertex start the
+#: count is the inversion count, which `estimate_sorting` finds in
+#: O(n log n) before any pair is examined. At the limit (`--start reverse
+#: --n 707`, 249,571 events) JSON took 1.5 s and 133 MB peak RSS and CSV
+#: 1.9 s and 131 MB on a 2-vCPU VM, and nothing bounded it.
+EVENT_LIMIT = 250_000
 
 
 # --- start-spec parsing ------------------------------------------------------
@@ -133,18 +140,23 @@ def _resolve_precision(flag: Optional[int]) -> int:
     return digits
 
 
-def _fmt(x: float, digits: int) -> str:
-    return format(x, f".{digits}g")
-
-
-def _round(x: float, digits: int) -> float:
-    """x cut to `digits` significant digits: the real a JSON payload carries.
+def _round(x: float, spec: str) -> float:
+    """x cut to the significant digits of `spec`: the real a JSON payload carries.
 
     JSON handlers round each float field once where they build the
-    payload (long rows inline `float(format(v, spec))`), and leave ints
+    payload (long rows inline `float(f"{v:{spec}}")`), and leave ints
     and bools as they are.
     """
-    return float(_fmt(x, digits))
+    return float(f"{x:{spec}}")
+
+
+def _dumps(payload) -> str:
+    """One JSON encode of a freshly built payload.
+
+    Every payload is a new tree of dicts, lists, strings, ints and floats,
+    so it holds no cycle and the encoder's cycle check is skipped.
+    """
+    return json.dumps(payload, check_circular=False)
 
 
 def _bool(b: bool) -> str:
@@ -164,48 +176,47 @@ def _write(text: str, output: Optional[str]) -> None:
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_flow_events(args, digits: int) -> str:
+def _cmd_flow_events(args, spec: str) -> str:
     start = _parse_start(args.start, args.n)
-    x0 = vertex_of(start)
-    events = crossing_events(x0)
     est = estimate_sorting(start, epsilon=args.epsilon, c=args.c)
+    if est.crossing_count > EVENT_LIMIT:
+        raise SizeLimitError(
+            f"crossing schedules are limited to {EVENT_LIMIT} events, "
+            f"got {est.crossing_count}"
+        )
+    x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
     if args.format == "json":
-        spec = f".{digits}g"
-        return json.dumps(
+        # the kernel's rows skip the meeting values, which JSON does not print
+        return _dumps(
             {
                 "n": start.n,
                 "start": list(start.ranks),
-                "d0": _round(d0, digits),
+                "d0": _round(d0, spec),
                 "events": [
-                    {"i": e.pair[0], "j": e.pair[1], "t": float(format(e.time, spec))}
-                    for e in events
+                    {"i": i, "j": j, "t": float(f"{t:{spec}}")}
+                    for t, i, j, _ in _crossings(x0)
                 ],
-                "t_eps": _round(est.continuous_time, digits),
-                "estimate": _round(est.discrete_estimate, digits),
-                "lemma_lb": _round(est.lemma_lower_bound, digits),
+                "t_eps": _round(est.continuous_time, spec),
+                "estimate": _round(est.discrete_estimate, spec),
+                "lemma_lb": _round(est.lemma_lower_bound, spec),
             }
         )
+    events = crossing_events(x0)
     lines = [
         f"# n={start.n} start={','.join(map(str, start.ranks))}",
-        "# d0={} crossings={} t_eps={} estimate={} estimate_ceil={} lemma_lb={}".format(
-            _fmt(d0, digits),
-            len(events),
-            _fmt(est.continuous_time, digits),
-            _fmt(est.discrete_estimate, digits),
-            math.ceil(est.discrete_estimate),
-            _fmt(est.lemma_lower_bound, digits),
-        ),
+        f"# d0={d0:{spec}} crossings={len(events)} t_eps={est.continuous_time:{spec}} "
+        f"estimate={est.discrete_estimate:{spec}} "
+        f"estimate_ceil={math.ceil(est.discrete_estimate)} "
+        f"lemma_lb={est.lemma_lower_bound:{spec}}",
         "i,j,t,value",
     ]
     for e in events:
-        lines.append(
-            f"{e.pair[0]},{e.pair[1]},{_fmt(e.time, digits)},{_fmt(e.meeting_value, digits)}"
-        )
+        lines.append(f"{e.pair[0]},{e.pair[1]},{e.time:{spec}},{e.meeting_value:{spec}}")
     return "\n".join(lines)
 
 
-def _cmd_flow_trace(args, digits: int) -> str:
+def _cmd_flow_trace(args, spec: str) -> str:
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
     if args.samples > SAMPLE_LIMIT:
@@ -237,17 +248,16 @@ def _cmd_flow_trace(args, digits: int) -> str:
         trace = sample_trace(x0, wanted)
         rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
     if args.format == "json":
-        spec = f".{digits}g"
-        return json.dumps(
+        return _dumps(
             {
                 "n": start.n,
                 "start": list(start.ranks),
                 "projected": bool(args.projected),
                 "rows": [
                     {
-                        "t": _round(t, digits),
-                        "x": [float(format(v, spec)) for v in x.tolist()],
-                        "disorder": _round(d, digits),
+                        "t": _round(t, spec),
+                        "x": [float(f"{v:{spec}}") for v in x.tolist()],
+                        "disorder": _round(d, spec),
                     }
                     for t, x, d in rows
                 ],
@@ -256,12 +266,12 @@ def _cmd_flow_trace(args, digits: int) -> str:
     header = "t," + ",".join(f"x{k}" for k in range(1, start.n + 1)) + ",disorder"
     lines = [header]
     for t, x, d in rows:
-        cells = [_fmt(t, digits)] + [_fmt(float(v), digits) for v in x] + [_fmt(d, digits)]
-        lines.append(",".join(cells))
+        cells = [f"{v:{spec}}" for v in x.tolist()]
+        lines.append(f"{t:{spec}},{','.join(cells)},{d:{spec}}")
     return "\n".join(lines)
 
 
-def _cmd_dtree(args, digits: int) -> str:
+def _cmd_dtree(args, spec: str) -> str:
     bound = info_lower_bound(args.n)
     built = build_optimal(args.n)
     if args.emit_tree:
@@ -269,7 +279,7 @@ def _cmd_dtree(args, digits: int) -> str:
             fh.write(tree_to_json(built.root) + "\n")
     stats = built.stats
     if args.format == "json":
-        return json.dumps(
+        return _dumps(
             {
                 "n": args.n,
                 "info_bound": bound,
@@ -282,7 +292,7 @@ def _cmd_dtree(args, digits: int) -> str:
     )
 
 
-def _cmd_slice(args, digits: int) -> str:
+def _cmd_slice(args, spec: str) -> str:
     if args.instrument is not None:
         if args.input is None:
             raise ValueError("--instrument requires --input LIST")
@@ -292,7 +302,7 @@ def _cmd_slice(args, digits: int) -> str:
         run = instrument(args.instrument, start)
         iso = isolates_sorted(run.constraints)
         if args.format == "json":
-            return json.dumps(
+            return _dumps(
                 {
                     "algorithm": run.algorithm,
                     "n": start.n,
@@ -304,14 +314,14 @@ def _cmd_slice(args, digits: int) -> str:
                             "hi": s.constraint.hi,
                             "feasible_before": s.feasible_before,
                             "feasible_after": s.feasible_after,
-                            "bits": _round(s.bits, digits),
+                            "bits": _round(s.bits, spec),
                         }
                         for k, s in enumerate(run.trace, start=1)
                     ],
                     "comparisons": run.comparisons,
-                    "total_bits": _round(run.total_bits, digits),
-                    "max_bits": _round(run.max_bits, digits),
-                    "halving_fraction": _round(run.halving_fraction, digits),
+                    "total_bits": _round(run.total_bits, spec),
+                    "max_bits": _round(run.max_bits, spec),
+                    "halving_fraction": _round(run.halving_fraction, spec),
                     "final_count": run.final_feasible,
                     "isolates_sorted": iso,
                 }
@@ -322,9 +332,9 @@ def _cmd_slice(args, digits: int) -> str:
                 run.algorithm,
                 ",".join(map(str, start.ranks)),
                 run.comparisons,
-                _fmt(run.total_bits, digits),
-                _fmt(run.max_bits, digits),
-                _fmt(run.halving_fraction, digits),
+                format(run.total_bits, spec),
+                format(run.max_bits, spec),
+                format(run.halving_fraction, spec),
                 run.final_feasible,
                 _bool(iso),
             ),
@@ -333,7 +343,7 @@ def _cmd_slice(args, digits: int) -> str:
         for k, s in enumerate(run.trace, start=1):
             lines.append(
                 f"{k},{s.constraint.lo},{s.constraint.hi},"
-                f"{s.feasible_before},{s.feasible_after},{_fmt(s.bits, digits)}"
+                f"{s.feasible_before},{s.feasible_after},{s.bits:{spec}}"
             )
         return "\n".join(lines)
 
@@ -342,7 +352,7 @@ def _cmd_slice(args, digits: int) -> str:
     iso = isolates_sorted(constraints)
     contra = is_contradictory(constraints)
     if args.format == "json":
-        return json.dumps(
+        return _dumps(
             {
                 "n": args.n,
                 "constraints": [[c.lo, c.hi] for c in constraints.constraints],
@@ -356,7 +366,7 @@ def _cmd_slice(args, digits: int) -> str:
     )
 
 
-def _cmd_report(args, digits: int) -> str:
+def _cmd_report(args, spec: str) -> str:
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
@@ -373,8 +383,8 @@ def _cmd_report(args, digits: int) -> str:
         ("estimate_ceiling", math.ceil(est.discrete_estimate)),
         ("lemma_lb", est.lemma_lower_bound),
     ]
-    shown = {k: _fmt(v, digits) if isinstance(v, float) else v for k, v in fields}
-    ln2 = [_fmt(k * math.log(2), digits) for k in (1, 2, 3)]
+    shown = {k: format(v, spec) if isinstance(v, float) else v for k, v in fields}
+    ln2 = [format(k * math.log(2), spec) for k in (1, 2, 3)]
     deviations = [
         "staged boundary times ln 2, 2 ln 2, 3 ln 2 ({}, {}, {}) are mutually "
         "inconsistent with the quoted total 1.5 ln 2 = {t_total}; the single closed-form "
@@ -386,11 +396,11 @@ def _cmd_report(args, digits: int) -> str:
         "{estimate_ceiling}.".format(**shown),
     ]
     if args.format == "json":
-        return json.dumps(
+        return _dumps(
             {
                 "n": 3,
                 "start": list(start.ranks),
-                **{k: _round(v, digits) if isinstance(v, float) else v for k, v in fields},
+                **{k: _round(v, spec) if isinstance(v, float) else v for k, v in fields},
                 "deviations": deviations,
             }
         )
@@ -417,7 +427,7 @@ def _cmd_report(args, digits: int) -> str:
     )
 
 
-def _cmd_bench(args, digits: int) -> str:
+def _cmd_bench(args, spec: str) -> str:
     if not (2 <= args.n_min <= args.n_max <= 10**6):
         raise ValueError(
             f"need 2 <= n-min <= n-max <= 10^6, got {args.n_min}..{args.n_max}"
@@ -432,17 +442,16 @@ def _cmd_bench(args, digits: int) -> str:
         asymptote = 1.5 * n * math.log(n)
         rows.append((n, d0, t, n_t, asymptote, n_t / asymptote))
     if args.format == "json":
-        spec = f".{digits}g"
-        return json.dumps(
+        return _dumps(
             {
                 "rows": [
                     {
                         "n": n,
                         "d0": d0,
-                        "t": float(format(t, spec)),
-                        "n_t": float(format(n_t, spec)),
-                        "asymptote": float(format(asym, spec)),
-                        "ratio": float(format(ratio, spec)),
+                        "t": float(f"{t:{spec}}"),
+                        "n_t": float(f"{n_t:{spec}}"),
+                        "asymptote": float(f"{asym:{spec}}"),
+                        "ratio": float(f"{ratio:{spec}}"),
                     }
                     for n, d0, t, n_t, asym, ratio in rows
                 ]
@@ -450,10 +459,7 @@ def _cmd_bench(args, digits: int) -> str:
         )
     lines = ["n,d0,t,n_t,asymptote,ratio"]
     for n, d0, t, n_t, asym, ratio in rows:
-        lines.append(
-            f"{n},{d0},{_fmt(t, digits)},{_fmt(n_t, digits)},"
-            f"{_fmt(asym, digits)},{_fmt(ratio, digits)}"
-        )
+        lines.append(f"{n},{d0},{t:{spec}},{n_t:{spec}},{asym:{spec}},{ratio:{spec}}")
     return "\n".join(lines)
 
 
@@ -549,8 +555,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.format = "text" if args.command == "report" else "json"
     handler = _HANDLERS[(args.command, getattr(args, "flow_command", None))]
     try:
-        digits = _resolve_precision(args.precision)
-        text = handler(args, digits)
+        spec = f".{_resolve_precision(args.precision)}g"
+        text = handler(args, spec)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

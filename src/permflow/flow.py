@@ -171,40 +171,82 @@ def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional
     return -math.log(ratio)
 
 
+#: Most pairs i < j that one block of the triangle pass holds (at least one
+#: row per block). Each pair costs about 50 bytes of index, ratio and mask
+#: arrays, so a block peaks near 3 MB, and n <= 362 is a single block.
+_PAIR_BLOCK = 1 << 16
+
+
+def _row_blocks(n: int):
+    """Split the rows 0..n-2 of the upper triangle into [r0, r1) blocks.
+
+    Row r holds the n - 1 - r pairs (r, j > r); a block takes whole rows
+    while their pairs fit in `_PAIR_BLOCK`, and always at least one row.
+    """
+    r0 = 0
+    while r0 < n - 1:
+        r1, pairs = r0 + 1, n - 1 - r0
+        while r1 < n - 1 and pairs + (n - 1 - r1) <= _PAIR_BLOCK:
+            pairs += n - 1 - r1
+            r1 += 1
+        yield r0, r1
+        r0 = r1
+
+
+def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
+    """Rows (t, i, j, a_i) of every meeting of the flow from x0, sorted.
+
+    i < j are 1-based, t is the meeting time and a_i = x0_i - i the offset
+    that gives the meeting value i + a_i * exp(-t). A start off the
+    hyperplane raises ValueError, also at n = 1.
+
+    The ratio (j - i) / (a_i - a_j) of every pair comes from numpy passes
+    over row blocks of the upper triangle (`_row_blocks`), the same IEEE
+    subtraction and division as in `crossing_time`; a zero denominator
+    gives an infinite ratio and drops out with the others outside (0, 1).
+    Memory is O(n * rows per block + events), not O(n^2). Only the pairs
+    that cross take t = -ln(ratio) with `math.log`, so each time matches
+    `crossing_time` bit for bit, and one sort orders the rows by (t, i, j).
+
+    For a vertex start that float order is the exact order. There
+    a_i - a_j is the integer d = p_i - p_j + j - i, so a crossing pair has
+    the ratio (j - i) / d with integers 0 < j - i < d < 2n. Two distinct
+    such ratios differ by at least 1 / (d d') > 1 / (4 n^2), far above the
+    rounding of one division and one `log` (a few ulps); equal rationals
+    come out of the correctly rounded division as bit-equal floats. So
+    float ties are exact ties, and (i, j) breaks them.
+    """
+    _require_hyperplane(x0)
+    a = _offsets(x0)
+    rows = []
+    for r0, r1 in _row_blocks(x0.n):
+        i, j = np.triu_indices(r1 - r0, k=r0 + 1, m=x0.n)
+        i += r0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (j - i) / (a[i] - a[j])
+        cross = np.flatnonzero((0.0 < ratio) & (ratio < 1.0))
+        i = i[cross]
+        for r, lo, hi, a_lo in zip(
+            ratio[cross].tolist(), (i + 1).tolist(), (j[cross] + 1).tolist(), a[i].tolist()
+        ):
+            rows.append((-math.log(r), lo, hi, a_lo))
+    rows.sort()
+    return rows
+
+
 def crossing_events(x0: StateVector | Sequence[float]) -> list[CrossingEvent]:
     """All coordinate meetings of the flow from x0, sorted by (time, i, j).
 
     For a vertex start the event count equals the inversion count of the
     underlying permutation. Simultaneous meetings (degenerate starts such
     as the full reverse at n = 3) are ordered by lexicographic pair. A
-    start off the hyperplane raises ValueError, also at n = 1.
-
-    The ratio (j - i) / (a_i - a_j) of every pair i < j comes from one
-    numpy pass over the upper triangle, the same IEEE subtraction and
-    division as in `crossing_time`; a zero denominator gives an infinite
-    ratio and drops out with the others outside (0, 1). Only the pairs
-    that cross take -ln(ratio) and the meeting value i + a_i * exp(-t),
-    with `math.log` and `math.exp`, so each time and value matches
-    `crossing_time` bit for bit.
+    start off the hyperplane raises ValueError, also at n = 1. Times and
+    meeting values i + a_i * exp(-t) (`math.exp`) match `crossing_time`
+    and `flow_state` bit for bit; see `_crossings` for the pass.
     """
-    x0 = as_state(x0)
-    _require_hyperplane(x0)
-    a = _offsets(x0)
-    i, j = np.triu_indices(x0.n, k=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (j - i) / (a[i] - a[j])
-    cross = np.flatnonzero((0.0 < ratio) & (ratio < 1.0))
-    i, j = i[cross], j[cross]
-    found = []
-    for r, lo, hi, a_lo in zip(
-        ratio[cross].tolist(), (i + 1).tolist(), (j + 1).tolist(), a[i].tolist()
-    ):
-        t = -math.log(r)
-        found.append((t, lo, hi, lo + a_lo * math.exp(-t)))
-    found.sort()
     return [
-        CrossingEvent(pair=(lo, hi), time=t, meeting_value=meet)
-        for t, lo, hi, meet in found
+        CrossingEvent(pair=(i, j), time=t, meeting_value=i + a_i * math.exp(-t))
+        for t, i, j, a_i in _crossings(as_state(x0))
     ]
 
 
@@ -244,15 +286,31 @@ def lemma_lower_bound(n: int, d0: float, epsilon: float, c: float) -> float:
 
 
 def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> FlowTrace:
-    """Evaluate the closed-form flow at the given strictly increasing times."""
+    """Evaluate the closed-form flow at the given strictly increasing times.
+
+    Each sample carries the same floats as `flow_state(x0, t)` and
+    `disorder_at(x0, t)`; the start is checked and its offsets and d0 are
+    computed once per trace. An off-hyperplane start raises ValueError
+    when there is at least one time.
+    """
     x0 = as_state(x0)
     ts = [float(t) for t in times]
     if any(t < 0 for t in ts):
         raise ValueError("sample times must be >= 0")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
+    if not ts:
+        return FlowTrace(start=x0, samples=())
+    _require_hyperplane(x0)
+    targets = np.arange(1, x0.n + 1, dtype=float)
+    a = _offsets(x0)
+    d0 = disorder_squared(x0).d0
     samples = tuple(
-        FlowSample(t=t, state=flow_state(x0, t), disorder=disorder_at(x0, t))
+        FlowSample(
+            t=t,
+            state=StateVector(targets + a * math.exp(-t)),
+            disorder=d0 * math.exp(-2.0 * t),
+        )
         for t in ts
     )
     return FlowTrace(start=x0, samples=samples)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import permflow.cli
 from permflow import MAX_STEP, STEP_LIMIT, tree_from_json, verify_tree
-from permflow.cli import PRECISION_ENV, SAMPLE_LIMIT, main
+from permflow.cli import EVENT_LIMIT, PRECISION_ENV, SAMPLE_LIMIT, main
 
 
 @pytest.fixture(autouse=True)
@@ -159,6 +159,25 @@ class TestFlowEvents:
         code, out, _ = run(["flow", "events", *args], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_event_limit_itself_is_printed(self, capsys):
+        # reverse n = 707 has 707 * 706 / 2 = 249,571 <= EVENT_LIMIT events
+        code, out, err = run(["flow", "events", "--n", "707"], capsys)
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["events"]) == 249_571 <= EVENT_LIMIT
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_over_event_limit_exits_three_before_any_pair(self, fmt, capsys, monkeypatch):
+        def no_events(*args, **kwargs):
+            raise AssertionError("examined pairs of a request beyond the event limit")
+
+        monkeypatch.setattr(permflow.cli, "_crossings", no_events)
+        monkeypatch.setattr(permflow.cli, "crossing_events", no_events)
+        # reverse n = 708 has 250,278 events
+        code, out, err = run(["flow", "events", "--n", "708", "--format", fmt], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and f"{EVENT_LIMIT} events, got 250278" in err
 
 
 class TestFlowTrace:

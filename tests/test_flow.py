@@ -1,12 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permflow.flow
 from permflow import (
     Permutation,
     crossing_events,
@@ -297,6 +301,52 @@ class TestCrossingEvents:
         assert event_bits(events) == reference_crossing_events(x0.coords)
         assert all(type(e.time) is float and type(e.meeting_value) is float for e in events)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(vertex_starts(max_n=40), hyperplane_starts(), tied_starts()),
+        st.integers(1, 7) | st.integers(8, 400),
+    )
+    def test_row_blocks_match_reference_loop(self, x0, block):
+        # 1-7 pairs make every block one row but the last; larger budgets
+        # put several rows in the middle blocks too
+        with mock.patch.object(permflow.flow, "_PAIR_BLOCK", block):
+            assert event_bits(crossing_events(x0)) == reference_crossing_events(x0)
+
+    def test_memory_does_not_grow_with_the_triangle(self):
+        # the whole-triangle pass peaked at 320 MB traced for these 7,998,000
+        # pairs (two int64 index arrays alone are 128 MB); row blocks stay
+        # near 3 MB
+        x0 = vertex_of(Permutation.identity(4000))
+        tracemalloc.start()
+        try:
+            events = crossing_events(x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert events == []
+        assert peak < 32_000_000
+
+    @settings(max_examples=40, deadline=None)
+    @given(vertex_starts(max_n=200))
+    def test_vertex_order_is_the_exact_order(self, x0):
+        # pair i < j meets at exp(t) = d / (j - i), d = p_i - p_j + j - i
+        p = [int(v) for v in x0]
+        exact = sorted(
+            (Fraction(p[i - 1] - p[j - 1] + j - i, j - i), i, j)
+            for i, j in itertools.combinations(range(1, len(p) + 1), 2)
+            if p[i - 1] > p[j - 1]
+        )
+        events = crossing_events(x0)
+        assert [e.pair for e in events] == [(i, j) for _, i, j in exact]
+        times = [e.time for e in events]
+        keys = [key for key, _, _ in exact]
+        for t, key in zip(times, keys):
+            assert math.isclose(math.exp(t), key, rel_tol=1e-12)
+        # float ties are exactly the exact ties
+        assert [s == t for s, t in zip(times, times[1:])] == [
+            k == m for k, m in zip(keys, keys[1:])
+        ]
+
 
 class TestEstimates:
     def test_discrete_estimate_defaults_to_n_steps(self):
@@ -414,3 +464,20 @@ class TestSampleTrace:
             sample_trace(start, [0.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             sample_trace(start, [-1.0, 0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(vertex_starts(max_n=40), hyperplane_starts(), tied_starts()),
+        st.lists(st.floats(0.0, 40.0), max_size=12, unique=True).map(sorted),
+    )
+    def test_samples_are_flow_state_and_disorder_at(self, x0, times):
+        trace = sample_trace(x0, times)
+        assert [s.t for s in trace.samples] == times
+        for s in trace.samples:
+            assert s.state.coords.tobytes() == flow_state(x0, s.t).coords.tobytes()
+            assert s.disorder.hex() == disorder_at(x0, s.t).hex()
+
+    def test_off_hyperplane_start_raises_when_sampled(self):
+        with pytest.raises(ValueError):
+            sample_trace([0.0, 0.0, 7.0], [1.0])
+        assert sample_trace([0.0, 0.0, 7.0], []).samples == ()
