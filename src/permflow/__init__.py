@@ -71,7 +71,6 @@ from .projection import (
 )
 from .slicing import (
     ALGORITHMS,
-    BRUTE_LIMIT,
     Constraint,
     ConstraintSet,
     DP_LIMIT,
@@ -80,7 +79,6 @@ from .slicing import (
     TraceStep,
     comparison_count,
     feasible_count,
-    feasible_count_brute,
     instrument,
     is_contradictory,
     isolates_sorted,
@@ -91,7 +89,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "BRUTE_LIMIT",
     "BUILD_LIMIT",
     "Constraint",
     "ConstraintSet",
@@ -126,7 +123,6 @@ __all__ = [
     "disorder_squared",
     "estimate_sorting",
     "feasible_count",
-    "feasible_count_brute",
     "flow_state",
     "hyperplane_sum",
     "in_hyperplane",

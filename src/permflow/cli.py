@@ -8,7 +8,7 @@ from a fixed linear congruential generator — s <- (1664525*s +
 1013904223) mod 2^32 — driving a backward swap pass, so any
 implementation of the same recipe reproduces the same bytes.
 
-Exit codes: 0 success, 2 usage or parse errors, 3 deliberate size limits.
+Exit codes: 0 success, 2 usage, parse or write errors, 3 deliberate size limits.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .slicing import (
     ALGORITHMS,
     feasible_count,
     instrument,
-    is_contradictory,
     isolates_sorted,
     parse_constraints,
 )
@@ -350,7 +349,7 @@ def _cmd_slice(args, spec: str) -> str:
     constraints = parse_constraints(args.constraints or "", args.n)
     count = feasible_count(constraints)
     iso = isolates_sorted(constraints)
-    contra = is_contradictory(constraints)
+    contra = count == 0  # the count is exact: 0 exactly when a cycle is present
     if args.format == "json":
         return _dumps(
             {
@@ -556,14 +555,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = _HANDLERS[(args.command, getattr(args, "flow_command", None))]
     try:
         spec = f".{_resolve_precision(args.precision)}g"
-        text = handler(args, spec)
+        _write(handler(args, spec), args.output)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(text, args.output)
     return 0
 
 

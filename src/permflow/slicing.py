@@ -11,7 +11,7 @@ this contraction. `feasible_count` does the counting: it multiplies over
 the connected components of the constraint graph and counts each one by
 a dynamic program over its down-sets (the lattice of ideals of the
 constraint poset), so it only visits label sets that some feasible order
-places first. Brute-force enumeration is the cross-checking oracle.
+places first. `isolates_sorted` counts nothing: it reads the pairs alone.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .core import Permutation, SizeLimitError
 
@@ -33,11 +30,9 @@ __all__ = [
     "InstrumentedRun",
     "ALGORITHMS",
     "DP_LIMIT",
-    "BRUTE_LIMIT",
     "INSTRUMENT_LIMIT",
     "parse_constraints",
     "feasible_count",
-    "feasible_count_brute",
     "is_contradictory",
     "isolates_sorted",
     "instrument",
@@ -47,8 +42,6 @@ __all__ = [
 #: Counting one connected component visits its down-sets, up to 2^n of them
 #: when the constraints are few but connect every label (a star, say).
 DP_LIMIT = 18
-#: Brute-force enumeration materializes all n! rank assignments.
-BRUTE_LIMIT = 10
 #: Instrumented runs recount the feasible set after every comparison.
 INSTRUMENT_LIMIT = 10
 
@@ -100,11 +93,11 @@ def parse_constraints(text: str, n: int) -> ConstraintSet:
     Whitespace around pairs is ignored; an empty (or all-whitespace)
     string yields the unconstrained set. Repeated pairs are collapsed to
     their first occurrence. Raises ValueError on anything else that is
-    not `int<int` with labels in 1..n.
+    not `int<int` (every chunk is read first) with labels in 1..n.
     """
-    out = ConstraintSet.empty(n)
     if not text or not text.strip():
-        return out
+        return ConstraintSet.empty(n)
+    pairs: list[Constraint] = []
     for chunk in text.split(","):
         part = chunk.strip()
         pieces = part.split("<")
@@ -114,8 +107,8 @@ def parse_constraints(text: str, n: int) -> ConstraintSet:
             lo, hi = int(pieces[0]), int(pieces[1])
         except ValueError:
             raise ValueError(f"expected integer labels in {part!r}") from None
-        out = out.with_constraint(Constraint(lo, hi))
-    return out
+        pairs.append(Constraint(lo, hi))
+    return ConstraintSet(n, tuple(dict.fromkeys(pairs)))
 
 
 def feasible_count(s: ConstraintSet) -> int:
@@ -180,67 +173,38 @@ def _count_down_sets(below: list[int], labels: int) -> int:
     return layer[labels]
 
 
-@lru_cache(maxsize=None)
-def _rank_matrix(n: int) -> np.ndarray:
-    """All n! rank assignments as rows, built by inserting rank n into n slots."""
-    if n == 1:
-        return np.array([[1]], dtype=np.int8)
-    prev = _rank_matrix(n - 1)
-    m = prev.shape[0]
-    out = np.empty((m * n, n), dtype=np.int8)
-    for pos in range(n):
-        block = out[pos * m : (pos + 1) * m]
-        block[:, :pos] = prev[:, :pos]
-        block[:, pos] = n
-        block[:, pos + 1 :] = prev[:, pos:]
-    return out
-
-
-def feasible_count_brute(s: ConstraintSet) -> int:
-    """Enumeration oracle for feasible_count: filter all n! assignments."""
-    if s.n > BRUTE_LIMIT:
-        raise SizeLimitError(
-            f"brute-force counting is limited to n <= {BRUTE_LIMIT}, got {s.n}"
-        )
-    rows = _rank_matrix(s.n)
-    keep = np.ones(rows.shape[0], dtype=bool)
-    for c in s.constraints:
-        keep &= rows[:, c.lo - 1] < rows[:, c.hi - 1]
-    return int(np.count_nonzero(keep))
-
-
 def is_contradictory(s: ConstraintSet) -> bool:
-    """True when the constraint digraph has a directed cycle (count would be 0)."""
-    edges: dict[int, list[int]] = {}
+    """True when the constraint digraph has a directed cycle (count would be 0).
+
+    Kahn's topological order, built in O(n + m); a cycle never joins it.
+    """
+    above: list[list[int]] = [[] for _ in range(s.n + 1)]
+    waiting = [0] * (s.n + 1)  # waiting[v] = constraints below label v not yet placed
     for c in s.constraints:
-        edges.setdefault(c.lo, []).append(c.hi)
-    DONE, ACTIVE = 2, 1
-    state: dict[int, int] = {}
-
-    def probe(v: int) -> bool:
-        state[v] = ACTIVE
-        for w in edges.get(v, ()):
-            mark = state.get(w)
-            if mark == ACTIVE:
-                return True
-            if mark is None and probe(w):
-                return True
-        state[v] = DONE
-        return False
-
-    return any(state.get(v) is None and probe(v) for v in list(edges))
+        above[c.lo].append(c.hi)
+        waiting[c.hi] += 1
+    order = [v for v in range(1, s.n + 1) if waiting[v] == 0]
+    for v in order:  # the loop reaches the labels it appends
+        for w in above[v]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                order.append(w)
+    return len(order) < s.n
 
 
 def isolates_sorted(s: ConstraintSet) -> bool:
     """True when exactly one assignment remains and it is the sorted one.
 
-    The sorted assignment gives label u the rank u, so it survives iff
-    every constraint has lo < hi numerically; the count check then pins
-    it as the unique survivor.
+    That needs every constraint to point up (lo < hi). Then chains of
+    constraints only climb, so none passes through a label between k and
+    k + 1, and the order is pinned iff each link (k, k + 1) is a constraint:
+    a correct sort compares every pair adjacent in its output (Knuth, TAOCP
+    vol. 3, section 5.3.1). So the pairs alone decide, at any n.
     """
     if not all(c.lo < c.hi for c in s.constraints):
         return False
-    return feasible_count(s) == 1
+    # the pairs are distinct, so n - 1 links means every link
+    return sum(c.hi == c.lo + 1 for c in s.constraints) == s.n - 1
 
 
 # --- instrumented classical sorts ------------------------------------------

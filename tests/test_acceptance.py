@@ -20,7 +20,6 @@ from permflow import (
     crossing_events,
     disorder_squared,
     feasible_count,
-    feasible_count_brute,
     flow_state,
     info_lower_bound,
     instrument,
@@ -33,6 +32,8 @@ from permflow import (
     verify_tree,
     vertex_of,
 )
+
+from counting_oracle import feasible_count_brute
 
 
 def _verdict(num: int, detail: str, ok: bool, elapsed: float, budget: float) -> None:

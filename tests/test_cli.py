@@ -726,6 +726,13 @@ class TestSlice:
         code, _, err = run(["slice", "--n", "19", "--constraints", ""], capsys)
         assert code == 3
 
+    def test_long_chain_reaches_the_size_cap(self, capsys):
+        chain = ",".join(f"{k}<{k + 1}" for k in range(1, 8000))
+        code, out, err = run(["slice", "--n", "8000", "--constraints", chain], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestReport:
     def test_text_contains_required_lines(self, capsys):
@@ -920,3 +927,11 @@ class TestCommonOptions:
     def test_no_command_exits_two(self, capsys):
         code, _, err = run([], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--output", "--emit-tree"])
+    def test_unwritable_path_exits_two(self, flag, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        code, out, err = run(["dtree", "--n", "3", flag, str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

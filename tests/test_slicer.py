@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from permflow import (
     ALGORITHMS,
-    BRUTE_LIMIT,
     Constraint,
     ConstraintSet,
     DP_LIMIT,
@@ -17,13 +16,14 @@ from permflow import (
     SizeLimitError,
     comparison_count,
     feasible_count,
-    feasible_count_brute,
     instrument,
     is_contradictory,
     isolates_sorted,
     log2_factorial,
     parse_constraints,
 )
+
+from counting_oracle import BRUTE_LIMIT, feasible_count_brute
 
 
 def reference_count(s):
@@ -82,6 +82,30 @@ def connected_sets(draw, n_min, n_max):
     extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3))
     pairs += [(a, b) for a, b in extra if a != b]
     return constraint_set(n, pairs)
+
+
+@st.composite
+def near_chains(draw, n_min, n_max):
+    """Often the full chain 1<2<...<n, less a link or two, plus random extras."""
+    n = draw(st.integers(n_min, n_max))
+    links = [(k, k + 1) for k in range(1, n)]
+    if draw(st.booleans()) and links:
+        dropped = draw(st.lists(st.sampled_from(links), max_size=2))
+        links = [pair for pair in links if pair not in dropped]
+    elif not draw(st.booleans()):
+        links = []
+    labels = st.integers(1, n)
+    extra = draw(
+        st.lists(st.tuples(labels, labels).filter(lambda ab: ab[0] != ab[1]), max_size=4)
+    )
+    if draw(st.booleans()):  # extras point up, so the sorted order survives
+        extra = [(min(a, b), max(a, b)) for a, b in extra]
+    pairs = draw(st.permutations(links + extra))
+    return constraint_set(n, pairs)
+
+
+def chain_text(n):
+    return ",".join(f"{k}<{k + 1}" for k in range(1, n))
 
 
 def shifted(s, offset):
@@ -152,6 +176,23 @@ class TestParseConstraints:
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
             parse_constraints("1<5", 4)
+
+    def test_malformed_chunk_reported_before_labels_are_checked(self):
+        with pytest.raises(ValueError, match="abc"):
+            parse_constraints("1<99,abc", 3)
+
+    def test_builds_one_set(self, monkeypatch):
+        built = []
+        check = ConstraintSet.__post_init__
+
+        def counted(self):
+            built.append(len(self.constraints))
+            check(self)
+
+        monkeypatch.setattr(ConstraintSet, "__post_init__", counted)
+        s = parse_constraints(chain_text(101), 101)
+        assert len(s.constraints) == 100
+        assert built == [100]
 
 
 class TestFeasibleCount:
@@ -284,6 +325,11 @@ class TestContradiction:
     def test_cycle_iff_zero_count(self, s):
         assert is_contradictory(s) == (feasible_count(s) == 0)
 
+    def test_long_chain_without_recursion(self):
+        chain = parse_constraints(chain_text(5000), 5000)
+        assert not is_contradictory(chain)
+        assert is_contradictory(chain.with_constraint(Constraint(5000, 1)))
+
 
 class TestIsolatesSorted:
     def test_chain_isolates(self):
@@ -303,6 +349,21 @@ class TestIsolatesSorted:
 
     def test_redundant_edges_still_isolate(self):
         assert isolates_sorted(parse_constraints("1<2,2<3,1<3", 3))
+
+    def test_single_label(self):
+        assert isolates_sorted(ConstraintSet.empty(1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_chains(1, DP_LIMIT))
+    def test_matches_unique_sorted_survivor(self, s):
+        want = all(c.lo < c.hi for c in s.constraints) and feasible_count(s) == 1
+        assert isolates_sorted(s) == want
+
+    def test_past_the_counting_limit(self):
+        chain = parse_constraints(chain_text(50), 50)
+        assert isolates_sorted(chain)
+        gap = ConstraintSet(50, tuple(c for c in chain.constraints if c.lo != 25))
+        assert not isolates_sorted(gap)
 
 
 class TestInstrument:
