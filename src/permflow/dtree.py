@@ -4,8 +4,9 @@ A binary tree whose internal nodes compare two input positions and whose
 leaves output an ordering can sort all n! inputs only if it has at least
 n! leaves, hence height at least ceil(log2(n!)). `build_optimal` finds a
 tree meeting that height exactly for every n <= 5 by exhaustive
-branch-and-bound over comparison choices, and `verify_tree` replays every
-permutation to confirm a tree really sorts.
+branch-and-bound over comparison choices on a bitmask of the orderings
+still consistent, and `verify_tree` replays every permutation to confirm
+a tree really sorts.
 """
 
 from __future__ import annotations
@@ -104,11 +105,13 @@ def build_optimal(n: int) -> OptimalTree:
     """Minimal-height comparison tree that sorts every permutation of 1..n.
 
     Exhaustive search over comparison pairs with the remaining set of
-    consistent orderings as state, memoized on the canonical (sorted
-    lexicographic-code) form of that set and pruned by the counting
-    bound ceil(log2 |consistent|). Ties between equally tall candidates
-    resolve to the lexicographically smallest comparison pair, so the
-    result is deterministic. n > BUILD_LIMIT is refused.
+    consistent orderings as state: an int whose bit k stands for the k-th
+    permutation in lexicographic order, split by one AND with a pair's
+    precomputed mask of x_i < x_j and memoized on itself. The search is
+    pruned by the counting bound ceil(log2 |consistent|). Ties between
+    equally tall candidates resolve to the lexicographically smallest
+    comparison pair, so the result is deterministic. n > BUILD_LIMIT is
+    refused.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -118,26 +121,28 @@ def build_optimal(n: int) -> OptimalTree:
         )
 
     perms = list(itertools.permutations(range(1, n + 1)))
-    code = {p: k for k, p in enumerate(perms)}  # lexicographic rank
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    memo: dict[tuple[int, ...], tuple[Node, int]] = {}
+    splits = [
+        ((i, j), sum(1 << k for k, p in enumerate(perms) if p[i - 1] < p[j - 1]))
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+    ]
+    memo: dict[int, tuple[Node, int]] = {}
 
-    def search(consistent: list[tuple[int, ...]]) -> tuple[Node, int]:
-        if len(consistent) == 1:
-            return Leaf(_argsort_perm(consistent[0])), 0
-        key = tuple(sorted(code[p] for p in consistent))
-        hit = memo.get(key)
+    def search(consistent: int) -> tuple[Node, int]:
+        size = consistent.bit_count()
+        if size == 1:
+            return Leaf(_argsort_perm(perms[consistent.bit_length() - 1])), 0
+        hit = memo.get(consistent)
         if hit is not None:
             return hit
-        floor = _ceil_log2(len(consistent))
+        floor = _ceil_log2(size)
         best_node: Optional[Node] = None
         best_height = 0
-        for i, j in pairs:
-            lo = [p for p in consistent if p[i - 1] < p[j - 1]]
-            if not lo or len(lo) == len(consistent):
+        for pair, low in splits:
+            lo = consistent & low
+            if not lo or lo == consistent:
                 continue  # outcome predetermined: no information
-            hi = [p for p in consistent if p[i - 1] > p[j - 1]]
-            ideal = 1 + max(_ceil_log2(len(lo)), _ceil_log2(len(hi)))
+            hi = consistent ^ lo
+            ideal = 1 + max(_ceil_log2(lo.bit_count()), _ceil_log2(hi.bit_count()))
             if best_node is not None and ideal >= best_height:
                 continue
             low_node, low_h = search(lo)
@@ -146,15 +151,15 @@ def build_optimal(n: int) -> OptimalTree:
             high_node, high_h = search(hi)
             height = 1 + max(low_h, high_h)
             if best_node is None or height < best_height:
-                best_node = Internal((i, j), low_node, high_node)
+                best_node = Internal(pair, low_node, high_node)
                 best_height = height
                 if best_height == floor:
                     break
         assert best_node is not None  # some pair always splits |consistent| > 1
-        memo[key] = (best_node, best_height)
+        memo[consistent] = (best_node, best_height)
         return best_node, best_height
 
-    root, height = search(perms)
+    root, height = search((1 << len(perms)) - 1)
     stats = tree_stats(root)
     assert stats.height == height
     return OptimalTree(root=root, stats=stats)

@@ -173,24 +173,8 @@ def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional
 
 #: Most pairs i < j that one block of the triangle pass holds (at least one
 #: row per block). Each pair costs about 50 bytes of index, ratio and mask
-#: arrays, so a block peaks near 3 MB, and n <= 362 is a single block.
+#: arrays, so a block peaks near 3 MB, and n <= 256 is a single block.
 _PAIR_BLOCK = 1 << 16
-
-
-def _row_blocks(n: int):
-    """Split the rows 0..n-2 of the upper triangle into [r0, r1) blocks.
-
-    Row r holds the n - 1 - r pairs (r, j > r); a block takes whole rows
-    while their pairs fit in `_PAIR_BLOCK`, and always at least one row.
-    """
-    r0 = 0
-    while r0 < n - 1:
-        r1, pairs = r0 + 1, n - 1 - r0
-        while r1 < n - 1 and pairs + (n - 1 - r1) <= _PAIR_BLOCK:
-            pairs += n - 1 - r1
-            r1 += 1
-        yield r0, r1
-        r0 = r1
 
 
 def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
@@ -201,8 +185,9 @@ def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
     hyperplane raises ValueError, also at n = 1.
 
     The ratio (j - i) / (a_i - a_j) of every pair comes from numpy passes
-    over row blocks of the upper triangle (`_row_blocks`), the same IEEE
-    subtraction and division as in `crossing_time`; a zero denominator
+    over blocks of `_PAIR_BLOCK // n` rows of the upper triangle (a row
+    holds at most n - 1 pairs, so a block at most `_PAIR_BLOCK`), the same
+    IEEE subtraction and division as in `crossing_time`; a zero denominator
     gives an infinite ratio and drops out with the others outside (0, 1).
     Memory is O(n * rows per block + events), not O(n^2). Only the pairs
     that cross take t = -ln(ratio) with `math.log`, so each time matches
@@ -219,8 +204,9 @@ def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
     _require_hyperplane(x0)
     a = _offsets(x0)
     rows = []
-    for r0, r1 in _row_blocks(x0.n):
-        i, j = np.triu_indices(r1 - r0, k=r0 + 1, m=x0.n)
+    step = max(1, _PAIR_BLOCK // x0.n)
+    for r0 in range(0, x0.n - 1, step):
+        i, j = np.triu_indices(min(step, x0.n - 1 - r0), k=r0 + 1, m=x0.n)
         i += r0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (j - i) / (a[i] - a[j])

@@ -7,9 +7,11 @@ A correct comparison sort drives that count from n! down to exactly 1 —
 the sorted assignment — and the per-comparison information
 bits = log2(count_before / count_after) telescopes to log2(n!) over any
 complete run. `instrument` replays four classical sorts while recording
-this contraction. `feasible_count` does the counting: it multiplies over
-the connected components of the constraint graph and counts each one by
-a dynamic program over its down-sets (the lattice of ideals of the
+this contraction; it grows one dict of the pairs seen, recounts from it
+after each new pair, and builds and validates its `ConstraintSet` once,
+at the end of the run. `feasible_count` does the counting: it multiplies
+over the connected components of the constraint graph and counts each one
+by a dynamic program over its down-sets (the lattice of ideals of the
 constraint poset), so it only visits label sets that some feasible order
 places first. `isolates_sorted` counts nothing: it reads the pairs alone.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Permutation, SizeLimitError
 
@@ -80,12 +82,6 @@ class ConstraintSet:
     def empty(cls, n: int) -> "ConstraintSet":
         return cls(n, ())
 
-    def with_constraint(self, c: Constraint) -> "ConstraintSet":
-        """This set plus c; returns self unchanged when c is already present."""
-        if c in self.constraints:
-            return self
-        return ConstraintSet(self.n, self.constraints + (c,))
-
 
 def parse_constraints(text: str, n: int) -> ConstraintSet:
     """Parse the comma-separated `i<j` form, e.g. "1<2,2<3".
@@ -123,9 +119,13 @@ def feasible_count(s: ConstraintSet) -> int:
     places first are never visited. Exact integer arithmetic throughout;
     0 when the constraints are contradictory.
     """
-    n = s.n
-    if n > DP_LIMIT:
-        raise SizeLimitError(f"subset counting is limited to n <= {DP_LIMIT}, got {n}")
+    if s.n > DP_LIMIT:
+        raise SizeLimitError(f"subset counting is limited to n <= {DP_LIMIT}, got {s.n}")
+    return _count_orders(s.n, s.constraints)
+
+
+def _count_orders(n: int, constraints: Iterable[Constraint]) -> int:
+    """`feasible_count` of constraints that are already valid over labels 1..n."""
     root = list(range(n))
 
     def find(v: int) -> int:
@@ -135,7 +135,7 @@ def feasible_count(s: ConstraintSet) -> int:
         return v
 
     below = [0] * n  # below[v] = bitmask of labels that must rank under label v+1
-    for c in s.constraints:
+    for c in constraints:
         below[c.hi - 1] |= 1 << (c.lo - 1)
         root[find(c.lo - 1)] = find(c.hi - 1)
     components: dict[int, int] = {}  # root label -> bitmask of its component
@@ -349,10 +349,12 @@ class InstrumentedRun:
 def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRun:
     """Run a comparison sort on p, recording each comparison's contraction.
 
-    Every comparison of keys u, v appends the constraint oriented by the
-    observed order (smaller key below larger) and recounts the feasible
-    set; a repeated comparison contributes a trace row with bits = 0 and
-    leaves the constraint set unchanged. The variants are fixed: binary
+    Every comparison of keys u, v orients the constraint by the observed
+    order (smaller key below larger). A new pair joins the pairs seen so
+    far, kept in first-seen order, and the feasible set is recounted from
+    them; a repeated comparison contributes a trace row with bits = 0. The
+    pairs are valid by construction, so the run builds its `ConstraintSet`
+    once at the end and validates it once. The variants are fixed: binary
     insertion's backward shift, top-down merge splitting at floor(n/2),
     quicksort on the first-element pivot, and a max-heap with sift-down.
     """
@@ -362,19 +364,18 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
             f"instrumented runs are limited to n <= {INSTRUMENT_LIMIT}, got {p.n}"
         )
 
-    active = ConstraintSet.empty(p.n)
+    seen: dict[Constraint, None] = {}  # insertion-ordered set of the pairs so far
     count_now = math.factorial(p.n)
     steps: list[TraceStep] = []
 
     def less(u: int, v: int) -> bool:
-        nonlocal active, count_now
+        nonlocal count_now
         lo, hi = (u, v) if u < v else (v, u)
         c = Constraint(lo, hi)
         before = count_now
-        grown = active.with_constraint(c)
-        if grown is not active:
-            active = grown
-            count_now = feasible_count(active)
+        if c not in seen:
+            seen[c] = None
+            count_now = _count_orders(p.n, seen)
         steps.append(
             TraceStep(
                 constraint=c,
@@ -393,7 +394,7 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
         input=p,
         trace=tuple(steps),
         output=tuple(out),
-        constraints=active,
+        constraints=ConstraintSet(p.n, tuple(seen)),
     )
 
 

@@ -172,7 +172,6 @@ class TestFlowEvents:
             raise AssertionError("examined pairs of a request beyond the event limit")
 
         monkeypatch.setattr(permflow.cli, "_crossings", no_events)
-        monkeypatch.setattr(permflow.cli, "crossing_events", no_events)
         # reverse n = 708 has 250,278 events
         code, out, err = run(["flow", "events", "--n", "708", "--format", fmt], capsys)
         assert code == 3
@@ -702,6 +701,14 @@ class TestSlice:
         code, _, err = run(["slice", "--n", "3", "--instrument", "merge"], capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_input_without_instrument(self, capsys):
+        code, out, err = run(
+            ["slice", "--n", "3", "--constraints", "1<2", "--input", "3,1,2"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--instrument" in err
 
     def test_input_length_mismatch(self, capsys):
         code, _, err = run(

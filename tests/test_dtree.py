@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import permflow.dtree
 from permflow import (
     BUILD_LIMIT,
     Internal,
@@ -82,6 +83,15 @@ class TestBuildOptimal:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             build_optimal(BUILD_LIMIT + 1)
+
+    def test_six_keys_past_the_cap(self, monkeypatch):
+        # the gate is a policy, not a limit of the search: n = 6 builds fast
+        monkeypatch.setattr(permflow.dtree, "BUILD_LIMIT", 6)
+        tree = build_optimal(6)
+        assert tree.height == 10 == info_lower_bound(6)
+        assert tree.stats.leaf_count == 720
+        ok, bad = verify_tree(tree.root, 6)
+        assert ok and bad is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -119,17 +119,9 @@ class TestConstraintSet:
         assert s.n == 4
         assert s.constraints == ()
 
-    def test_with_constraint_appends(self):
-        s = ConstraintSet.empty(3).with_constraint(Constraint(1, 2))
-        assert s.constraints == (Constraint(1, 2),)
-
-    def test_with_constraint_skips_duplicates(self):
-        s = ConstraintSet.empty(3).with_constraint(Constraint(1, 2))
-        assert s.with_constraint(Constraint(1, 2)) is s
-
     def test_reversed_pair_is_distinct(self):
-        s = ConstraintSet.empty(3).with_constraint(Constraint(1, 2))
-        s2 = s.with_constraint(Constraint(2, 1))
+        s = ConstraintSet(3, (Constraint(1, 2),))
+        s2 = ConstraintSet(3, s.constraints + (Constraint(2, 1),))
         assert len(s2.constraints) == 2
 
     def test_rejects_out_of_range(self):
@@ -328,7 +320,7 @@ class TestContradiction:
     def test_long_chain_without_recursion(self):
         chain = parse_constraints(chain_text(5000), 5000)
         assert not is_contradictory(chain)
-        assert is_contradictory(chain.with_constraint(Constraint(5000, 1)))
+        assert is_contradictory(ConstraintSet(5000, chain.constraints + (Constraint(5000, 1),)))
 
 
 class TestIsolatesSorted:
@@ -432,13 +424,13 @@ class TestInstrument:
         for algorithm in ALGORITHMS:
             for ranks in [(4, 1, 5, 2, 3), (2, 3, 1, 5, 4), (5, 4, 3, 2, 1)]:
                 run = instrument(algorithm, ranks)
-                active = ConstraintSet.empty(len(ranks))
+                active = ()
                 for step in run.trace:
                     c = step.constraint
-                    if c in active.constraints:
+                    if c in active:
                         continue  # repeat: carries zero bits by construction
                     flipped_count = feasible_count(
-                        active.with_constraint(Constraint(c.hi, c.lo))
+                        ConstraintSet(len(ranks), active + (Constraint(c.hi, c.lo),))
                     )
                     flipped_bits = (
                         math.inf
@@ -446,7 +438,36 @@ class TestInstrument:
                         else math.log2(step.feasible_before / flipped_count)
                     )
                     assert min(step.bits, flipped_bits) <= 1.0 + 1e-12
-                    active = active.with_constraint(c)
+                    active += (c,)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(ALGORITHMS),
+        st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    )
+    def test_ledger_matches_enumeration_of_the_pairs_seen(self, algorithm, ranks):
+        # every row recounts the distinct pairs so far from scratch, and the
+        # run's set lists them in the order they were first compared
+        run = instrument(algorithm, ranks)
+        seen = {}
+        for step in run.trace:
+            seen[step.constraint] = None
+            fresh = ConstraintSet(len(ranks), tuple(seen))
+            assert step.feasible_after == feasible_count_brute(fresh)
+        assert run.constraints.constraints == tuple(seen)
+
+    def test_builds_one_set(self, monkeypatch):
+        built = []
+        check = ConstraintSet.__post_init__
+
+        def counted(self):
+            built.append(len(self.constraints))
+            check(self)
+
+        monkeypatch.setattr(ConstraintSet, "__post_init__", counted)
+        run = instrument("quick", tuple(range(INSTRUMENT_LIMIT, 0, -1)))
+        assert run.comparisons == math.comb(INSTRUMENT_LIMIT, 2)
+        assert built == [len(run.constraints.constraints)]
 
     def test_worst_input_meets_information_bound(self):
         # no per-input bound exists (a lucky input finishes early), but the
