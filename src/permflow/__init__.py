@@ -8,7 +8,7 @@ point toward the sorted vertex v_s = (1, ..., n).
 - `core`: permutations, the polytope hyperplane, the disorder measure.
 - `flow`: the closed-form flow, its crossing events, time/operation
   estimates.
-- `projection`: order-preserving descent via tie-block pooling.
+- `projection`: Euler descent on the pull, tie blocks and tie-block pooling.
 - `dtree`: optimal comparison trees and the ceil(log2 n!) bound.
 - `slicing`: comparisons as half-space constraints, feasible counting,
   instrumented classical sorts.

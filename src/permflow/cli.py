@@ -58,12 +58,26 @@ PRECISION_ENV = "PERMFLOW_PRECISION"
 #: 35 us and 1.2 KB before its n coordinates (n = 3: 10,000 rows took
 #: 0.7 s and 43 MB peak RSS on a 2-vCPU VM), and nothing bounded it.
 SAMPLE_LIMIT = 10_000
+#: Most coordinates (samples x n) `flow trace` may print. SAMPLE_LIMIT
+#: bounds rows, not their width: n = 200 x 10,000 samples took 3.0 s and
+#: 167 MB peak RSS, and n = 200,000 x 11 samples 3.0 s and 191 MB, where
+#: n = 2000 x 500 samples, at this limit, took 1.6 s and 95 MB (2-vCPU
+#: VM). A projected trace also runs its Euler steps over all n
+#: coordinates; STEP_LIMIT bounds the steps, not steps x n.
+CELL_LIMIT = 1_000_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
 #: O(n log n) before any pair is examined. At the limit (`--start reverse
 #: --n 707`, 249,571 events) JSON took 1.2 s and 136 MB peak RSS and CSV
 #: 1.0 s and 106 MB on a 2-vCPU VM, and nothing bounded it.
 EVENT_LIMIT = 250_000
+#: Most coordinate pairs `flow events` may examine. The crossing kernel
+#: looks at all n(n - 1)/2 pairs however few of them cross: with no
+#: events at all (`--start sorted`) n = 10,000 took 0.85 s, 16,000 1.74 s
+#: and 32,000 7.7 s on a 2-vCPU VM. The limit admits n = 10,000
+#: (49,995,000 pairs) and is checked from n alone, before the start is
+#: built.
+PAIR_LIMIT = 50_000_000
 
 
 # --- start-spec parsing ------------------------------------------------------
@@ -175,6 +189,12 @@ def _write(text: str, output: Optional[str]) -> None:
 
 
 def _cmd_flow_events(args, spec: str) -> str:
+    pairs = args.n * (args.n - 1) // 2
+    if pairs > PAIR_LIMIT:
+        raise SizeLimitError(
+            f"crossing schedules are limited to {PAIR_LIMIT} coordinate pairs, "
+            f"got {pairs} at n = {args.n}"
+        )
     start = _parse_start(args.start, args.n)
     est = estimate_sorting(start, epsilon=args.epsilon, c=args.c)
     if est.crossing_count > EVENT_LIMIT:
@@ -220,6 +240,11 @@ def _cmd_flow_trace(args, spec: str) -> str:
     if args.samples > SAMPLE_LIMIT:
         raise SizeLimitError(
             f"traces are limited to {SAMPLE_LIMIT} samples, got {args.samples}"
+        )
+    cells = args.samples * args.n
+    if cells > CELL_LIMIT:
+        raise SizeLimitError(
+            f"traces are limited to {CELL_LIMIT} coordinates (samples x n), got {cells}"
         )
     require_finite_positive("--t-end", args.t_end)
     start = _parse_start(args.start, args.n)

@@ -1,34 +1,26 @@
-"""Order-preserving descent: project the pull onto the active tie structure.
+"""Order-preserving descent: the pull toward the sorted vertex keeps every tie.
 
-When several coordinates of the state are equal (within tolerance) they
-form a tie block, and a velocity whose components would immediately
-re-invert the block's internal target order gets replaced, inside the
-block, by its closest non-decreasing surrogate: pool-adjacent-violators
-(PAV) averaging in index order. The projection p of a velocity g onto
-that cone satisfies <g, p> = ||p||^2, so the potential V = 0.5*||x - v_s||^2
-never increases along the projected field.
+When several coordinates of the state are equal (neighbours in value
+order within 1e-9 * n) they form a tie block. A velocity whose
+components would immediately re-invert a block's internal target order
+can be replaced, inside the block, by its closest non-decreasing
+surrogate: pool-adjacent-violators (PAV) averaging in index order. The
+projection p of a velocity g onto that cone satisfies <g, p> = ||p||^2,
+so the potential V = 0.5*||x - v_s||^2 never increases along the
+projected field (`project_velocity`).
 
-`integrate_projected` applies this to the pull g = v_s - x, where pooling
-can fire only when a block is wide. A grouped state is sorted once;
-neighbours in value order whose gap is at most `tol` join a block, and
-that one grouping gives both the sample's block count and the test below.
-When the within-block gaps sum to less than 1/2, every block spans less
-than 1, so for block members i < j
+Along the pull g = v_s - x itself the projection has nothing to do. At a
+true tie x_i = x_j with i < j,
 
-    g_j - g_i = (j - i) - (x_j - x_i) > 1 - 1/2 > 0,
+    g_j - g_i = (j - i) - (x_j - x_i) = j - i > 0,
 
-the block's components of g already increase with the index (rounding
-is monotone, so the computed g does too), and PAV returns g bit for bit.
-The step then skips the projection. Only when the gaps sum to 1/2 or
-more does it pool, over the blocks of that same grouping, and pooling
-does fire there, e.g. at [1, 3, 2] with tol = 2. There are at most n - 1
-joined gaps, each at most tol, so while 2*(n - 1)*tol stays below 1/2
-(the factor 2 leaves room for rounding in the sum) no step can pool.
-The default tol = 1e-9*n keeps that below n ~ 15,800; the loop then
-groups only the states it records, and a step between two recorded
-states is just g = v_s - x, the tangency check and x + h*g. An explicit
-Euler step h then contracts V by (1 - h)^2 -- at least as fast as the
-continuous rate exp(-2t).
+so the pull already keeps the tie's target order and PAV returns it
+unchanged. `integrate_projected` therefore integrates the pull as it is:
+each explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
+(1 - h)*(x - v_s), so it contracts V by exactly (1 - h)^2 <= exp(-2h),
+and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i), up
+to rounding. A state is sorted only when it is recorded, for its count of
+tie blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,18 +52,6 @@ MAX_STEP = 1e-2
 #: (keep=None) the limit bounds a run near 2.5 s and 50 MB + 0.8 MB per
 #: coordinate.
 STEP_LIMIT = 100_000
-
-# Within-block gaps summing below this keep every block narrower than 1,
-# which is what makes pooling along the pull a no-op (module docstring).
-_POOL_MARGIN = 0.5
-
-
-def _resolve_tol(n: int, tol: float | None) -> float:
-    """The grouping tolerance: 1e-9 * n by default, else finite and > 0."""
-    if tol is None:
-        return 1e-9 * n
-    require_finite_positive("tol", tol)
-    return tol
 
 
 def _step_times(t_end: float, step: float) -> list[float]:
@@ -101,21 +81,15 @@ def _step_times(t_end: float, step: float) -> list[float]:
     return times
 
 
-def _group(coords: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort coords once: value order, gaps between neighbours, gaps <= tol.
+def _group(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort coords once: value order, and which neighbour gaps join a tie.
 
-    A gap at most tol joins its two neighbours into one block; the stable
-    sort puts equal values in index order.
+    A gap of at most 1e-9 * n joins its two neighbours into one block; the
+    stable sort puts equal values in index order.
     """
     order = np.argsort(coords, kind="stable")
     values = coords[order]
-    gaps = values[1:] - values[:-1]
-    return order, gaps, gaps <= tol
-
-
-def _blocks(order: np.ndarray, joined: np.ndarray) -> list[np.ndarray]:
-    """The tie blocks of a grouping, each as ascending 0-based indices."""
-    return [np.sort(b) for b in np.split(order, np.flatnonzero(~joined) + 1)]
+    return order, values[1:] - values[:-1] <= 1e-9 * coords.size
 
 
 def _count_blocks(joined: np.ndarray) -> int:
@@ -124,21 +98,20 @@ def _count_blocks(joined: np.ndarray) -> int:
     return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
-def active_ties(
-    x: StateVector | Sequence[float], tol: float | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Partition of the indices 1..n into groups whose values chain within tol.
+def active_ties(x: StateVector | Sequence[float]) -> tuple[tuple[int, ...], ...]:
+    """Partition of the indices 1..n into groups whose values chain within 1e-9 * n.
 
-    Default tolerance is 1e-9 * n; an explicit tol must be finite and
-    > 0. Consecutive values in sorted order that differ by at most tol
+    Consecutive values in sorted order that differ by at most 1e-9 * n
     land in the same block (transitively), so a block's spread can exceed
-    tol only through chaining. Blocks come in ascending value order, each
+    that only through chaining. Blocks come in ascending value order, each
     listing its members in ascending index order (the order of their pull
     targets); blocks of one index are kept so the partition covers 1..n.
     """
     x = as_state(x)
-    order, _, joined = _group(x.coords, _resolve_tol(x.n, tol))
-    return tuple(tuple((b + 1).tolist()) for b in _blocks(order, joined))
+    order, joined = _group(x.coords)
+    return tuple(
+        tuple(np.sort(b + 1).tolist()) for b in np.split(order, np.flatnonzero(~joined) + 1)
+    )
 
 
 def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
@@ -161,15 +134,6 @@ def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
         out[pos : pos + c] = m
         pos += c
     return out
-
-
-def _pool(g: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """A copy of g with PAV run over each block of two or more 0-based indices."""
-    p = g.copy()
-    for idx in blocks:
-        if len(idx) > 1:
-            p[idx] = _pool_adjacent_violators(g[idx])
-    return p
 
 
 def _require_tangent(g: np.ndarray) -> None:
@@ -211,7 +175,12 @@ def project_velocity(
     _require_tangent(g)
     if blocks is None:
         blocks = active_ties(x)
-    return _pool(g, (np.asarray(b) - 1 for b in blocks))
+    p = g.copy()
+    for b in blocks:
+        if len(b) > 1:
+            idx = np.asarray(b) - 1
+            p[idx] = _pool_adjacent_violators(g[idx])
+    return p
 
 
 @dataclass(frozen=True)
@@ -250,38 +219,34 @@ def integrate_projected(
     x0: StateVector | Sequence[float],
     t_end: float,
     step: float = MAX_STEP,
-    tol: float | None = None,
     keep: Sequence[int] | None = None,
 ) -> ProjectedTrace:
-    """Explicit Euler on the projected pull toward the sorted vertex.
+    """Explicit Euler on the pull toward the sorted vertex.
 
-    Each step takes the raw velocity g = v_s - x, projects it against the
-    tie blocks of the current state, and advances x by `step` times the
-    result (the last step is shortened to land exactly on t_end). The
-    projection is skipped, as provably the identity, when the
-    within-block gaps of x sum to less than 1/2; otherwise the step pools
-    g over the blocks of the grouping it already made, which equals
-    `project_velocity(x, g, active_ties(x, tol))` (see the module
-    docstring). Requires a finite start, finite 0 < t_end and
-    0 < step <= MAX_STEP, so each step contracts the potential by at
-    least (1 - step)^2 <= exp(-2*step), and a finite tol > 0 when given;
-    more than STEP_LIMIT steps raise SizeLimitError before the first one.
-    g must stay tangent to the hyperplane, as `project_velocity` requires.
+    Each step takes the velocity g = v_s - x and advances x by `step`
+    times g (the last step is shortened to land exactly on t_end). The
+    pull keeps every tie's target order, so projecting it onto the tie
+    blocks would return it unchanged (module docstring). Requires a
+    finite start, finite 0 < t_end and 0 < step <= MAX_STEP, so each step
+    h contracts the potential by exactly (1 - h)^2 <= exp(-2h) and the
+    state after steps h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to
+    rounding; more than STEP_LIMIT steps raise SizeLimitError before the
+    first one. g must stay tangent to the hyperplane, as
+    `project_velocity` requires.
 
     Samples record the potential 0.5*||x - v_s||^2 and the number of
-    active tie blocks. Grid index k is the state after k steps: 0 is the
-    start at t = 0 and the last, len(samples) - 1 with keep=None, is
-    t_end. `keep`, a strictly increasing sequence of grid indices,
-    records only those states, each bit for bit as keep=None records it;
-    every step still runs and is checked. While 2*(n - 1)*tol < 1/2 no
-    step can pool (module docstring), so only recorded states are sorted
-    and memory no longer grows with t_end.
+    tie blocks as `active_ties` counts them. Grid index k is the state
+    after k steps: 0 is the start at t = 0 and the last,
+    len(samples) - 1 with keep=None, is t_end. `keep`, a strictly
+    increasing sequence of grid indices, records only those states, each
+    bit for bit as keep=None records it; every step still runs and is
+    checked. Only recorded states are sorted, so with a short `keep`
+    memory does not grow with t_end.
     """
     x0 = as_state(x0)
     if not np.isfinite(x0.coords).all():
         raise ValueError("start coordinates must be finite")
     times = _step_times(t_end, step)
-    tol = _resolve_tol(x0.n, tol)
     if keep is None:
         keep = range(len(times) + 1)
     else:
@@ -292,7 +257,6 @@ def integrate_projected(
             raise ValueError(
                 f"keep must hold one or more grid indices in 0..{len(times)}"
             )
-    may_pool = 2 * (x0.n - 1) * tol >= _POOL_MARGIN
     targets = np.arange(1, x0.n + 1, dtype=float)
     x = x0.coords
     samples = []
@@ -301,24 +265,19 @@ def integrate_projected(
     prev = 0.0
     for k, t in enumerate((*times, None)):
         g = targets - x
-        if k == next_kept or may_pool:
-            order, gaps, joined = _group(x, tol)
-            block_count = _count_blocks(joined)
         if k == next_kept:
             samples.append(
                 ProjectedSample(
                     t=prev,
                     state=StateVector(x),
                     potential=0.5 * float(np.dot(g, g)),
-                    active_block_count=block_count,
+                    active_block_count=_count_blocks(_group(x)[1]),
                 )
             )
             next_kept = next(wanted, None)
         if t is None:
             break
         _require_tangent(g)
-        if may_pool and block_count and float(gaps[joined].sum()) >= _POOL_MARGIN:
-            g = _pool(g, _blocks(order, joined))
         x = x + (t - prev) * g
         prev = t
     return ProjectedTrace(samples=tuple(samples), step=step)

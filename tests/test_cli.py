@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import permflow.cli
 from permflow import MAX_STEP, STEP_LIMIT, tree_from_json, verify_tree
-from permflow.cli import EVENT_LIMIT, PRECISION_ENV, SAMPLE_LIMIT, main
+from permflow.cli import (
+    CELL_LIMIT,
+    EVENT_LIMIT,
+    PAIR_LIMIT,
+    PRECISION_ENV,
+    SAMPLE_LIMIT,
+    main,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -178,6 +185,34 @@ class TestFlowEvents:
         assert out == ""
         assert err.startswith("error:") and f"{EVENT_LIMIT} events, got 250278" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_over_pair_limit_exits_three_before_any_pair(self, fmt, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on a request beyond the pair limit")
+
+        monkeypatch.setattr(permflow.cli, "_crossings", refuse)
+        monkeypatch.setattr(permflow.cli, "estimate_sorting", refuse)
+        # sorted n = 10,001 has no events but 50,005,000 pairs
+        code, out, err = run(
+            ["flow", "events", "--n", "10001", "--start", "sorted", "--format", fmt], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and f"{PAIR_LIMIT} coordinate pairs, got 50005000" in err
+
+    def test_pair_limit_admits_n_10000(self, monkeypatch):
+        class Examined(Exception):
+            pass
+
+        def examined(x0):
+            assert x0.n == 10_000 and x0.n * (x0.n - 1) // 2 <= PAIR_LIMIT
+            raise Examined
+
+        monkeypatch.setattr(permflow.cli, "_crossings", examined)
+        with pytest.raises(Examined):
+            main(["flow", "events", "--n", "10000", "--start", "sorted"])
+
 
 class TestFlowTrace:
     def test_csv_header_and_endpoints(self, capsys):
@@ -304,6 +339,38 @@ class TestFlowTrace:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and f"{SAMPLE_LIMIT} samples" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--projected"]])
+    @pytest.mark.parametrize("n, samples", [(200, 10_000), (200_000, 11), (2001, 500)])
+    def test_over_cell_limit_exits_three_before_sampling(
+        self, mode, n, samples, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on a request beyond the cell limit")
+
+        monkeypatch.setattr(permflow.cli, "_parse_start", refuse)
+        monkeypatch.setattr(permflow.cli, "sample_trace", refuse)
+        monkeypatch.setattr(permflow.cli, "integrate_projected", refuse)
+        code, out, err = run(
+            ["flow", "trace", *mode, "--n", str(n), "--t-end", "1", "--samples", str(samples)],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and f"{CELL_LIMIT} coordinates" in err
+
+    def test_cell_limit_itself_is_traced(self, monkeypatch):
+        class Traced(Exception):
+            pass
+
+        def traced(x0, times):
+            assert x0.n * len(times) == CELL_LIMIT
+            raise Traced
+
+        monkeypatch.setattr(permflow.cli, "sample_trace", traced)
+        with pytest.raises(Traced):
+            main(["flow", "trace", "--n", "2000", "--t-end", "1", "--samples", "500"])
 
     def test_sample_limit_itself_is_traced(self, monkeypatch):
         class Traced(Exception):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permflow.projection
@@ -40,14 +40,14 @@ def reference_blocks(coords, tol):
     return tuple(tuple(sorted(k + 1 for k in g)) for g in groups)
 
 
-def reference_integrate(x0, t_end, step=MAX_STEP, tol=None):
+def reference_integrate(x0, t_end, step=MAX_STEP):
     """Euler loop that groups each state twice and runs PAV on every step.
 
-    Returns (t, coords, potential, active_block_count) per sample.
+    Ties join gaps of at most 1e-9 * n. Returns (t, coords, potential,
+    active_block_count) per sample.
     """
     x0 = as_state(x0)
-    if tol is None:
-        tol = 1e-9 * x0.n
+    tol = 1e-9 * x0.n
     full_steps = int(math.floor(t_end / step + 1e-12))
     times = [k * step for k in range(1, full_steps + 1)]
     if not times or times[-1] < t_end - 1e-12:
@@ -76,9 +76,9 @@ def reference_integrate(x0, t_end, step=MAX_STEP, tol=None):
     return samples
 
 
-def assert_matches_reference(x0, t_end, step=MAX_STEP, tol=None):
-    trace = integrate_projected(x0, t_end, step=step, tol=tol)
-    want = reference_integrate(x0, t_end, step=step, tol=tol)
+def assert_matches_reference(x0, t_end, step=MAX_STEP):
+    trace = integrate_projected(x0, t_end, step=step)
+    want = reference_integrate(x0, t_end, step=step)
     assert len(trace.samples) == len(want)
     for got, (t, coords, potential, count) in zip(trace.samples, want):
         assert got.t == t
@@ -99,6 +99,20 @@ def block_average(values, sizes):
         if r > len(values):
             break
     return [mean_of.get(v, float(v)) for v in values]
+
+
+def shuffled_vertices(seed, sizes):
+    """Vertex starts of the given sizes, shuffled in turn by random.Random(seed)."""
+    rng = random.Random(seed)
+    vertices = []
+    for n in sizes:
+        ranks = list(range(1, n + 1))
+        rng.shuffle(ranks)
+        vertices.append([float(r) for r in ranks])
+    return vertices
+
+
+VERTEX_5, VERTEX_40, VERTEX_200 = shuffled_vertices(3, (5, 40, 200))
 
 
 @st.composite
@@ -134,17 +148,14 @@ class TestActiveTies:
             assert flat == list(range(1, 7))
 
     def test_transitive_chaining(self):
-        # consecutive gaps within tol chain into one block even though the
-        # extremes differ by more than tol
-        x = [1.0, 1.0 + 1e-10, 1.0 + 2e-10, 2.0]
-        assert active_ties(x, tol=1.5e-10) == ((1, 2, 3), (4,))
+        # consecutive gaps within 1e-9 * n = 4e-9 chain into one block even
+        # though the extremes differ by more than that
+        x = [1.0, 1.0 + 3e-9, 1.0 + 6e-9, 2.0]
+        assert active_ties(x) == ((1, 2, 3), (4,))
+        assert active_ties(x[:3]) == ((1,), (2,), (3,))  # 3e-9 is over 1e-9 * 3
 
     def test_grouping_ignores_position(self):
         assert active_ties([3.0, 1.0, 3.0]) == ((2,), (1, 3))
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            active_ties([1.0, 2.0], tol=0.0)
 
 
 class TestProjectVelocity:
@@ -298,56 +309,69 @@ class TestMatchesReferenceLoop:
         x0=starts(),
         t_end=st.sampled_from([0.003, 0.05, 0.37, 1.0]),
         step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
-        tol=st.sampled_from([None, 1e-6, 0.3, 2.0]),
     )
-    def test_samples_bit_identical(self, x0, t_end, step, tol):
-        assert_matches_reference(x0, t_end, step=step, tol=tol)
+    def test_samples_bit_identical(self, x0, t_end, step):
+        # the reference runs PAV on every step: on the pull it is the identity
+        assert_matches_reference(x0, t_end, step=step)
 
     @pytest.mark.parametrize(
-        "x0, tol",
+        "x0, gap",
         [
             ([1.0, 3.0, 2.0], 2.0),
             ([5.0, 1.0, 3.0, 2.0, 4.0], 10.0),
             ([0.95, 2.05], 1.5),
         ],
     )
-    def test_pooling_cases_bit_identical(self, x0, tol):
-        # a wide tol puts coordinates more than their index gap apart into
-        # one block, where PAV pools; the last block spans only 1.1
+    def test_pooling_cases_bit_identical(self, x0, gap):
+        # grouped at a gap this wide, coordinates more than their index gap
+        # apart share a block and PAV would pool the pull; these are not
+        # ties, so the loop follows the unpooled pull as the oracle does
         g = np.arange(1.0, len(x0) + 1) - np.asarray(x0)
-        assert not np.array_equal(project_velocity(x0, g, active_ties(x0, tol)), g)
-        assert_matches_reference(x0, 1.0, tol=tol)
+        wide = reference_blocks(np.asarray(x0), gap)
+        assert not np.array_equal(project_velocity(x0, g, wide), g)
+        assert_matches_reference(x0, 1.0)
 
-    def test_pooled_step_groups_once(self, monkeypatch):
-        # the pooled branch pools the grouping it already made, without
-        # regrouping the state or going through the public projection
-        def refuse(*args, **kwargs):
-            raise AssertionError("the Euler loop called a public grouping or projection")
-
-        monkeypatch.setattr(permflow.projection, "active_ties", refuse)
-        monkeypatch.setattr(permflow.projection, "project_velocity", refuse)
-        assert_matches_reference([5.0, 1.0, 3.0, 2.0, 4.0], 1.0, tol=10.0)
-
-    def test_final_state_matches_product_form(self):
-        # x_k = v_s + (x0 - v_s) * prod(1 - h_k), up to rounding
-        rng = random.Random(3)
-        for n in (5, 40, 200):
-            ranks = list(range(1, n + 1))
-            rng.shuffle(ranks)
-            x0 = np.array(ranks, dtype=float)
-            trace = integrate_projected(x0, 0.525, step=0.01)
-            targets = np.arange(1.0, n + 1)
-            want = targets + (x0 - targets) * (0.99 ** 52 * 0.995)
-            assert np.allclose(trace.final.coords, want, rtol=1e-12, atol=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x0=starts(),
+        t_end=st.sampled_from([0.003, 0.05, 0.37, 0.525, 1.0]),
+        step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
+    )
+    @example(x0=[1.0, 3.0, 2.0], t_end=1.0, step=MAX_STEP)
+    @example(x0=[5.0, 1.0, 3.0, 2.0, 4.0], t_end=1.0, step=MAX_STEP)
+    @example(x0=[0.95, 2.05], t_end=1.0, step=MAX_STEP)
+    @example(x0=VERTEX_5, t_end=0.525, step=0.01)
+    @example(x0=VERTEX_40, t_end=0.525, step=0.01)
+    @example(x0=VERTEX_200, t_end=0.525, step=0.01)
+    def test_final_state_matches_product_form(self, x0, t_end, step):
+        # sample k is v_s + (x0 - v_s) * prod(1 - h_i) over its k steps, up
+        # to rounding, so its potential keeps to V0 * exp(-2t); the first
+        # three starts chain into blocks wider than 1 at grouping gaps of 2,
+        # 10 and 1.5, where pooling the pull would slow or stall the descent
+        trace = integrate_projected(x0, t_end, step=step)
+        x0 = np.asarray(x0, dtype=float)
+        targets = np.arange(1.0, len(x0) + 1)
+        grid = [0.0, *_step_times(t_end, step)]
+        assert [s.t for s in trace.samples] == grid
+        v0 = trace.samples[0].potential
+        factor = 1.0
+        for s, prev, t in zip(trace.samples, [0.0, *grid], grid):
+            factor *= 1 - (t - prev)
+            want = targets + (x0 - targets) * factor
+            assert np.allclose(s.state.coords, want, rtol=1e-12, atol=1e-12)
+            assert s.potential <= v0 * math.exp(-2 * s.t) * (1 + 1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        x=st.lists(st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 2.0, 3.5, -1.0]), min_size=1, max_size=12),
-        tol=st.sampled_from([None, 1e-12, 1e-9, 0.6, 1.6]),
+        x=st.lists(
+            st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 1.0 + 5e-9, 2.0, 3.5, -1.0]),
+            min_size=1,
+            max_size=12,
+        ),
     )
-    def test_active_ties_matches_reference_grouping(self, x, tol):
-        ref_tol = 1e-9 * len(x) if tol is None else tol
-        assert active_ties(x, tol) == reference_blocks(np.asarray(x), ref_tol)
+    def test_active_ties_matches_reference_grouping(self, x):
+        # 1 + 5e-9 joins 1 only from n = 5 on
+        assert active_ties(x) == reference_blocks(np.asarray(x), 1e-9 * len(x))
 
 
 class TestKeep:
@@ -356,16 +380,14 @@ class TestKeep:
         x0=starts(),
         t_end=st.sampled_from([0.003, 0.05, 0.37, 1.0]),
         step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
-        tol=st.sampled_from([None, 0.3, 1.0, 2.0, 5.0]),
         data=st.data(),
     )
-    def test_kept_samples_match_full_trace(self, x0, t_end, step, tol, data):
-        # tol >= 0.3 lets pooling fire, so every step is grouped there
-        full = integrate_projected(x0, t_end, step=step, tol=tol).samples
+    def test_kept_samples_match_full_trace(self, x0, t_end, step, data):
+        full = integrate_projected(x0, t_end, step=step).samples
         keep = sorted(
             data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1), label="keep")
         )
-        got = integrate_projected(x0, t_end, step=step, tol=tol, keep=keep).samples
+        got = integrate_projected(x0, t_end, step=step, keep=keep).samples
         assert len(got) == len(keep)
         for s, k in zip(got, keep):
             want = full[k]
@@ -381,14 +403,13 @@ class TestKeep:
             integrate_projected([3.0, 2.0, 1.0], 0.05, keep=keep)
 
     def test_only_kept_states_are_grouped(self, monkeypatch):
-        # below n ~ 15,800 the default tol cannot pool, so an unrecorded
-        # step never sorts its state
+        # an unrecorded step never sorts its state
         calls = []
         group = permflow.projection._group
 
-        def spy(coords, tol):
-            calls.append(tol)
-            return group(coords, tol)
+        def spy(coords):
+            calls.append(coords.size)
+            return group(coords)
 
         monkeypatch.setattr(permflow.projection, "_group", spy)
         keep = [0, 7, 250, 500]
@@ -455,13 +476,6 @@ class TestRejectsOutOfModelInputs:
     def test_non_finite_step(self, step):
         with pytest.raises(ValueError):
             integrate_projected([3.0, 2.0, 1.0], 1.0, step=step)
-
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
-    def test_bad_tol(self, tol):
-        with pytest.raises(ValueError):
-            integrate_projected([3.0, 2.0, 1.0], 1.0, tol=tol)
-        with pytest.raises(ValueError):
-            active_ties([3.0, 2.0, 1.0], tol=tol)
 
     @pytest.mark.parametrize("x0", [[math.nan, 2.0, 4.0], [math.inf, -math.inf, 6.0]])
     def test_non_finite_start(self, x0):
