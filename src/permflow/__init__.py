@@ -5,31 +5,24 @@ vertex of the polytope whose vertices are all rearrangements of
 (1, ..., n), and sorting is the gradient flow x' = v_s - x sliding that
 point toward the sorted vertex v_s = (1, ..., n).
 
-- `core`: permutations, the polytope hyperplane, the disorder measure.
+- `perms`: permutations, inversions, the hyperplane sum, the size guard
+  (no numpy).
+- `core`: state vectors, polytope vertices, the disorder measure.
 - `flow`: the closed-form flow, its crossing events, time/operation
   estimates.
-- `projection`: Euler descent on the pull, tie blocks and tie-block pooling.
+- `projection`: Euler descent on the pull and its tie blocks.
 - `dtree`: optimal comparison trees and the ceil(log2 n!) bound.
 - `slicing`: comparisons as half-space constraints, feasible counting,
   instrumented classical sorts.
 - `cli`: the `permflow` command.
+
+`perms`, `dtree` and `slicing` load with the package; the names of the
+numpy layers `core`, `flow` and `projection` load on first use, so
+`permflow slice` and `permflow dtree` start without numpy.
 """
 
-from .core import (
-    DisorderReport,
-    Permutation,
-    SizeLimitError,
-    StateVector,
-    as_state,
-    disorder_squared,
-    hyperplane_sum,
-    in_hyperplane,
-    inversions,
-    log2_factorial,
-    reverse_disorder,
-    sorted_vertex,
-    vertex_of,
-)
+import importlib
+
 from .dtree import (
     BUILD_LIMIT,
     Internal,
@@ -45,29 +38,14 @@ from .dtree import (
     tree_to_json,
     verify_tree,
 )
-from .flow import (
-    CrossingEvent,
-    FlowSample,
-    FlowTrace,
-    SortingEstimate,
-    crossing_events,
-    crossing_time,
-    discrete_estimate,
-    disorder_at,
-    estimate_sorting,
-    flow_state,
-    lemma_lower_bound,
-    sample_trace,
-    time_to_epsilon,
-)
-from .projection import (
+from .perms import (
     MAX_STEP,
-    ProjectedSample,
-    ProjectedTrace,
-    STEP_LIMIT,
-    active_ties,
-    integrate_projected,
-    project_velocity,
+    Permutation,
+    SizeLimitError,
+    hyperplane_sum,
+    inversions,
+    log2_factorial,
+    reverse_disorder,
 )
 from .slicing import (
     ALGORITHMS,
@@ -84,6 +62,62 @@ from .slicing import (
     isolates_sorted,
     parse_constraints,
 )
+
+#: The public names of the numpy layers, by the module that defines them,
+#: imported on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "DisorderReport",
+            "StateVector",
+            "as_state",
+            "disorder_squared",
+            "in_hyperplane",
+            "sorted_vertex",
+            "vertex_of",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(
+        (
+            "CrossingEvent",
+            "FlowSample",
+            "FlowTrace",
+            "SortingEstimate",
+            "crossing_events",
+            "crossing_time",
+            "discrete_estimate",
+            "disorder_at",
+            "estimate_sorting",
+            "flow_state",
+            "lemma_lower_bound",
+            "sample_trace",
+            "time_to_epsilon",
+        ),
+        "flow",
+    ),
+    **dict.fromkeys(
+        (
+            "ProjectedSample",
+            "ProjectedTrace",
+            "STEP_LIMIT",
+            "active_ties",
+            "integrate_projected",
+            "project_velocity",
+        ),
+        "projection",
+    ),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

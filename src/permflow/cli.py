@@ -22,26 +22,18 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .core import (
-    Permutation,
-    SizeLimitError,
-    disorder_squared,
-    require_finite_positive,
-    reverse_disorder,
-    vertex_of,
-)
 from .dtree import (
     build_optimal,
     info_lower_bound,
     tree_to_json,
 )
-from .flow import (
-    _crossings,
-    estimate_sorting,
-    sample_trace,
-    time_to_epsilon,
+from .perms import (
+    MAX_STEP,
+    Permutation,
+    SizeLimitError,
+    require_finite_positive,
+    reverse_disorder,
 )
-from .projection import MAX_STEP, _step_times, integrate_projected
 from .slicing import (
     ALGORITHMS,
     feasible_count,
@@ -186,9 +178,15 @@ def _write(text: str, output: Optional[str]) -> None:
 
 
 # --- subcommand handlers ------------------------------------------------------
+#
+# The flow, trace, report and bench handlers import `core`, `flow` and
+# `projection` when they run, so `slice` and `dtree` start without numpy.
 
 
 def _cmd_flow_events(args, spec: str) -> str:
+    from .core import disorder_squared, vertex_of
+    from .flow import _crossings, estimate_sorting
+
     pairs = args.n * (args.n - 1) // 2
     if pairs > PAIR_LIMIT:
         raise SizeLimitError(
@@ -235,6 +233,10 @@ def _cmd_flow_events(args, spec: str) -> str:
 
 
 def _cmd_flow_trace(args, spec: str) -> str:
+    from .core import disorder_squared, vertex_of
+    from .flow import sample_trace
+    from .projection import _step_times, integrate_projected
+
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
     if args.samples > SAMPLE_LIMIT:
@@ -392,6 +394,9 @@ def _cmd_slice(args, spec: str) -> str:
 
 
 def _cmd_report(args, spec: str) -> str:
+    from .core import disorder_squared, vertex_of
+    from .flow import _crossings, estimate_sorting, time_to_epsilon
+
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
@@ -453,6 +458,8 @@ def _cmd_report(args, spec: str) -> str:
 
 
 def _cmd_bench(args, spec: str) -> str:
+    from .flow import time_to_epsilon
+
     if not (2 <= args.n_min <= args.n_max <= 10**6):
         raise ValueError(
             f"need 2 <= n-min <= n-max <= 10^6, got {args.n_min}..{args.n_max}"

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import SizeLimitError
+from .perms import SizeLimitError
 
 __all__ = [
     "Leaf",

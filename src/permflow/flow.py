@@ -21,16 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Permutation,
-    StateVector,
-    as_state,
-    disorder_squared,
-    in_hyperplane,
-    inversions,
-    require_finite_positive,
-    vertex_of,
-)
+from .core import StateVector, as_state, disorder_squared, in_hyperplane, vertex_of
+from .perms import Permutation, inversions, require_finite_positive
 
 __all__ = [
     "FlowTrace",

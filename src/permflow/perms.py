@@ -1,0 +1,134 @@
+"""Permutations of ranks 1..n and the integer facts about them.
+
+The discrete half of the package: a permutation, its inversion count,
+the exact disorder of the reversed order, log2(n!), the coordinate sum
+of the rank polytope's hyperplane, and the input checks and size guard
+shared by every layer. Nothing here imports numpy, so `slicing`, `dtree`
+and the `permflow slice` / `permflow dtree` commands start without it.
+The numpy state half (state vectors, vertices, the disorder potential)
+is `core`.
+
+Indices and ranks are 1-based throughout the public API.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterable
+
+__all__ = [
+    "MAX_STEP",
+    "SizeLimitError",
+    "Permutation",
+    "inversions",
+    "reverse_disorder",
+    "log2_factorial",
+    "hyperplane_sum",
+]
+
+HYPERPLANE_TOL = 1e-9
+#: Largest admissible Euler step for `projection.integrate_projected`.
+#: Kept here so the `permflow` parser can print it without numpy.
+MAX_STEP = 1e-2
+
+
+class SizeLimitError(ValueError):
+    """An input exceeds the deliberate size guard of an operation."""
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """An arrangement of the ranks 1..n, e.g. (3, 1, 2)."""
+
+    ranks: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.ranks)
+        if n < 1:
+            raise ValueError("permutation must have length >= 1")
+        if sorted(self.ranks) != list(range(1, n + 1)):
+            raise ValueError(
+                f"ranks must contain each of 1..{n} exactly once, got {self.ranks}"
+            )
+
+    @property
+    def n(self) -> int:
+        return len(self.ranks)
+
+    @classmethod
+    def of(cls, ranks: Iterable[int]) -> "Permutation":
+        return cls(tuple(int(r) for r in ranks))
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(tuple(range(1, n + 1)))
+
+    @classmethod
+    def reverse(cls, n: int) -> "Permutation":
+        return cls(tuple(range(n, 0, -1)))
+
+    def is_sorted(self) -> bool:
+        return self.ranks == tuple(range(1, self.n + 1))
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise ValueError unless value is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def hyperplane_sum(n: int) -> int:
+    """Coordinate sum shared by every rearrangement of (1, ..., n)."""
+    return n * (n + 1) // 2
+
+
+def inversions(p: Permutation | Iterable[int]) -> int:
+    """Count pairs i < j with ranks[i] > ranks[j].
+
+    Bottom-up merge sort in O(n log n): when the head of a right run is
+    taken before the rest of its left run, it forms an inversion with
+    every key still waiting on the left.
+    """
+    if not isinstance(p, Permutation):
+        p = Permutation.of(p)
+    runs = list(p.ranks)
+    count = 0
+    width = 1
+    while width < p.n:
+        merged: list[int] = []
+        for lo in range(0, p.n, 2 * width):
+            left = runs[lo : lo + width]
+            right = runs[lo + width : lo + 2 * width]
+            i = j = 0
+            while i < len(left) and j < len(right):
+                if right[j] < left[i]:
+                    merged.append(right[j])
+                    j += 1
+                    count += len(left) - i
+                else:
+                    merged.append(left[i])
+                    i += 1
+            merged += left[i:]
+            merged += right[j:]
+        runs = merged
+        width *= 2
+    return count
+
+
+def reverse_disorder(n: int) -> int:
+    """Exact squared distance n(n^2 - 1)/3 from the reversed order to sorted.
+
+    Computed in arbitrary-precision integers; n(n^2 - 1) is always
+    divisible by 3.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return n * (n * n - 1) // 3
+
+
+def log2_factorial(n: int) -> float:
+    """log2(n!) by direct summation of log2(k) for k = 2..n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return float(sum(math.log2(k) for k in range(2, n + 1)))

@@ -32,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SizeLimitError, StateVector, as_state, require_finite_positive
+from .core import StateVector, as_state
+from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 
 __all__ = [
     "ProjectedSample",
@@ -44,8 +45,6 @@ __all__ = [
     "integrate_projected",
 ]
 
-#: Largest admissible Euler step for integrate_projected.
-MAX_STEP = 1e-2
 #: Most Euler steps one integration takes. An unrecorded step costs about
 #: 6 us and keeps nothing; a recorded one about 25 us and a sample of
 #: 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step recorded

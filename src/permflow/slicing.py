@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Permutation, SizeLimitError
+from .perms import Permutation, SizeLimitError
 
 __all__ = [
     "Constraint",

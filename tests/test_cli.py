@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permflow.cli
+import permflow.flow
+import permflow.projection
 from permflow import MAX_STEP, STEP_LIMIT, tree_from_json, verify_tree
 from permflow.cli import (
     CELL_LIMIT,
@@ -178,7 +180,7 @@ class TestFlowEvents:
         def no_events(*args, **kwargs):
             raise AssertionError("examined pairs of a request beyond the event limit")
 
-        monkeypatch.setattr(permflow.cli, "_crossings", no_events)
+        monkeypatch.setattr(permflow.flow, "_crossings", no_events)
         # reverse n = 708 has 250,278 events
         code, out, err = run(["flow", "events", "--n", "708", "--format", fmt], capsys)
         assert code == 3
@@ -190,8 +192,8 @@ class TestFlowEvents:
         def refuse(*args, **kwargs):
             raise AssertionError("worked on a request beyond the pair limit")
 
-        monkeypatch.setattr(permflow.cli, "_crossings", refuse)
-        monkeypatch.setattr(permflow.cli, "estimate_sorting", refuse)
+        monkeypatch.setattr(permflow.flow, "_crossings", refuse)
+        monkeypatch.setattr(permflow.flow, "estimate_sorting", refuse)
         # sorted n = 10,001 has no events but 50,005,000 pairs
         code, out, err = run(
             ["flow", "events", "--n", "10001", "--start", "sorted", "--format", fmt], capsys
@@ -209,7 +211,7 @@ class TestFlowEvents:
             assert x0.n == 10_000 and x0.n * (x0.n - 1) // 2 <= PAIR_LIMIT
             raise Examined
 
-        monkeypatch.setattr(permflow.cli, "_crossings", examined)
+        monkeypatch.setattr(permflow.flow, "_crossings", examined)
         with pytest.raises(Examined):
             main(["flow", "events", "--n", "10000", "--start", "sorted"])
 
@@ -301,7 +303,7 @@ class TestFlowTrace:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated a request with an off-grid sample time")
 
-        monkeypatch.setattr(permflow.cli, "integrate_projected", no_integration)
+        monkeypatch.setattr(permflow.projection, "integrate_projected", no_integration)
         code, out, err = run(
             ["flow", "trace", "--projected", "--n", "200", "--t-end", "50", "--samples", "7"],
             capsys,
@@ -314,7 +316,7 @@ class TestFlowTrace:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated a request beyond the step limit")
 
-        monkeypatch.setattr(permflow.cli, "integrate_projected", no_integration)
+        monkeypatch.setattr(permflow.projection, "integrate_projected", no_integration)
         t_end = (STEP_LIMIT + 1) * MAX_STEP
         code, out, err = run(
             ["flow", "trace", "--projected", "--n", "5", "--t-end", repr(t_end), "--samples", "2"],
@@ -329,8 +331,8 @@ class TestFlowTrace:
         def no_trace(*args, **kwargs):
             raise AssertionError("traced a request beyond the sample limit")
 
-        monkeypatch.setattr(permflow.cli, "sample_trace", no_trace)
-        monkeypatch.setattr(permflow.cli, "integrate_projected", no_trace)
+        monkeypatch.setattr(permflow.flow, "sample_trace", no_trace)
+        monkeypatch.setattr(permflow.projection, "integrate_projected", no_trace)
         code, out, err = run(
             ["flow", "trace", *mode, "--n", "3", "--t-end", "1000",
              "--samples", str(SAMPLE_LIMIT + 1)],
@@ -349,8 +351,8 @@ class TestFlowTrace:
             raise AssertionError("worked on a request beyond the cell limit")
 
         monkeypatch.setattr(permflow.cli, "_parse_start", refuse)
-        monkeypatch.setattr(permflow.cli, "sample_trace", refuse)
-        monkeypatch.setattr(permflow.cli, "integrate_projected", refuse)
+        monkeypatch.setattr(permflow.flow, "sample_trace", refuse)
+        monkeypatch.setattr(permflow.projection, "integrate_projected", refuse)
         code, out, err = run(
             ["flow", "trace", *mode, "--n", str(n), "--t-end", "1", "--samples", str(samples)],
             capsys,
@@ -368,7 +370,7 @@ class TestFlowTrace:
             assert x0.n * len(times) == CELL_LIMIT
             raise Traced
 
-        monkeypatch.setattr(permflow.cli, "sample_trace", traced)
+        monkeypatch.setattr(permflow.flow, "sample_trace", traced)
         with pytest.raises(Traced):
             main(["flow", "trace", "--n", "2000", "--t-end", "1", "--samples", "500"])
 
@@ -380,7 +382,7 @@ class TestFlowTrace:
             assert len(times) == SAMPLE_LIMIT
             raise Traced
 
-        monkeypatch.setattr(permflow.cli, "sample_trace", traced)
+        monkeypatch.setattr(permflow.flow, "sample_trace", traced)
         with pytest.raises(Traced):
             main(["flow", "trace", "--n", "3", "--t-end", "1", "--samples", str(SAMPLE_LIMIT)])
 

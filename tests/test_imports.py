@@ -1,0 +1,97 @@
+"""The package's import graph: numpy-free start for the discrete commands, stable names."""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import permflow
+import permflow.cli
+
+SRC = str(Path(permflow.__file__).resolve().parent.parent)
+MODULES = ("perms", "core", "flow", "projection", "dtree", "slicing")
+
+
+def run_fresh(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a new interpreter that imports permflow from this tree."""
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{body}"
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+
+
+class TestNumpyFreeStart:
+    def test_slice_and_dtree_load_no_numpy(self):
+        done = run_fresh(
+            "import contextlib, io\n"
+            "import permflow\n"
+            "import permflow.cli\n"
+            "assert 'numpy' not in sys.modules, 'import permflow loaded numpy'\n"
+            "argvs = [\n"
+            "    ['slice', '--n', '6', '--constraints', '1<2,3<4'],\n"
+            "    ['slice', '--n', '5', '--instrument', 'quick', '--input', '3,1,5,2,4'],\n"
+            "    ['dtree', '--n', '4'],\n"
+            "]\n"
+            "for argv in argvs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert permflow.cli.main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_flow_events_loads_numpy(self):
+        # the check above is not vacuous: a numpy command does show up
+        done = run_fresh(
+            "import contextlib, io\n"
+            "import permflow.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert permflow.cli.main(['flow', 'events', '--n', '5']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("name", sorted(set(permflow.__all__) - {"__version__"}))
+    def test_name_is_its_defining_module_object(self, name):
+        value = getattr(permflow, name)
+        homes = [
+            module
+            for module in (importlib.import_module(f"permflow.{m}") for m in MODULES)
+            if name in module.__all__
+        ]
+        assert homes, f"no module lists {name} in __all__"
+        for module in homes:
+            assert getattr(module, name) is value, f"{module.__name__}.{name}"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            permflow.no_such_name  # noqa: B018
+
+    def test_core_keeps_its_discrete_names(self):
+        from permflow.core import (
+            Permutation,
+            SizeLimitError,
+            StateVector,
+            inversions,
+            vertex_of,
+        )
+
+        assert inversions(Permutation.reverse(4)) == 6
+        assert isinstance(vertex_of([2, 1]), StateVector)
+        assert issubclass(SizeLimitError, ValueError)
+
+    def test_core_size_limit_error_exits_three(self, monkeypatch, capsys):
+        import permflow.core
+
+        def over(*args, **kwargs):
+            raise permflow.core.SizeLimitError("over the limit")
+
+        assert permflow.cli.SizeLimitError is permflow.core.SizeLimitError
+        monkeypatch.setattr(permflow.cli, "feasible_count", over)
+        assert permflow.cli.main(["slice", "--n", "3", "--constraints", ""]) == 3
+        assert capsys.readouterr().err == "error: over the limit\n"
