@@ -16,52 +16,19 @@ point toward the sorted vertex v_s = (1, ..., n).
   instrumented classical sorts.
 - `cli`: the `permflow` command.
 
-`perms`, `dtree` and `slicing` load with the package; the names of the
-numpy layers `core`, `flow` and `projection` load on first use, so
-`permflow slice` and `permflow dtree` start without numpy.
+`perms`, `dtree` and `slicing` load with the package and export what
+their `__all__` lists; the names of the numpy layers `core`, `flow` and
+`projection`, listed once in `_LAZY`, load on first use, so
+`permflow slice` and `permflow dtree` start without numpy. `__all__` is
+the union of the two.
 """
 
 import importlib
 
-from .dtree import (
-    BUILD_LIMIT,
-    Internal,
-    Leaf,
-    OptimalTree,
-    TreeStats,
-    build_optimal,
-    info_lower_bound,
-    tree_from_dict,
-    tree_from_json,
-    tree_stats,
-    tree_to_dict,
-    tree_to_json,
-    verify_tree,
-)
-from .perms import (
-    MAX_STEP,
-    Permutation,
-    SizeLimitError,
-    hyperplane_sum,
-    inversions,
-    log2_factorial,
-    reverse_disorder,
-)
-from .slicing import (
-    ALGORITHMS,
-    Constraint,
-    ConstraintSet,
-    DP_LIMIT,
-    INSTRUMENT_LIMIT,
-    InstrumentedRun,
-    TraceStep,
-    comparison_count,
-    feasible_count,
-    instrument,
-    is_contradictory,
-    isolates_sorted,
-    parse_constraints,
-)
+from . import dtree, perms, slicing
+from .dtree import *  # noqa: F403
+from .perms import *  # noqa: F403
+from .slicing import *  # noqa: F403
 
 #: The public names of the numpy layers, by the module that defines them,
 #: imported on first access (PEP 562).
@@ -122,64 +89,6 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
-    "BUILD_LIMIT",
-    "Constraint",
-    "ConstraintSet",
-    "CrossingEvent",
-    "DP_LIMIT",
-    "DisorderReport",
-    "FlowSample",
-    "FlowTrace",
-    "INSTRUMENT_LIMIT",
-    "InstrumentedRun",
-    "Internal",
-    "Leaf",
-    "MAX_STEP",
-    "OptimalTree",
-    "Permutation",
-    "ProjectedSample",
-    "ProjectedTrace",
-    "STEP_LIMIT",
-    "SizeLimitError",
-    "SortingEstimate",
-    "StateVector",
-    "TraceStep",
-    "TreeStats",
-    "as_state",
-    "active_ties",
-    "build_optimal",
-    "comparison_count",
-    "crossing_events",
-    "crossing_time",
-    "discrete_estimate",
-    "disorder_at",
-    "disorder_squared",
-    "estimate_sorting",
-    "feasible_count",
-    "flow_state",
-    "hyperplane_sum",
-    "in_hyperplane",
-    "info_lower_bound",
-    "instrument",
-    "integrate_projected",
-    "inversions",
-    "is_contradictory",
-    "isolates_sorted",
-    "lemma_lower_bound",
-    "log2_factorial",
-    "parse_constraints",
-    "project_velocity",
-    "reverse_disorder",
-    "sample_trace",
-    "sorted_vertex",
-    "time_to_epsilon",
-    "tree_from_dict",
-    "tree_from_json",
-    "tree_stats",
-    "tree_to_dict",
-    "tree_to_json",
-    "verify_tree",
-    "vertex_of",
+    *sorted({*perms.__all__, *dtree.__all__, *slicing.__all__, *_LAZY}),
     "__version__",
 ]

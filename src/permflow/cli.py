@@ -1,10 +1,10 @@
 """Command-line front end: traces, crossing schedules, tree bounds, slicing.
 
 Every subcommand emits deterministic bytes for identical invocations:
-reals are serialized with 6 significant digits by default (override with
---precision K or the PERMFLOW_PRECISION environment variable), rows are
-ordered canonically, and `--start random:SEED` derives its permutation
-from a fixed linear congruential generator — s <- (1664525*s +
+reals are serialized with 6 significant digits unless --precision K
+(1..17) says otherwise, and no environment variable changes any output;
+rows are ordered canonically, and `--start random:SEED` derives its
+permutation from a fixed linear congruential generator — s <- (1664525*s +
 1013904223) mod 2^32 — driving a backward swap pass, so any
 implementation of the same recipe reproduces the same bytes.
 
@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -45,10 +44,11 @@ from .slicing import (
 __all__ = ["main"]
 
 DEFAULT_PRECISION = 6
-PRECISION_ENV = "PERMFLOW_PRECISION"
-#: Most rows `flow trace --samples` may ask for. Each row costs about
-#: 35 us and 1.2 KB before its n coordinates (n = 3: 10,000 rows took
-#: 0.7 s and 43 MB peak RSS on a 2-vCPU VM), and nothing bounded it.
+#: Most rows `flow trace --samples` or a `bench` growth table may hold. A
+#: trace row costs about 35 us and 1.2 KB before its n coordinates (n = 3:
+#: 10,000 rows took 0.7 s and 43 MB peak RSS on a 2-vCPU VM). 10,000 bench
+#: rows took 0.25 s and 39 MB (JSON) or 0.17 s and 32 MB (CSV); unbounded,
+#: `--n-min 2 --n-max 1000000` took 13.6 s, 925 MB and printed 115 MB.
 SAMPLE_LIMIT = 10_000
 #: Most coordinates (samples x n) `flow trace` may print. SAMPLE_LIMIT
 #: bounds rows, not their width: n = 200 x 10,000 samples took 3.0 s and
@@ -126,22 +126,6 @@ def _parse_perm_list(text: str) -> Permutation:
 
 
 # --- formatting --------------------------------------------------------------
-
-
-def _resolve_precision(flag: Optional[int]) -> int:
-    if flag is not None:
-        digits = flag
-    else:
-        raw = os.environ.get(PRECISION_ENV)
-        if raw is None:
-            return DEFAULT_PRECISION
-        try:
-            digits = int(raw)
-        except ValueError:
-            raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
-    if not (1 <= digits <= 17):
-        raise ValueError(f"precision must be in 1..17, got {digits}")
-    return digits
 
 
 def _round(x: float, spec: str) -> float:
@@ -466,6 +450,11 @@ def _cmd_bench(args, spec: str) -> str:
         )
     if args.step < 1:
         raise ValueError(f"--step must be >= 1, got {args.step}")
+    count = len(range(args.n_min, args.n_max + 1, args.step))
+    if count > SAMPLE_LIMIT:
+        raise SizeLimitError(
+            f"growth tables are limited to {SAMPLE_LIMIT} rows, got {count}"
+        )
     rows = []
     for n in range(args.n_min, args.n_max + 1, args.step):
         d0 = reverse_disorder(n)
@@ -507,9 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--precision",
         type=int,
-        default=None,
-        help=f"significant digits for reals (default {DEFAULT_PRECISION}; "
-        f"{PRECISION_ENV} overrides the default)",
+        default=DEFAULT_PRECISION,
+        help=f"significant digits for reals (default {DEFAULT_PRECISION})",
     )
 
     parser = argparse.ArgumentParser(
@@ -587,8 +575,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.format = "text" if args.command == "report" else "json"
     handler = _HANDLERS[(args.command, getattr(args, "flow_command", None))]
     try:
-        spec = f".{_resolve_precision(args.precision)}g"
-        _write(handler(args, spec), args.output)
+        if not (1 <= args.precision <= 17):
+            raise ValueError(f"precision must be in 1..17, got {args.precision}")
+        _write(handler(args, f".{args.precision}g"), args.output)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

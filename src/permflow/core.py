@@ -2,9 +2,10 @@
 
 The numpy half of the package's ground floor: a state is a point of R^n,
 usually on the hyperplane sum(x) = n(n+1)/2 where the rank polytope (the
-convex hull of all rearrangements of (1, 2, ..., n)) lives; a
-permutation embeds as one of its vertices; and the squared distance to
-the sorted vertex measures disorder. The discrete half (permutations,
+convex hull of all rearrangements of (1, 2, ..., n)) lives, and
+`in_hyperplane` is the package's one test of that; a permutation embeds
+as one of its vertices; and the squared distance to the sorted vertex
+measures disorder. The discrete half (permutations,
 inversions, the size guard) lives in `perms` and is re-exported here.
 
 Indices and ranks are 1-based throughout the public API.
@@ -18,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .perms import (
-    HYPERPLANE_TOL,
     Permutation,
     SizeLimitError,
     hyperplane_sum,
@@ -82,10 +82,35 @@ def as_state(x: StateVector | Sequence[float] | np.ndarray) -> StateVector:
     return StateVector(np.asarray(x, dtype=float))
 
 
-def in_hyperplane(x: StateVector | Sequence[float], tol: float = HYPERPLANE_TOL) -> bool:
-    """True when the coordinates sum to n(n+1)/2 within ``tol``."""
+def _hyperplane_bound(n: int) -> float:
+    """The tolerance of `in_hyperplane` at dimension n."""
+    return max(1e-9, hyperplane_sum(n) * 2.0**-41)
+
+
+def in_hyperplane(x: StateVector | Sequence[float]) -> bool:
+    """True when x is finite and |sum(x) - n(n+1)/2| <= max(1e-9, n(n+1)/2 * 2**-41).
+
+    This is the package's one hyperplane rule. The relative term is 2**11
+    units in the last place of the target sum: room for the rounding of
+    the sum itself and of a state that the flow or an Euler run computed
+    from a vertex (in exact arithmetic both keep the sum). Below n ~ 66
+    the absolute 1e-9 governs. A non-finite coordinate makes the sum
+    non-finite, so x is rejected.
+    """
     s = as_state(x)
-    return abs(float(s.coords.sum()) - hyperplane_sum(s.n)) <= tol
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = float(s.coords.sum())
+    return abs(total - hyperplane_sum(s.n)) <= _hyperplane_bound(s.n)
+
+
+def _require_hyperplane(x: StateVector) -> None:
+    """Raise ValueError unless `in_hyperplane(x)`: the one entry check of the flows.
+
+    The closed-form flow and every Euler step keep a state on the
+    hyperplane, so a start checked here needs no later check.
+    """
+    if not in_hyperplane(x):
+        raise ValueError("state must lie on the hyperplane sum(x) = n(n+1)/2")
 
 
 def sorted_vertex(n: int) -> StateVector:

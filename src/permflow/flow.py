@@ -21,7 +21,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import StateVector, as_state, disorder_squared, in_hyperplane, vertex_of
+from .core import (
+    StateVector,
+    _require_hyperplane,
+    as_state,
+    disorder_squared,
+    vertex_of,
+)
 from .perms import Permutation, inversions, require_finite_positive
 
 __all__ = [
@@ -75,13 +81,6 @@ class SortingEstimate:
     discrete_estimate: float
     lemma_lower_bound: float
     crossing_count: int
-
-
-def _require_hyperplane(x: StateVector) -> None:
-    if not in_hyperplane(x):
-        raise ValueError(
-            "state must lie on the hyperplane sum(x) = n(n+1)/2 within 1e-9"
-        )
 
 
 def _offsets(x: StateVector) -> np.ndarray:

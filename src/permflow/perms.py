@@ -27,7 +27,6 @@ __all__ = [
     "hyperplane_sum",
 ]
 
-HYPERPLANE_TOL = 1e-9
 #: Largest admissible Euler step for `projection.integrate_projected`.
 #: Kept here so the `permflow` parser can print it without numpy.
 MAX_STEP = 1e-2

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StateVector, as_state
+from .core import StateVector, _hyperplane_bound, _require_hyperplane, as_state
 from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 
 __all__ = [
@@ -46,10 +46,10 @@ __all__ = [
 ]
 
 #: Most Euler steps one integration takes. An unrecorded step costs about
-#: 6 us and keeps nothing; a recorded one about 25 us and a sample of
-#: 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step recorded
-#: (keep=None) the limit bounds a run near 2.5 s and 50 MB + 0.8 MB per
-#: coordinate.
+#: 3.5 us at n <= 200 and keeps nothing; a recorded one about 25 us and a
+#: sample of 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step
+#: recorded (keep=None) the limit bounds a run near 2.5 s and 50 MB +
+#: 0.8 MB per coordinate.
 STEP_LIMIT = 100_000
 
 
@@ -136,18 +136,13 @@ def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
 
 
 def _require_tangent(g: np.ndarray) -> None:
-    """Raise ValueError unless |sum(g)| <= max(1e-9, n(n+1)/2 * 2**-41).
+    """Raise ValueError unless |sum(g)| is within the hyperplane bound of `core`.
 
-    g = v_s - x differences two vectors that sum to n(n+1)/2, so rounding
-    alone leaves sum(g) off 0 by a multiple of n(n+1)/2 * 2**-52. Along an
-    Euler run from a vertex that multiple peaks when the state freezes,
-    near 0.17/h for step h: 9-19 at h = 0.01 for n = 200..5000, and at
-    n = 1000 up to 475 at h = 0.0003, where STEP_LIMIT ends the run.
-    2**11 = 2048 covers that with room to spare; below n ~ 66 the absolute
-    1e-9 still governs.
+    g = v_s - x for some x on the hyperplane is tangent to it, so sum(g)
+    may be off 0 by what `in_hyperplane` allows sum(x) to be off
+    n(n+1)/2: max(1e-9, n(n+1)/2 * 2**-41).
     """
-    n = g.size
-    if abs(float(g.sum())) > max(1e-9, n * (n + 1) / 2 * 2.0**-41):
+    if abs(float(g.sum())) > _hyperplane_bound(g.size):
         raise ValueError("velocity must sum to 0 (tangent to the hyperplane)")
 
 
@@ -164,7 +159,7 @@ def project_velocity(
     vector to g's restriction, by pool-adjacent-violators; components
     outside any tie pass through unchanged, and block sums are preserved.
     The input must be tangent to the hyperplane: |sum(g)| at most
-    max(1e-9, n(n+1)/2 * 2**-41), a bound on rounding alone.
+    max(1e-9, n(n+1)/2 * 2**-41), the bound of `in_hyperplane`.
     Projecting is idempotent and the output p satisfies <g, p> = ||p||^2.
     """
     x = as_state(x)
@@ -226,25 +221,25 @@ def integrate_projected(
     times g (the last step is shortened to land exactly on t_end). The
     pull keeps every tie's target order, so projecting it onto the tie
     blocks would return it unchanged (module docstring). Requires a
-    finite start, finite 0 < t_end and 0 < step <= MAX_STEP, so each step
-    h contracts the potential by exactly (1 - h)^2 <= exp(-2h) and the
-    state after steps h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to
-    rounding; more than STEP_LIMIT steps raise SizeLimitError before the
-    first one. g must stay tangent to the hyperplane, as
-    `project_velocity` requires.
+    start on the hyperplane (`in_hyperplane`, so also finite), finite
+    0 < t_end and 0 < step <= MAX_STEP, so each step h contracts the
+    potential by exactly (1 - h)^2 <= exp(-2h) and the state after steps
+    h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to rounding; more than
+    STEP_LIMIT steps raise SizeLimitError before the first one. The start
+    is checked once: in exact arithmetic a step keeps the coordinate sum,
+    so a later state is off the hyperplane only by rounding.
 
     Samples record the potential 0.5*||x - v_s||^2 and the number of
     tie blocks as `active_ties` counts them. Grid index k is the state
     after k steps: 0 is the start at t = 0 and the last,
     len(samples) - 1 with keep=None, is t_end. `keep`, a strictly
     increasing sequence of grid indices, records only those states, each
-    bit for bit as keep=None records it; every step still runs and is
-    checked. Only recorded states are sorted, so with a short `keep`
-    memory does not grow with t_end.
+    bit for bit as keep=None records it; every step still runs. Only
+    recorded states are sorted, so with a short `keep` memory does not
+    grow with t_end.
     """
     x0 = as_state(x0)
-    if not np.isfinite(x0.coords).all():
-        raise ValueError("start coordinates must be finite")
+    _require_hyperplane(x0)
     times = _step_times(t_end, step)
     if keep is None:
         keep = range(len(times) + 1)
@@ -276,7 +271,6 @@ def integrate_projected(
             next_kept = next(wanted, None)
         if t is None:
             break
-        _require_tangent(g)
         x = x + (t - prev) * g
         prev = t
     return ProjectedTrace(samples=tuple(samples), step=step)

@@ -17,15 +17,9 @@ from permflow.cli import (
     CELL_LIMIT,
     EVENT_LIMIT,
     PAIR_LIMIT,
-    PRECISION_ENV,
     SAMPLE_LIMIT,
     main,
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(PRECISION_ENV, raising=False)
 
 
 def run(argv, capsys):
@@ -924,6 +918,21 @@ class TestBench:
             assert code == 2
             assert err.startswith("error:")
 
+    def test_sample_limit_rows_are_built(self, capsys):
+        code, out, err = run(["bench", "--n-min", "2", "--n-max", "10001"], capsys)
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["rows"]) == SAMPLE_LIMIT
+
+    def test_over_sample_limit_exits_three_before_any_row(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a row of a table beyond the sample limit")
+
+        monkeypatch.setattr(permflow.flow, "time_to_epsilon", refuse)
+        code, out, err = run(["bench", "--n-min", "2", "--n-max", "10002"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: growth tables are limited to {SAMPLE_LIMIT} rows, got 10001\n"
+
     # sha256 of stdout for fixed argv
     GOLDEN = [
         (
@@ -969,28 +978,11 @@ class TestCommonOptions:
         assert code == 0
         assert json.loads(out)["events"][0]["t"] == 0.693
 
-    def test_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(PRECISION_ENV, "9")
-        code, out, _ = run(["flow", "events", "--n", "3"], capsys)
-        assert code == 0
-        assert json.loads(out)["events"][0]["t"] == 0.693147181
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(PRECISION_ENV, "3")
-        code, out, _ = run(["flow", "events", "--n", "3", "--precision", "9"], capsys)
-        assert code == 0
-        assert json.loads(out)["events"][0]["t"] == 0.693147181
-
     def test_precision_out_of_range(self, capsys):
         for value in ["0", "18", "-2"]:
             code, _, err = run(["flow", "events", "--n", "3", "--precision", value], capsys)
             assert code == 2
             assert err.startswith("error:")
-
-    def test_bad_env_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv(PRECISION_ENV, "lots")
-        code, _, err = run(["flow", "events", "--n", "3"], capsys)
-        assert code == 2
 
     def test_unknown_command_exits_two(self, capsys):
         code, _, err = run(["warp"], capsys)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,13 @@ def test_hyperplane_sum_matches_vertices():
         assert in_hyperplane(sorted_vertex(n))
         assert in_hyperplane(vertex_of(Permutation.reverse(n)))
     assert not in_hyperplane([1.0, 2.0, 4.0])
+    # the absolute 1e-9 floor governs at small n
+    assert not in_hyperplane([1.0, 2.0, 3.0 + 2e-9])
+    assert in_hyperplane([1.0, 2.0, 3.0 + 5e-10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not in_hyperplane([math.nan, 2.0, 4.0])
+        assert not in_hyperplane([math.inf, -math.inf, 6.0])
 
 
 def test_sorted_vertex_and_embedding():

@@ -21,6 +21,8 @@ from permflow import (
     estimate_sorting,
     flow_state,
     hyperplane_sum,
+    in_hyperplane,
+    integrate_projected,
     inversions,
     lemma_lower_bound,
     reverse_disorder,
@@ -28,6 +30,7 @@ from permflow import (
     time_to_epsilon,
     vertex_of,
 )
+from permflow.cli import _seeded_shuffle
 
 LN2 = math.log(2)
 
@@ -113,8 +116,19 @@ class TestFlowState:
             flow_state(vertex_of(Permutation.reverse(3)), -0.1)
 
     def test_rejects_off_hyperplane_start(self):
-        with pytest.raises(ValueError):
-            flow_state([1.0, 2.0, 4.0], 1.0)
+        for start in ([1.0, 2.0, 4.0], [math.nan, 2.0, 4.0], [math.inf, -math.inf, 6.0]):
+            with pytest.raises(ValueError):
+                flow_state(start, 1.0)
+
+    def test_accepts_large_n_euler_end_state(self):
+        # 100 Euler steps from this vertex leave sum(x) off n(n+1)/2 by about
+        # 1.9e-9: past the absolute 1e-9, inside the relative bound
+        x0 = vertex_of(_seeded_shuffle(5000, 10))
+        x = integrate_projected(x0, 1.0, keep=[0, 100]).final
+        assert abs(float(x.coords.sum()) - hyperplane_sum(5000)) > 1e-9
+        assert in_hyperplane(x)
+        assert flow_state(x, 1.0).n == 5000
+        assert len(sample_trace(x, [0.0, 1.0]).samples) == 2
 
     def test_stays_on_hyperplane(self):
         rng = random.Random(7)
@@ -262,7 +276,9 @@ class TestCrossingEvents:
                 assert e.time > 0
                 assert 0 < math.exp(-e.time) < 1
 
-    @pytest.mark.parametrize("start", [[0.0, 0.0, 7.0], [5.0]])
+    @pytest.mark.parametrize(
+        "start", [[0.0, 0.0, 7.0], [5.0], [math.nan, 2.0, 4.0], [math.inf, -math.inf, 6.0]]
+    )
     def test_rejects_off_hyperplane_start(self, start):
         # checked once up front, so also when there is no pair to examine
         with pytest.raises(ValueError):

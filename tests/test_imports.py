@@ -68,6 +68,13 @@ class TestPublicNames:
         for module in homes:
             assert getattr(module, name) is value, f"{module.__name__}.{name}"
 
+    @pytest.mark.parametrize("module", MODULES)
+    def test_every_module_name_is_exported(self, module):
+        defining = importlib.import_module(f"permflow.{module}")
+        for name in defining.__all__:
+            assert name in permflow.__all__, f"{module}.{name}"
+            assert getattr(permflow, name) is getattr(defining, name), f"{module}.{name}"
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             permflow.no_such_name  # noqa: B018

@@ -18,6 +18,7 @@ from permflow import (
     as_state,
     disorder_squared,
     flow_state,
+    in_hyperplane,
     integrate_projected,
     project_velocity,
     vertex_of,
@@ -436,12 +437,14 @@ class TestKeep:
 
     def test_long_small_step_run_stays_tangent(self):
         # at h = 0.0005 rounding drift in sum(x) peaks near 336 units of
-        # n(n+1)/2 * 2**-52 (about 1.5e-9 at n = 200) when the state freezes
+        # n(n+1)/2 * 2**-52 (about 1.5e-9 at n = 200) when the state freezes;
+        # the one hyperplane rule allows 2**11 of them
         last = len(_step_times(40.0, 0.0005))
         trace = integrate_projected(
             vertex_of(Permutation.reverse(200)), 40.0, step=0.0005, keep=[0, last]
         )
         assert np.allclose(trace.final.coords, np.arange(1.0, 201.0))
+        assert in_hyperplane(trace.final)
 
 
 class TestStepLimit:
@@ -483,6 +486,6 @@ class TestRejectsOutOfModelInputs:
             integrate_projected(x0, 1.0)
 
     def test_start_off_the_hyperplane(self):
-        # the pull is then not tangent, which project_velocity refuses
+        # checked once, before the first step
         with pytest.raises(ValueError):
             integrate_projected([1.0, 1.0, 1.0], 1.0)
