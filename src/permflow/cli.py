@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .dtree import (
@@ -60,8 +61,8 @@ CELL_LIMIT = 1_000_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
 #: O(n log n) before any pair is examined. At the limit (`--start reverse
-#: --n 707`, 249,571 events) JSON took 1.2 s and 136 MB peak RSS and CSV
-#: 1.0 s and 106 MB on a 2-vCPU VM, and nothing bounded it.
+#: --n 707`, 249,571 events) a fresh process took 0.5-1.0 s and 78 MB peak
+#: RSS for JSON and 0.6-0.7 s and 83 MB for CSV on a shared 2-vCPU VM.
 EVENT_LIMIT = 250_000
 #: Most coordinate pairs `flow events` may examine. The crossing kernel
 #: looks at all n(n - 1)/2 pairs however few of them cross: with no
@@ -186,34 +187,47 @@ def _cmd_flow_events(args, spec: str) -> str:
         )
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
-    rows = _crossings(x0)
+    t, i, j, a_i = _crossings(x0)
+    count = t.size
     if args.format == "json":
-        # JSON does not print the meeting values
-        events = [{"i": i, "j": j, "t": float(f"{t:{spec}}")} for t, i, j, _ in rows]
-        del rows  # not held through the encode: 20 MB at EVENT_LIMIT
-        return _dumps(
+        # JSON does not print the meeting values. Each event fills one
+        # template, and %d and %r write what json.dumps writes for an int
+        # and a float.
+        cells = [None] * (3 * count)
+        cells[0::3] = i.tolist()
+        cells[1::3] = j.tolist()
+        cells[2::3] = map(float, map(format, t.tolist(), repeat(spec)))
+        del t, i, j, a_i  # not held through the encode: 8 MB at EVENT_LIMIT
+        events = ", ".join(['{"i": %d, "j": %d, "t": %r}'] * count) % tuple(cells)
+        head = _dumps({"n": start.n, "start": list(start.ranks), "d0": _round(d0, spec)})
+        tail = _dumps(
             {
-                "n": start.n,
-                "start": list(start.ranks),
-                "d0": _round(d0, spec),
-                "events": events,
                 "t_eps": _round(est.continuous_time, spec),
                 "estimate": _round(est.discrete_estimate, spec),
                 "lemma_lb": _round(est.lemma_lower_bound, spec),
             }
         )
-    lines = [
-        f"# n={start.n} start={','.join(map(str, start.ranks))}",
-        f"# d0={d0:{spec}} crossings={len(rows)} t_eps={est.continuous_time:{spec}} "
-        f"estimate={est.discrete_estimate:{spec}} "
-        f"estimate_ceil={math.ceil(est.discrete_estimate)} "
-        f"lemma_lb={est.lemma_lower_bound:{spec}}",
-        "i,j,t,value",
-    ]
-    for t, i, j, a_i in rows:
-        # the meeting value as `crossing_events` computes it, bit for bit
-        lines.append(f"{i},{j},{t:{spec}},{i + a_i * math.exp(-t):{spec}}")
-    return "\n".join(lines)
+        return f'{head[:-1]}, "events": [{events}], {tail[1:]}'
+    header = "\n".join(
+        [
+            f"# n={start.n} start={','.join(map(str, start.ranks))}",
+            f"# d0={d0:{spec}} crossings={count} t_eps={est.continuous_time:{spec}} "
+            f"estimate={est.discrete_estimate:{spec}} "
+            f"estimate_ceil={math.ceil(est.discrete_estimate)} "
+            f"lemma_lb={est.lemma_lower_bound:{spec}}",
+            "i,j,t,value",
+        ]
+    )
+    i, t = i.tolist(), t.tolist()
+    cells = [None] * (4 * count)
+    cells[0::4] = i
+    cells[1::4] = j.tolist()
+    cells[2::4] = t
+    # the meeting value as `crossing_events` computes it, bit for bit
+    cells[3::4] = [lo + a * math.exp(-s) for lo, a, s in zip(i, a_i.tolist(), t)]
+    del t, i, j, a_i  # not held through the format: only `cells` is needed
+    # %-formatting with the spec writes what format(x, spec) writes
+    return header + "".join([f"\n%d,%d,%{spec},%{spec}"] * count) % tuple(cells)
 
 
 def _cmd_flow_trace(args, spec: str) -> str:
@@ -384,12 +398,12 @@ def _cmd_report(args, spec: str) -> str:
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
-    rows = _crossings(x0)
+    t = _crossings(x0)[0]
     est = estimate_sorting(start)
     fields = [
         ("d0", d0),
-        ("t1", rows[0][0]),
-        ("crossings", len(rows)),
+        ("t1", float(t[0])),
+        ("crossings", t.size),
         ("info_bound", info_lower_bound(3)),
         ("t_total", time_to_epsilon(d0, 1.0)),
         ("dt", 1.0 / 3.0),

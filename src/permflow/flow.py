@@ -99,10 +99,14 @@ def flow_state(x0: StateVector | Sequence[float], t: float) -> StateVector:
 
 
 def disorder_at(x0: StateVector | Sequence[float], t: float) -> float:
-    """Squared distance to the sorted vertex at time t: d0 * exp(-2t)."""
+    """Squared distance to the sorted vertex at time t: d0 * exp(-2t).
+
+    A start off the hyperplane raises ValueError, as in `flow_state`.
+    """
     x0 = as_state(x0)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    _require_hyperplane(x0)
     return disorder_squared(x0).d0 * math.exp(-2.0 * t)
 
 
@@ -164,25 +168,33 @@ def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional
 
 #: Most pairs i < j that one block of the triangle pass holds (at least one
 #: row per block). Each pair costs about 50 bytes of index, ratio and mask
-#: arrays, so a block peaks near 3 MB, and n <= 256 is a single block.
+#: arrays, so a block peaks near 3 MB, and n <= 256 is a single block. The
+#: crossing pairs of every block are kept as three 8-byte columns (ratio,
+#: i, j) until the one sort at the end.
 _PAIR_BLOCK = 1 << 16
 
 
-def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
-    """Rows (t, i, j, a_i) of every meeting of the flow from x0, sorted.
+def _crossings(x0: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (t, i, j, a_i) of every meeting of the flow from x0, sorted.
 
-    i < j are 1-based, t is the meeting time and a_i = x0_i - i the offset
-    that gives the meeting value i + a_i * exp(-t). A start off the
-    hyperplane raises ValueError, also at n = 1.
+    Row k is one meeting: i[k] < j[k] are 1-based integer indices, t[k]
+    the meeting time and a_i[k] = x0_i - i the offset that gives the
+    meeting value i + a_i * exp(-t). A start off the hyperplane raises
+    ValueError, also at n = 1.
 
     The ratio (j - i) / (a_i - a_j) of every pair comes from numpy passes
     over blocks of `_PAIR_BLOCK // n` rows of the upper triangle (a row
     holds at most n - 1 pairs, so a block at most `_PAIR_BLOCK`), the same
     IEEE subtraction and division as in `crossing_time`; a zero denominator
     gives an infinite ratio and drops out with the others outside (0, 1).
-    Memory is O(n * rows per block + events), not O(n^2). Only the pairs
-    that cross take t = -ln(ratio) with `math.log`, so each time matches
-    `crossing_time` bit for bit, and one sort orders the rows by (t, i, j).
+    In exact arithmetic a pair meets iff x_i > x_j, for any start, since
+    a_i - a_j = x_i - x_j + (j - i): a_i - a_j > j - i <=> x_i > x_j.
+    Each block keeps the ratio, i and j of its crossing pairs, so memory is
+    O(n * rows per block + events), not O(n^2). Only the crossing ratios
+    take t = -ln(ratio), with `math.log`, so each time matches
+    `crossing_time` bit for bit (numpy's `log` may differ in the last ulp).
+    One `np.lexsort` then orders the columns by (t, i, j); no NaN passes
+    the ratio test, so that is the order of sorted (t, i, j) tuples.
 
     For a vertex start that float order is the exact order. There
     a_i - a_j is the integer d = p_i - p_j + j - i, so a crossing pair has
@@ -194,7 +206,9 @@ def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
     """
     _require_hyperplane(x0)
     a = _offsets(x0)
-    rows = []
+    # an empty first block lets n = 1, which has no row, concatenate too
+    index = np.empty(0, dtype=np.intp)
+    blocks = [(np.empty(0), index, index)]
     step = max(1, _PAIR_BLOCK // x0.n)
     for r0 in range(0, x0.n - 1, step):
         i, j = np.triu_indices(min(step, x0.n - 1 - r0), k=r0 + 1, m=x0.n)
@@ -202,13 +216,13 @@ def _crossings(x0: StateVector) -> list[tuple[float, int, int, float]]:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (j - i) / (a[i] - a[j])
         cross = np.flatnonzero((0.0 < ratio) & (ratio < 1.0))
-        i = i[cross]
-        for r, lo, hi, a_lo in zip(
-            ratio[cross].tolist(), (i + 1).tolist(), (j[cross] + 1).tolist(), a[i].tolist()
-        ):
-            rows.append((-math.log(r), lo, hi, a_lo))
-    rows.sort()
-    return rows
+        blocks.append((ratio[cross], i[cross], j[cross]))
+    ratio, i, j = (np.concatenate(column) for column in zip(*blocks))
+    del blocks
+    t = -np.fromiter(map(math.log, ratio.tolist()), dtype=float, count=ratio.size)
+    order = np.lexsort((j, i, t))
+    i = i[order]
+    return t[order], i + 1, j[order] + 1, a[i]
 
 
 def crossing_events(x0: StateVector | Sequence[float]) -> list[CrossingEvent]:
@@ -221,9 +235,10 @@ def crossing_events(x0: StateVector | Sequence[float]) -> list[CrossingEvent]:
     meeting values i + a_i * exp(-t) (`math.exp`) match `crossing_time`
     and `flow_state` bit for bit; see `_crossings` for the pass.
     """
+    t, i, j, a_i = _crossings(as_state(x0))
     return [
-        CrossingEvent(pair=(i, j), time=t, meeting_value=i + a_i * math.exp(-t))
-        for t, i, j, a_i in _crossings(as_state(x0))
+        CrossingEvent(pair=(lo, hi), time=s, meeting_value=lo + a_lo * math.exp(-s))
+        for s, lo, hi, a_lo in zip(t.tolist(), i.tolist(), j.tolist(), a_i.tolist())
     ]
 
 

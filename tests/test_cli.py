@@ -6,18 +6,29 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permflow.cli
 import permflow.flow
 import permflow.projection
-from permflow import MAX_STEP, STEP_LIMIT, tree_from_json, verify_tree
+from permflow import (
+    MAX_STEP,
+    STEP_LIMIT,
+    Permutation,
+    crossing_events,
+    disorder_squared,
+    estimate_sorting,
+    tree_from_json,
+    verify_tree,
+    vertex_of,
+)
 from permflow.cli import (
     CELL_LIMIT,
     EVENT_LIMIT,
     PAIR_LIMIT,
     SAMPLE_LIMIT,
+    _seeded_shuffle,
     main,
 )
 
@@ -208,6 +219,82 @@ class TestFlowEvents:
         monkeypatch.setattr(permflow.flow, "_crossings", examined)
         with pytest.raises(Examined):
             main(["flow", "events", "--n", "10000", "--start", "sorted"])
+
+
+def reference_events_output(ranks, fmt, spec):
+    """`flow events` stdout built from `crossing_events`, one dict or f-string per event."""
+    p = Permutation.of(ranks)
+    x0 = vertex_of(p)
+    d0 = disorder_squared(x0).d0
+    est = estimate_sorting(p)
+    events = crossing_events(x0)
+    if fmt == "json":
+        payload = {
+            "n": p.n,
+            "start": list(p.ranks),
+            "d0": float(f"{d0:{spec}}"),
+            "events": [
+                {"i": e.pair[0], "j": e.pair[1], "t": float(f"{e.time:{spec}}")} for e in events
+            ],
+            "t_eps": float(f"{est.continuous_time:{spec}}"),
+            "estimate": float(f"{est.discrete_estimate:{spec}}"),
+            "lemma_lb": float(f"{est.lemma_lower_bound:{spec}}"),
+        }
+        return json.dumps(payload) + "\n"
+    lines = [
+        f"# n={p.n} start={','.join(map(str, p.ranks))}",
+        f"# d0={d0:{spec}} crossings={len(events)} t_eps={est.continuous_time:{spec}} "
+        f"estimate={est.discrete_estimate:{spec}} "
+        f"estimate_ceil={math.ceil(est.discrete_estimate)} "
+        f"lemma_lb={est.lemma_lower_bound:{spec}}",
+        "i,j,t,value",
+    ]
+    for e in events:
+        lines.append(f"{e.pair[0]},{e.pair[1]},{e.time:{spec}},{e.meeting_value:{spec}}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def events_starts(draw):
+    """(--n, --start, ranks): an explicit list, random:SEED, sorted or reverse."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["list", "random", "sorted", "reverse"]))
+    if kind == "list":
+        ranks = draw(st.permutations(range(1, n + 1)))
+        return n, ",".join(map(str, ranks)), list(ranks)
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        return n, f"random:{seed}", list(_seeded_shuffle(n, seed).ranks)
+    ranks = list(range(1, n + 1))
+    return n, kind, ranks if kind == "sorted" else ranks[::-1]
+
+
+class TestFlowEventsOracle:
+    """The columnar writers print what per-event dicts and f-strings printed."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(events_starts(), st.integers(1, 17), st.sampled_from(["json", "csv"]))
+    @example((1, "sorted", [1]), 6, "json")
+    @example((1, "sorted", [1]), 6, "csv")
+    def test_matches_per_event_writer(self, start, precision, fmt):
+        n, spec_arg, ranks = start
+        argv = ["flow", "events", "--n", str(n), "--start", spec_arg,
+                "--format", fmt, "--precision", str(precision)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == reference_events_output(ranks, fmt, f".{precision}g")
+
+    def test_empty_schedule(self, capsys):
+        code, out, _ = run(["flow", "events", "--n", "1", "--start", "sorted"], capsys)
+        assert code == 0
+        assert '"events": []' in out
+        assert json.loads(out)["events"] == []
+        code, out, _ = run(
+            ["flow", "events", "--n", "1", "--start", "sorted", "--format", "csv"], capsys
+        )
+        assert code == 0
+        assert out.endswith("\ni,j,t,value\n")
 
 
 class TestFlowTrace:

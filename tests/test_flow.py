@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import permflow.flow
 from permflow import (
     Permutation,
+    as_state,
     crossing_events,
     crossing_time,
     discrete_estimate,
@@ -160,6 +161,29 @@ class TestDisorderDecay:
         start = vertex_of(Permutation.identity(5))
         for t in [0.0, 1.0, 9.0]:
             assert disorder_at(start, t) == 0.0
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [3.0, 2.0, 1.0],
+            [1.0, 2.0, 3.0 + 5e-10],
+            [1.0, 2.0, 3.0 + 2e-9],
+            [1.0, 2.0, 4.0],
+            [0.0, 0.0, 7.0],
+            [5.0],
+            [1.0],
+            [math.nan, 2.0, 4.0],
+            [math.inf, -math.inf, 6.0],
+        ],
+    )
+    def test_rejects_exactly_what_flow_state_rejects(self, start):
+        try:
+            flow_state(start, 1.0)
+        except ValueError:
+            with pytest.raises(ValueError, match="hyperplane"):
+                disorder_at(start, 1.0)
+        else:
+            assert disorder_at(start, 1.0) == disorder_squared(start).d0 * math.exp(-2.0)
 
 
 class TestTimeToEpsilon:
@@ -362,6 +386,41 @@ class TestCrossingEvents:
         assert [s == t for s, t in zip(times, times[1:])] == [
             k == m for k, m in zip(keys, keys[1:])
         ]
+
+
+class TestCrossingColumns:
+    """The kernel behind `crossing_events`, both `flow events` writers and `report`."""
+
+    @staticmethod
+    def check_columns(x0):
+        t, i, j, a_i = permflow.flow._crossings(as_state(x0))
+        assert t.dtype == a_i.dtype == np.float64
+        assert np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)
+        assert t.shape == i.shape == j.shape == a_i.shape
+        rows = list(zip(t.tolist(), i.tolist(), j.tolist()))
+        assert rows == sorted(rows)
+        x = np.asarray(x0, dtype=float).tolist()
+        for (s, lo, hi), a in zip(rows, a_i.tolist()):
+            assert 1 <= lo < hi <= len(x)
+            assert s.hex() == crossing_time(x0, lo, hi).hex()
+            assert a.hex() == (x[lo - 1] - lo).hex()
+        return rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_starts(max_n=60))
+    def test_vertex_start_columns(self, x0):
+        rows = self.check_columns(x0)
+        assert len(rows) == inversions(Permutation.of(int(v) for v in x0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(hyperplane_starts(), tied_starts()))
+    def test_hyperplane_start_columns(self, x0):
+        self.check_columns(x0)
+
+    def test_no_rows_at_n_one(self):
+        t, i, j, a_i = permflow.flow._crossings(as_state([1.0]))
+        assert t.size == i.size == j.size == a_i.size == 0
+        assert np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)
 
 
 class TestEstimates:
