@@ -1,12 +1,15 @@
 """Command-line front end: traces, crossing schedules, tree bounds, slicing.
 
 Every subcommand emits deterministic bytes for identical invocations:
-reals are serialized with 6 significant digits unless --precision K
-(1..17) says otherwise, and no environment variable changes any output;
-rows are ordered canonically, and `--start random:SEED` derives its
-permutation from a fixed linear congruential generator — s <- (1664525*s +
-1013904223) mod 2^32 — driving a backward swap pass, so any
-implementation of the same recipe reproduces the same bytes.
+reals are serialized with K = 6 significant digits unless --precision K
+(1..17) says otherwise. A CSV or text cell is format(x, ".Kg"); a JSON
+real is json.dumps(float(format(x, ".Kg"))), the shortest repr of the
+rounded double. No environment variable changes a subcommand's output
+(argparse does wrap --help to the terminal width, so COLUMNS changes
+help text). Rows are ordered canonically, and `--start random:SEED`
+derives its permutation from a fixed linear congruential generator —
+s <- (1664525*s + 1013904223) mod 2^32 — driving a backward swap pass,
+so any implementation of the same recipe reproduces the same bytes.
 
 Exit codes: 0 success, 2 usage, parse or write errors, 3 deliberate size limits.
 """
@@ -46,23 +49,25 @@ __all__ = ["main"]
 
 DEFAULT_PRECISION = 6
 #: Most rows `flow trace --samples` or a `bench` growth table may hold. A
-#: trace row costs about 35 us and 1.2 KB before its n coordinates (n = 3:
-#: 10,000 rows took 0.7 s and 43 MB peak RSS on a 2-vCPU VM). 10,000 bench
-#: rows took 0.25 s and 39 MB (JSON) or 0.17 s and 32 MB (CSV); unbounded,
-#: `--n-min 2 --n-max 1000000` took 13.6 s, 925 MB and printed 115 MB.
+#: trace row costs about 20 us and 1 KB before its n coordinates (n = 3:
+#: 10,000 rows took 0.3-0.4 s and 39 MB peak RSS in a fresh process on a
+#: 2-vCPU VM). 10,000 bench rows took 0.12 s and 24 MB (JSON) or 0.1 s and
+#: 20 MB (CSV); with the limit lifted, `--n-min 2 --n-max 100001` took
+#: 0.6-0.9 s and 87 MB (JSON), and an older writer needed 13.6 s and 925 MB
+#: to print the 115 MB of `--n-max 1000000`.
 SAMPLE_LIMIT = 10_000
 #: Most coordinates (samples x n) `flow trace` may print. SAMPLE_LIMIT
-#: bounds rows, not their width: n = 200 x 10,000 samples took 3.0 s and
-#: 167 MB peak RSS, and n = 200,000 x 11 samples 3.0 s and 191 MB, where
-#: n = 2000 x 500 samples, at this limit, took 1.6 s and 95 MB (2-vCPU
-#: VM). A projected trace also runs its Euler steps over all n
+#: bounds rows, not their width: n = 200 x 10,000 samples took 1.4-2.1 s
+#: and 88 MB peak RSS (JSON), and n = 200,000 x 11 samples 2.4-2.8 s and
+#: 112 MB, where n = 2000 x 500 samples, at this limit, took 0.7-1.0 s and
+#: 55 MB (2-vCPU VM). A projected trace also runs its Euler steps over all n
 #: coordinates; STEP_LIMIT bounds the steps, not steps x n.
 CELL_LIMIT = 1_000_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
 #: O(n log n) before any pair is examined. At the limit (`--start reverse
-#: --n 707`, 249,571 events) a fresh process took 0.5-1.0 s and 78 MB peak
-#: RSS for JSON and 0.6-0.7 s and 83 MB for CSV on a shared 2-vCPU VM.
+#: --n 707`, 249,571 events) a fresh process took 0.5 s and 82 MB peak
+#: RSS for JSON and 0.4-0.7 s and 83 MB for CSV on a shared 2-vCPU VM.
 EVENT_LIMIT = 250_000
 #: Most coordinate pairs `flow events` may examine. The crossing kernel
 #: looks at all n(n - 1)/2 pairs however few of them cross: with no
@@ -132,11 +137,36 @@ def _parse_perm_list(text: str) -> Permutation:
 def _round(x: float, spec: str) -> float:
     """x cut to the significant digits of `spec`: the real a JSON payload carries.
 
-    JSON handlers round each float field once where they build the
-    payload (long rows inline `float(f"{v:{spec}}")`), and leave ints
-    and bools as they are.
+    Small payloads encoded by `_dumps` round each float field with this;
+    long rows take their reals from `_json_reals`.
     """
     return float(f"{x:{spec}}")
+
+
+def _json_reals(xs, spec: str) -> list[str]:
+    """JSON tokens for the reals xs: each is json.dumps(float(format(x, spec))).
+
+    s = format(x, spec) already is that token when it has at most 15
+    significant digits and is written as repr writes it: with a point and
+    no exponent, or with a two-digit negative exponent. Up to 15 digits
+    round-trip through a double, so they are the shortest repr of
+    float(s). Every other s goes through one json.dumps: an integer lacks
+    repr's ".0", repr moves to an exponent only from 1e16 on, 16 or 17
+    digits need not be the shortest, and a three-digit negative exponent
+    may reach the subnormals, where fewer digits can round-trip.
+    """
+    texts = list(map(format, xs, repeat(spec)))
+    redo = (
+        range(len(texts))
+        if int(spec[1:-1]) > 15
+        else [k for k, s in enumerate(texts) if ("e" in s or "." not in s) and s[-4:-2] != "e-"]
+    )
+    if redo:
+        # no token contains ", ", so one encode of the list splits back into tokens
+        tokens = _dumps([float(texts[k]) for k in redo])[1:-1].split(", ")
+        for k, token in zip(redo, tokens):
+            texts[k] = token
+    return texts
 
 
 def _dumps(payload) -> str:
@@ -173,7 +203,7 @@ def _cmd_flow_events(args, spec: str) -> str:
     from .flow import _crossings, estimate_sorting
 
     pairs = args.n * (args.n - 1) // 2
-    if pairs > PAIR_LIMIT:
+    if args.n >= 1 and pairs > PAIR_LIMIT:  # _parse_start refuses n < 1
         raise SizeLimitError(
             f"crossing schedules are limited to {PAIR_LIMIT} coordinate pairs, "
             f"got {pairs} at n = {args.n}"
@@ -191,14 +221,14 @@ def _cmd_flow_events(args, spec: str) -> str:
     count = t.size
     if args.format == "json":
         # JSON does not print the meeting values. Each event fills one
-        # template, and %d and %r write what json.dumps writes for an int
-        # and a float.
+        # template, and %d writes what json.dumps writes for an int.
         cells = [None] * (3 * count)
         cells[0::3] = i.tolist()
         cells[1::3] = j.tolist()
-        cells[2::3] = map(float, map(format, t.tolist(), repeat(spec)))
+        cells[2::3] = _json_reals(t.tolist(), spec)
         del t, i, j, a_i  # not held through the encode: 8 MB at EVENT_LIMIT
-        events = ", ".join(['{"i": %d, "j": %d, "t": %r}'] * count) % tuple(cells)
+        cells = tuple(cells)  # the fill holds the tuple alone, not the list too
+        events = ", ".join(['{"i": %d, "j": %d, "t": %s}'] * count) % cells
         head = _dumps({"n": start.n, "start": list(start.ranks), "d0": _round(d0, spec)})
         tail = _dumps(
             {
@@ -271,21 +301,14 @@ def _cmd_flow_trace(args, spec: str) -> str:
         trace = sample_trace(x0, wanted)
         rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
     if args.format == "json":
-        return _dumps(
-            {
-                "n": start.n,
-                "start": list(start.ranks),
-                "projected": bool(args.projected),
-                "rows": [
-                    {
-                        "t": _round(t, spec),
-                        "x": [float(f"{v:{spec}}") for v in x.tolist()],
-                        "disorder": _round(d, spec),
-                    }
-                    for t, x, d in rows
-                ],
-            }
+        head = _dumps({"n": start.n, "start": list(start.ranks), "projected": args.projected})
+        ts = _json_reals([t for t, _, _ in rows], spec)
+        ds = _json_reals([d for _, _, d in rows], spec)
+        body = ", ".join(
+            '{"t": %s, "x": [%s], "disorder": %s}' % (t, ", ".join(_json_reals(x.tolist(), spec)), d)
+            for t, (_, x, _), d in zip(ts, rows, ds)
         )
+        return f'{head[:-1]}, "rows": [{body}]}}'
     header = "t," + ",".join(f"x{k}" for k in range(1, start.n + 1)) + ",disorder"
     lines = [header]
     for t, x, d in rows:
@@ -456,8 +479,6 @@ def _cmd_report(args, spec: str) -> str:
 
 
 def _cmd_bench(args, spec: str) -> str:
-    from .flow import time_to_epsilon
-
     if not (2 <= args.n_min <= args.n_max <= 10**6):
         raise ValueError(
             f"need 2 <= n-min <= n-max <= 10^6, got {args.n_min}..{args.n_max}"
@@ -469,33 +490,24 @@ def _cmd_bench(args, spec: str) -> str:
         raise SizeLimitError(
             f"growth tables are limited to {SAMPLE_LIMIT} rows, got {count}"
         )
-    rows = []
+    cells = []
     for n in range(args.n_min, args.n_max + 1, args.step):
         d0 = reverse_disorder(n)
-        t = time_to_epsilon(float(d0), 1.0)
+        # time_to_epsilon(d0, 1.0), bit for bit: d0 >= 2 exceeds epsilon^2 = 1
+        t = 0.5 * math.log(d0)
         n_t = n * t
         asymptote = 1.5 * n * math.log(n)
-        rows.append((n, d0, t, n_t, asymptote, n_t / asymptote))
+        cells += (n, d0, t, n_t, asymptote, n_t / asymptote)
     if args.format == "json":
-        return _dumps(
-            {
-                "rows": [
-                    {
-                        "n": n,
-                        "d0": d0,
-                        "t": float(f"{t:{spec}}"),
-                        "n_t": float(f"{n_t:{spec}}"),
-                        "asymptote": float(f"{asym:{spec}}"),
-                        "ratio": float(f"{ratio:{spec}}"),
-                    }
-                    for n, d0, t, n_t, asym, ratio in rows
-                ]
-            }
-        )
-    lines = ["n,d0,t,n_t,asymptote,ratio"]
-    for n, d0, t, n_t, asym, ratio in rows:
-        lines.append(f"{n},{d0},{t:{spec}},{n_t:{spec}},{asym:{spec}},{ratio:{spec}}")
-    return "\n".join(lines)
+        # each row fills one template; %d writes what json.dumps writes for an int
+        for col in range(2, 6):
+            cells[col::6] = _json_reals(cells[col::6], spec)
+        row = '{"n": %d, "d0": %d, "t": %s, "n_t": %s, "asymptote": %s, "ratio": %s}'
+        rows = ", ".join([row] * count) % tuple(cells)
+        return f'{{"rows": [{rows}]}}'
+    # %-formatting with the spec writes what format(x, spec) writes
+    row = f"\n%d,%d,%{spec},%{spec},%{spec},%{spec}"
+    return "n,d0,t,n_t,asymptote,ratio" + "".join([row] * count) % tuple(cells)
 
 
 # --- parser ------------------------------------------------------------------

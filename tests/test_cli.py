@@ -28,6 +28,7 @@ from permflow.cli import (
     EVENT_LIMIT,
     PAIR_LIMIT,
     SAMPLE_LIMIT,
+    _json_reals,
     _seeded_shuffle,
     main,
 )
@@ -166,6 +167,15 @@ class TestFlowEvents:
             ["--n", "120", "--start", "random:1", "--format", "csv", "--precision", "17"],
             "7b114f16c25e2ec3b5c443110a4cdaea654c39daf65476a80842ee1f66b7fe07",
         ),
+        # precisions 15 and 16 sit on either side of the digits that round-trip
+        (
+            ["--n", "120", "--start", "random:1", "--precision", "15"],
+            "80c4bf87665053aa6ef075e06bb2ee1b08bfc1630539391c9cdef49e30935ffc",
+        ),
+        (
+            ["--n", "120", "--start", "random:1", "--precision", "16"],
+            "5e7dbcef2b64282ec2beda0bea5d42ca1a2fd1bb6e3701c2e6dd8cc27cac5fea",
+        ),
     ]
 
     @pytest.mark.parametrize("args, digest", GOLDEN)
@@ -207,6 +217,14 @@ class TestFlowEvents:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error:") and f"{PAIR_LIMIT} coordinate pairs, got 50005000" in err
+
+    @pytest.mark.parametrize("n", [-10001, -10000, -5, 0])
+    def test_nonpositive_n_exits_two_before_the_pair_limit(self, n, capsys):
+        # n(n - 1)/2 of n <= -10,000 passes PAIR_LIMIT, but no such n is a size
+        code, out, err = run(["flow", "events", "--n", str(n)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n must be >= 1, got {n}\n"
 
     def test_pair_limit_admits_n_10000(self, monkeypatch):
         class Examined(Exception):
@@ -502,6 +520,11 @@ class TestFlowTrace:
             ["--n", "25", "--start", "random:7", "--t-end", "0.8", "--step", "0.005",
              "--precision", "17"],
             "5442f5c104b342b06672ee25733a717edc3a6e90c2283b3f2c8fea4287428f11",
+        ),
+        (
+            ["--n", "30", "--start", "random:3", "--t-end", "0.5", "--samples", "6",
+             "--precision", "16"],
+            "ae6b67c3fac9bb3510c5ff349b0967ae9f1c37fe758c9d19931095ee8003ef16",
         ),
     ]
 
@@ -1014,11 +1037,29 @@ class TestBench:
         def refuse(*args, **kwargs):
             raise AssertionError("built a row of a table beyond the sample limit")
 
-        monkeypatch.setattr(permflow.flow, "time_to_epsilon", refuse)
+        monkeypatch.setattr(permflow.cli, "reverse_disorder", refuse)
         code, out, err = run(["bench", "--n-min", "2", "--n-max", "10002"], capsys)
         assert code == 3
         assert out == ""
         assert err == f"error: growth tables are limited to {SAMPLE_LIMIT} rows, got 10001\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n_min, n_max", [(2, 2001), (999_990, 1_000_000)])
+    def test_t_is_time_to_epsilon_bit_for_bit(self, n_min, n_max, fmt, capsys):
+        # 17 significant digits round-trip, so the printed t is the computed one
+        code, out, _ = run(
+            ["bench", "--n-min", str(n_min), "--n-max", str(n_max), "--precision", "17",
+             "--format", fmt],
+            capsys,
+        )
+        assert code == 0
+        if fmt == "json":
+            rows = [(r["d0"], r["t"]) for r in json.loads(out)["rows"]]
+        else:
+            rows = [(int(r["d0"]), float(r["t"])) for r in csv.DictReader(io.StringIO(out))]
+        assert len(rows) == n_max - n_min + 1
+        for d0, t in rows:
+            assert t == permflow.flow.time_to_epsilon(float(d0), 1.0)
 
     # sha256 of stdout for fixed argv
     GOLDEN = [
@@ -1039,6 +1080,15 @@ class TestBench:
              "--format", "csv"],
             "1309005b9cf6bd6211809c21b995a0fcd474b0e77f52fd39e04f1b7f3688153c",
         ),
+        # n_t and asymptote print with a positive exponent at 6 digits
+        (
+            ["--n-min", "999990", "--n-max", "1000000"],
+            "f099327e731ed5e28aa912ea95c498f1523ae8aa56a6bfd9863f358e3d6d6bf8",
+        ),
+        (
+            ["--n-min", "999990", "--n-max", "1000000", "--precision", "15"],
+            "37d37aae48861526d0c7d230023c5d6583c5079146acb59e1c6edeee7c0afb84",
+        ),
     ]
 
     @pytest.mark.parametrize("args, digest", GOLDEN)
@@ -1046,6 +1096,51 @@ class TestBench:
         code, out, _ = run(["bench", *args], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestJsonReals:
+    """`_json_reals` writes the token json.dumps writes for the rounded real."""
+
+    @staticmethod
+    def reference(x, k):
+        return json.dumps(float(format(x, f".{k}g")))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 17))
+    def test_matches_json_dumps_of_rounded_float(self, x, k):
+        assert _json_reals([x], f".{k}g") == [self.reference(x, k)]
+
+    @pytest.mark.parametrize(
+        "x, ks",
+        [
+            (-0.0, range(1, 18)),
+            (0.0, range(1, 18)),
+            (2.0, range(1, 18)),
+            (123456.0, [6]),
+            (999999.5, [6]),
+            (1e15, [15, 16, 17]),
+            (1e16, [15, 16, 17]),
+            (1e17, [15, 16, 17]),
+            (5e-324, range(1, 18)),
+            (9.99995e-05, range(1, 18)),
+        ],
+    )
+    def test_named_cases(self, x, ks):
+        for k in ks:
+            assert _json_reals([x], f".{k}g") == [self.reference(x, k)], k
+
+    def test_tokens_that_are_not_the_formatted_digits(self):
+        assert _json_reals([-0.0, 2.0, 123456.0], ".6g") == ["-0.0", "2.0", "123456.0"]
+        assert _json_reals([999999.5, 1e15], ".6g") == ["1000000.0", "1000000000000000.0"]
+        # a subnormal: 4.9e-324 is the same double as 5e-324
+        assert _json_reals([5e-324], ".2g") == ["5e-324"]
+        assert _json_reals([0.1], ".17g") == ["0.1"]
+
+    def test_a_list_keeps_its_order(self):
+        xs = [0.5, 2.0, 1e-5, 1e20, 5e-324, -3.25, 0.1]
+        for k in range(1, 18):
+            assert _json_reals(xs, f".{k}g") == [self.reference(x, k) for x in xs]
+        assert _json_reals([], ".6g") == []
 
 
 class TestCommonOptions:
