@@ -14,13 +14,12 @@ from permflow import Permutation, crossing_events, estimate_sorting, inversions,
 
 for ranks in [(3, 2, 1), (2, 3, 1), (1, 2, 3), (3, 1, 4, 2), (5, 4, 1, 3, 2)]:
     p = Permutation.of(ranks)
-    events = crossing_events(vertex_of(p))
-    print(f"start {ranks}: {inversions(p)} inversions, {len(events)} crossings")
-    for e in events:
-        print(
-            f"   pair {e.pair}  t = {e.time:.6f}"
-            f"  (coordinates meet at value {e.meeting_value:.4f})"
-        )
+    schedule = crossing_events(vertex_of(p))
+    print(f"start {ranks}: {inversions(p)} inversions, {len(schedule)} crossings")
+    rows = zip(schedule.i.tolist(), schedule.j.tolist(), schedule.t.tolist(),
+               schedule.meeting_values().tolist())
+    for i, j, t, value in rows:
+        print(f"   pair {(i, j)}  t = {t:.6f}  (coordinates meet at value {value:.4f})")
     print()
 
 print("the reversed start packs every crossing into one instant:")

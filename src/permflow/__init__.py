@@ -47,7 +47,7 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "CrossingEvent",
+            "CrossingSchedule",
             "FlowSample",
             "FlowTrace",
             "SortingEstimate",
@@ -68,6 +68,7 @@ _LAZY = {
             "ProjectedSample",
             "ProjectedTrace",
             "STEP_LIMIT",
+            "UPDATE_LIMIT",
             "active_ties",
             "integrate_projected",
             "project_velocity",

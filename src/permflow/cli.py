@@ -60,8 +60,7 @@ SAMPLE_LIMIT = 10_000
 #: bounds rows, not their width: n = 200 x 10,000 samples took 1.4-2.1 s
 #: and 88 MB peak RSS (JSON), and n = 200,000 x 11 samples 2.4-2.8 s and
 #: 112 MB, where n = 2000 x 500 samples, at this limit, took 0.7-1.0 s and
-#: 55 MB (2-vCPU VM). A projected trace also runs its Euler steps over all n
-#: coordinates; STEP_LIMIT bounds the steps, not steps x n.
+#: 55 MB (2-vCPU VM).
 CELL_LIMIT = 1_000_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
@@ -200,7 +199,7 @@ def _write(text: str, output: Optional[str]) -> None:
 
 def _cmd_flow_events(args, spec: str) -> str:
     from .core import disorder_squared, vertex_of
-    from .flow import _crossings, estimate_sorting
+    from .flow import crossing_events, estimate_sorting
 
     pairs = args.n * (args.n - 1) // 2
     if args.n >= 1 and pairs > PAIR_LIMIT:  # _parse_start refuses n < 1
@@ -217,16 +216,16 @@ def _cmd_flow_events(args, spec: str) -> str:
         )
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
-    t, i, j, a_i = _crossings(x0)
-    count = t.size
+    schedule = crossing_events(x0)
+    count = len(schedule)
     if args.format == "json":
         # JSON does not print the meeting values. Each event fills one
         # template, and %d writes what json.dumps writes for an int.
         cells = [None] * (3 * count)
-        cells[0::3] = i.tolist()
-        cells[1::3] = j.tolist()
-        cells[2::3] = _json_reals(t.tolist(), spec)
-        del t, i, j, a_i  # not held through the encode: 8 MB at EVENT_LIMIT
+        cells[0::3] = schedule.i.tolist()
+        cells[1::3] = schedule.j.tolist()
+        cells[2::3] = _json_reals(schedule.t.tolist(), spec)
+        del schedule  # not held through the encode: 8 MB at EVENT_LIMIT
         cells = tuple(cells)  # the fill holds the tuple alone, not the list too
         events = ", ".join(['{"i": %d, "j": %d, "t": %s}'] * count) % cells
         head = _dumps({"n": start.n, "start": list(start.ranks), "d0": _round(d0, spec)})
@@ -248,14 +247,12 @@ def _cmd_flow_events(args, spec: str) -> str:
             "i,j,t,value",
         ]
     )
-    i, t = i.tolist(), t.tolist()
     cells = [None] * (4 * count)
-    cells[0::4] = i
-    cells[1::4] = j.tolist()
-    cells[2::4] = t
-    # the meeting value as `crossing_events` computes it, bit for bit
-    cells[3::4] = [lo + a * math.exp(-s) for lo, a, s in zip(i, a_i.tolist(), t)]
-    del t, i, j, a_i  # not held through the format: only `cells` is needed
+    cells[0::4] = schedule.i.tolist()
+    cells[1::4] = schedule.j.tolist()
+    cells[2::4] = schedule.t.tolist()
+    cells[3::4] = schedule.meeting_values().tolist()
+    del schedule  # not held through the format: only `cells` is needed
     # %-formatting with the spec writes what format(x, spec) writes
     return header + "".join([f"\n%d,%d,%{spec},%{spec}"] * count) % tuple(cells)
 
@@ -283,7 +280,7 @@ def _cmd_flow_trace(args, spec: str) -> str:
     if args.projected:
         # sample k of the trace sits at grid[k]; reject off-grid times
         # before paying for the integration
-        grid = [0.0, *_step_times(args.t_end, args.step)]
+        grid = [0.0, *_step_times(args.t_end, args.step, args.n)]
         last = len(grid) - 1
         picked = []
         for t in wanted:
@@ -416,12 +413,12 @@ def _cmd_slice(args, spec: str) -> str:
 
 def _cmd_report(args, spec: str) -> str:
     from .core import disorder_squared, vertex_of
-    from .flow import _crossings, estimate_sorting, time_to_epsilon
+    from .flow import crossing_events, estimate_sorting, time_to_epsilon
 
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
     d0 = disorder_squared(x0).d0
-    t = _crossings(x0)[0]
+    t = crossing_events(x0).t
     est = estimate_sorting(start)
     fields = [
         ("d0", d0),
@@ -553,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--projected",
         action="store_true",
-        help="integrate the tie-projected field instead of the closed form",
+        help="explicit Euler steps on the pull instead of the closed form",
     )
     trace.add_argument(
         "--step",

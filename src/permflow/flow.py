@@ -33,7 +33,7 @@ from .perms import Permutation, inversions, require_finite_positive
 __all__ = [
     "FlowTrace",
     "FlowSample",
-    "CrossingEvent",
+    "CrossingSchedule",
     "SortingEstimate",
     "flow_state",
     "disorder_at",
@@ -60,15 +60,6 @@ class FlowTrace:
 
     start: StateVector
     samples: tuple[FlowSample, ...]
-
-
-@dataclass(frozen=True)
-class CrossingEvent:
-    """Coordinates i < j (1-based) meet at `time` with common value `meeting_value`."""
-
-    pair: tuple[int, int]
-    time: float
-    meeting_value: float
 
 
 @dataclass(frozen=True)
@@ -174,13 +165,31 @@ def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional
 _PAIR_BLOCK = 1 << 16
 
 
-def _crossings(x0: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (t, i, j, a_i) of every meeting of the flow from x0, sorted.
+@dataclass(frozen=True, eq=False)
+class CrossingSchedule:
+    """Columns t, i, j and offset of the meetings that `crossing_events` lists."""
 
-    Row k is one meeting: i[k] < j[k] are 1-based integer indices, t[k]
-    the meeting time and a_i[k] = x0_i - i the offset that gives the
-    meeting value i + a_i * exp(-t). A start off the hyperplane raises
-    ValueError, also at n = 1.
+    t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    offset: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def meeting_values(self) -> np.ndarray:
+        """i + offset * exp(-t) per row by `math.exp`, as `flow_state` computes it, bit for bit."""
+        rows = zip(self.i.tolist(), self.offset.tolist(), self.t.tolist())
+        return np.array([lo + a * math.exp(-s) for lo, a, s in rows])
+
+
+def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
+    """All coordinate meetings of the flow from x0, sorted by (t, i, j).
+
+    In row k, coordinates i[k] < j[k] (1-based integers) meet at time t[k];
+    offset[k] = x0_i - i. For a vertex start the number of meetings equals
+    the inversion count of the underlying permutation. A start off the
+    hyperplane raises ValueError, also at n = 1.
 
     The ratio (j - i) / (a_i - a_j) of every pair comes from numpy passes
     over blocks of `_PAIR_BLOCK // n` rows of the upper triangle (a row
@@ -189,6 +198,8 @@ def _crossings(x0: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     gives an infinite ratio and drops out with the others outside (0, 1).
     In exact arithmetic a pair meets iff x_i > x_j, for any start, since
     a_i - a_j = x_i - x_j + (j - i): a_i - a_j > j - i <=> x_i > x_j.
+    Off the vertices the float ratio test decides, not x_i > x_j, and the
+    two differ: at n = 39 it meets x_16 one ulp below x_38 at t = 1.1e-16.
     Each block keeps the ratio, i and j of its crossing pairs, so memory is
     O(n * rows per block + events), not O(n^2). Only the crossing ratios
     take t = -ln(ratio), with `math.log`, so each time matches
@@ -204,6 +215,7 @@ def _crossings(x0: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     come out of the correctly rounded division as bit-equal floats. So
     float ties are exact ties, and (i, j) breaks them.
     """
+    x0 = as_state(x0)
     _require_hyperplane(x0)
     a = _offsets(x0)
     # an empty first block lets n = 1, which has no row, concatenate too
@@ -222,24 +234,7 @@ def _crossings(x0: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     t = -np.fromiter(map(math.log, ratio.tolist()), dtype=float, count=ratio.size)
     order = np.lexsort((j, i, t))
     i = i[order]
-    return t[order], i + 1, j[order] + 1, a[i]
-
-
-def crossing_events(x0: StateVector | Sequence[float]) -> list[CrossingEvent]:
-    """All coordinate meetings of the flow from x0, sorted by (time, i, j).
-
-    For a vertex start the event count equals the inversion count of the
-    underlying permutation. Simultaneous meetings (degenerate starts such
-    as the full reverse at n = 3) are ordered by lexicographic pair. A
-    start off the hyperplane raises ValueError, also at n = 1. Times and
-    meeting values i + a_i * exp(-t) (`math.exp`) match `crossing_time`
-    and `flow_state` bit for bit; see `_crossings` for the pass.
-    """
-    t, i, j, a_i = _crossings(as_state(x0))
-    return [
-        CrossingEvent(pair=(lo, hi), time=s, meeting_value=lo + a_lo * math.exp(-s))
-        for s, lo, hi, a_lo in zip(t.tolist(), i.tolist(), j.tolist(), a_i.tolist())
-    ]
+    return CrossingSchedule(t=t[order], i=i + 1, j=j[order] + 1, offset=a[i])
 
 
 def discrete_estimate(n: int, t: float, dt: Optional[float] = None) -> float:

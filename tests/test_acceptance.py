@@ -88,7 +88,7 @@ def test_criterion_03_worked_example():
     start = time.perf_counter()
     events = crossing_events(vertex_of(Permutation.reverse(3)))
     ok = (
-        abs(events[0].time - math.log(2)) <= 1e-12
+        abs(events.t[0] - math.log(2)) <= 1e-12
         and len(events) == 3
         and info_lower_bound(3) == 3
         and build_optimal(3).height == 3

@@ -15,8 +15,8 @@ import permflow.projection
 from permflow import (
     MAX_STEP,
     STEP_LIMIT,
+    UPDATE_LIMIT,
     Permutation,
-    crossing_events,
     disorder_squared,
     estimate_sorting,
     tree_from_json,
@@ -32,6 +32,8 @@ from permflow.cli import (
     _seeded_shuffle,
     main,
 )
+
+from crossing_oracle import reference_crossing_events
 
 
 def run(argv, capsys):
@@ -195,7 +197,7 @@ class TestFlowEvents:
         def no_events(*args, **kwargs):
             raise AssertionError("examined pairs of a request beyond the event limit")
 
-        monkeypatch.setattr(permflow.flow, "_crossings", no_events)
+        monkeypatch.setattr(permflow.flow, "crossing_events", no_events)
         # reverse n = 708 has 250,278 events
         code, out, err = run(["flow", "events", "--n", "708", "--format", fmt], capsys)
         assert code == 3
@@ -207,7 +209,7 @@ class TestFlowEvents:
         def refuse(*args, **kwargs):
             raise AssertionError("worked on a request beyond the pair limit")
 
-        monkeypatch.setattr(permflow.flow, "_crossings", refuse)
+        monkeypatch.setattr(permflow.flow, "crossing_events", refuse)
         monkeypatch.setattr(permflow.flow, "estimate_sorting", refuse)
         # sorted n = 10,001 has no events but 50,005,000 pairs
         code, out, err = run(
@@ -234,26 +236,24 @@ class TestFlowEvents:
             assert x0.n == 10_000 and x0.n * (x0.n - 1) // 2 <= PAIR_LIMIT
             raise Examined
 
-        monkeypatch.setattr(permflow.flow, "_crossings", examined)
+        monkeypatch.setattr(permflow.flow, "crossing_events", examined)
         with pytest.raises(Examined):
             main(["flow", "events", "--n", "10000", "--start", "sorted"])
 
 
 def reference_events_output(ranks, fmt, spec):
-    """`flow events` stdout built from `crossing_events`, one dict or f-string per event."""
+    """`flow events` stdout built from the per-pair loop, one dict or f-string per event."""
     p = Permutation.of(ranks)
     x0 = vertex_of(p)
     d0 = disorder_squared(x0).d0
     est = estimate_sorting(p)
-    events = crossing_events(x0)
+    events = reference_crossing_events(x0.coords)
     if fmt == "json":
         payload = {
             "n": p.n,
             "start": list(p.ranks),
             "d0": float(f"{d0:{spec}}"),
-            "events": [
-                {"i": e.pair[0], "j": e.pair[1], "t": float(f"{e.time:{spec}}")} for e in events
-            ],
+            "events": [{"i": i, "j": j, "t": float(f"{t:{spec}}")} for t, i, j, _ in events],
             "t_eps": float(f"{est.continuous_time:{spec}}"),
             "estimate": float(f"{est.discrete_estimate:{spec}}"),
             "lemma_lb": float(f"{est.lemma_lower_bound:{spec}}"),
@@ -267,8 +267,8 @@ def reference_events_output(ranks, fmt, spec):
         f"lemma_lb={est.lemma_lower_bound:{spec}}",
         "i,j,t,value",
     ]
-    for e in events:
-        lines.append(f"{e.pair[0]},{e.pair[1]},{e.time:{spec}},{e.meeting_value:{spec}}")
+    for t, i, j, value in events:
+        lines.append(f"{i},{j},{t:{spec}},{value:{spec}}")
     return "\n".join(lines) + "\n"
 
 
@@ -288,7 +288,7 @@ def events_starts(draw):
 
 
 class TestFlowEventsOracle:
-    """The columnar writers print what per-event dicts and f-strings printed."""
+    """The columnar writers print what per-event lines built from the per-pair loop print."""
 
     @settings(max_examples=120, deadline=None)
     @given(events_starts(), st.integers(1, 17), st.sampled_from(["json", "csv"]))
@@ -424,6 +424,20 @@ class TestFlowTrace:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and f"{STEP_LIMIT} Euler steps" in err
+
+    def test_over_update_limit_exits_three_before_integrating(self, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a request beyond the update limit")
+
+        monkeypatch.setattr(permflow.projection, "integrate_projected", no_integration)
+        # 100,000 steps are within STEP_LIMIT, but not at n = 100,000
+        code, out, err = run(
+            ["flow", "trace", "--projected", "--n", "100000", "--t-end", "1000", "--samples", "2"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and f"{UPDATE_LIMIT} updates (steps x n)" in err
 
     @pytest.mark.parametrize("mode", [[], ["--projected"]])
     def test_over_sample_limit_exits_three_before_sampling(self, mode, capsys, monkeypatch):

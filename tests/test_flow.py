@@ -7,13 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permflow.flow
 from permflow import (
     Permutation,
-    as_state,
     crossing_events,
     crossing_time,
     discrete_estimate,
@@ -33,7 +32,15 @@ from permflow import (
 )
 from permflow.cli import _seeded_shuffle
 
+from crossing_oracle import reference_crossing_events
+
 LN2 = math.log(2)
+
+#: A hyperplane start (n = 39) whose ratio test meets x_16 < x_38
+ULP_APART = [float(k) for k in range(1, 40)]
+ULP_APART[15] = 4.369176445368342
+ULP_APART[37] = 4.369176445368343  # one ulp above x_16
+ULP_APART[38] = 84.26164710926332
 
 
 def random_hyperplane_state(n, rng):
@@ -43,29 +50,18 @@ def random_hyperplane_state(n, rng):
     return x
 
 
-def reference_crossing_events(x0):
-    """The per-pair loop: one division and one test per pair i < j."""
-    x = np.asarray(x0, dtype=float)
-    n = len(x)
-    a = (x - np.arange(1, n + 1)).tolist()
-    events = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            denom = a[i - 1] - a[j - 1]
-            if denom == 0:
-                continue
-            ratio = (j - i) / denom
-            if not (0.0 < ratio < 1.0):
-                continue
-            t = -math.log(ratio)
-            meet = i + a[i - 1] * math.exp(-t)
-            events.append((t, (i, j), meet))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return [(pair, t.hex(), meet.hex()) for t, pair, meet in events]
+def bits(events):
+    """(t, i, j, value) rows with each real as its exact hex."""
+    return [(t.hex(), i, j, value.hex()) for t, i, j, value in events]
 
 
-def event_bits(events):
-    return [(e.pair, e.time.hex(), e.meeting_value.hex()) for e in events]
+def event_bits(schedule):
+    columns = (schedule.t, schedule.i, schedule.j, schedule.meeting_values())
+    return bits(zip(*(column.tolist() for column in columns)))
+
+
+def reference_bits(x0):
+    return bits(reference_crossing_events(x0))
 
 
 @st.composite
@@ -274,12 +270,12 @@ class TestCrossingTime:
 class TestCrossingEvents:
     def test_reverse_triple(self):
         events = crossing_events(vertex_of(Permutation.reverse(3)))
-        assert [e.pair for e in events] == [(1, 2), (1, 3), (2, 3)]
-        assert all(math.isclose(e.time, LN2, rel_tol=1e-12) for e in events)
-        assert all(math.isclose(e.meeting_value, 2.0, rel_tol=1e-12) for e in events)
+        assert list(zip(events.i.tolist(), events.j.tolist())) == [(1, 2), (1, 3), (2, 3)]
+        assert all(math.isclose(t, LN2, rel_tol=1e-12) for t in events.t.tolist())
+        assert all(math.isclose(v, 2.0, rel_tol=1e-12) for v in events.meeting_values().tolist())
 
     def test_sorted_has_none(self):
-        assert crossing_events(vertex_of(Permutation.identity(4))) == []
+        assert len(crossing_events(vertex_of(Permutation.identity(4)))) == 0
 
     def test_counts_equal_inversions_small(self):
         for n in range(1, 6):
@@ -290,15 +286,15 @@ class TestCrossingEvents:
 
     def test_events_sorted_by_time_then_pair(self):
         events = crossing_events(vertex_of(Permutation.of((2, 3, 1))))
-        keys = [(e.time, e.pair) for e in events]
+        keys = list(zip(events.t.tolist(), events.i.tolist(), events.j.tolist()))
         assert keys == sorted(keys)
         assert len(events) == 2
 
     def test_event_times_positive(self):
         for ranks in itertools.permutations(range(1, 5)):
-            for e in crossing_events(vertex_of(Permutation.of(ranks))):
-                assert e.time > 0
-                assert 0 < math.exp(-e.time) < 1
+            for t in crossing_events(vertex_of(Permutation.of(ranks))).t.tolist():
+                assert t > 0
+                assert 0 < math.exp(-t) < 1
 
     @pytest.mark.parametrize(
         "start", [[0.0, 0.0, 7.0], [5.0], [math.nan, 2.0, 4.0], [math.inf, -math.inf, 6.0]]
@@ -321,25 +317,28 @@ class TestCrossingEvents:
                 expected[(i, j)] = t
         events = crossing_events(x)
         assert len(events) == len(expected)
-        assert {e.pair: e.time for e in events} == expected
+        pairs = zip(events.i.tolist(), events.j.tolist())
+        assert dict(zip(pairs, events.t.tolist())) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(vertex_starts())
     def test_matches_reference_loop_on_vertex_starts(self, x0):
-        assert event_bits(crossing_events(x0)) == reference_crossing_events(x0)
+        assert event_bits(crossing_events(x0)) == reference_bits(x0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(hyperplane_starts(), tied_starts()))
+    # x_16 one ulp below x_38: the ratio test still meets them at t = 1.1e-16
+    @example(x0=ULP_APART)
     def test_matches_reference_loop_off_the_vertices(self, x0):
-        assert event_bits(crossing_events(x0)) == reference_crossing_events(x0)
+        assert event_bits(crossing_events(x0)) == reference_bits(x0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
     def test_matches_reference_loop_on_reverse(self, n):
         # every pair meets at once at the centre: the order is the pair order
         x0 = vertex_of(Permutation.reverse(n))
         events = crossing_events(x0)
-        assert event_bits(events) == reference_crossing_events(x0.coords)
-        assert all(type(e.time) is float and type(e.meeting_value) is float for e in events)
+        assert event_bits(events) == reference_bits(x0.coords)
+        assert events.t.dtype == events.meeting_values().dtype == np.float64
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -350,7 +349,7 @@ class TestCrossingEvents:
         # 1-7 pairs make every block one row but the last; larger budgets
         # put several rows in the middle blocks too
         with mock.patch.object(permflow.flow, "_PAIR_BLOCK", block):
-            assert event_bits(crossing_events(x0)) == reference_crossing_events(x0)
+            assert event_bits(crossing_events(x0)) == reference_bits(x0)
 
     def test_memory_does_not_grow_with_the_triangle(self):
         # the whole-triangle pass peaked at 320 MB traced for these 7,998,000
@@ -363,7 +362,7 @@ class TestCrossingEvents:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert events == []
+        assert len(events) == 0
         assert peak < 32_000_000
 
     @settings(max_examples=40, deadline=None)
@@ -377,8 +376,8 @@ class TestCrossingEvents:
             if p[i - 1] > p[j - 1]
         )
         events = crossing_events(x0)
-        assert [e.pair for e in events] == [(i, j) for _, i, j in exact]
-        times = [e.time for e in events]
+        assert list(zip(events.i.tolist(), events.j.tolist())) == [(i, j) for _, i, j in exact]
+        times = events.t.tolist()
         keys = [key for key, _, _ in exact]
         for t, key in zip(times, keys):
             assert math.isclose(math.exp(t), key, rel_tol=1e-12)
@@ -389,21 +388,24 @@ class TestCrossingEvents:
 
 
 class TestCrossingColumns:
-    """The kernel behind `crossing_events`, both `flow events` writers and `report`."""
+    """The columns both `flow events` writers and `report` print from."""
 
     @staticmethod
     def check_columns(x0):
-        t, i, j, a_i = permflow.flow._crossings(as_state(x0))
-        assert t.dtype == a_i.dtype == np.float64
+        events = crossing_events(x0)
+        t, i, j, offset = events.t, events.i, events.j, events.offset
+        assert t.dtype == offset.dtype == np.float64
         assert np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)
-        assert t.shape == i.shape == j.shape == a_i.shape
+        assert t.shape == i.shape == j.shape == offset.shape == (len(events),)
         rows = list(zip(t.tolist(), i.tolist(), j.tolist()))
         assert rows == sorted(rows)
         x = np.asarray(x0, dtype=float).tolist()
-        for (s, lo, hi), a in zip(rows, a_i.tolist()):
+        values = events.meeting_values().tolist()
+        for (s, lo, hi), a, value in zip(rows, offset.tolist(), values):
             assert 1 <= lo < hi <= len(x)
             assert s.hex() == crossing_time(x0, lo, hi).hex()
             assert a.hex() == (x[lo - 1] - lo).hex()
+            assert value.hex() == float(flow_state(x0, s).coords[lo - 1]).hex()
         return rows
 
     @settings(max_examples=60, deadline=None)
@@ -418,9 +420,10 @@ class TestCrossingColumns:
         self.check_columns(x0)
 
     def test_no_rows_at_n_one(self):
-        t, i, j, a_i = permflow.flow._crossings(as_state([1.0]))
-        assert t.size == i.size == j.size == a_i.size == 0
-        assert np.issubdtype(i.dtype, np.integer) and np.issubdtype(j.dtype, np.integer)
+        events = crossing_events([1.0])
+        assert len(events) == events.offset.size == events.meeting_values().size == 0
+        assert np.issubdtype(events.i.dtype, np.integer)
+        assert np.issubdtype(events.j.dtype, np.integer)
 
 
 class TestEstimates:

@@ -12,6 +12,7 @@ from permflow import (
     MAX_STEP,
     Permutation,
     STEP_LIMIT,
+    UPDATE_LIMIT,
     SizeLimitError,
     StateVector,
     active_ties,
@@ -352,7 +353,7 @@ class TestMatchesReferenceLoop:
         trace = integrate_projected(x0, t_end, step=step)
         x0 = np.asarray(x0, dtype=float)
         targets = np.arange(1.0, len(x0) + 1)
-        grid = [0.0, *_step_times(t_end, step)]
+        grid = [0.0, *_step_times(t_end, step, len(x0))]
         assert [s.t for s in trace.samples] == grid
         v0 = trace.samples[0].potential
         factor = 1.0
@@ -421,7 +422,7 @@ class TestKeep:
     def test_memory_does_not_grow_with_t_end(self):
         # the full trace keeps 5,001 samples of about 0.5 KB + 1.6 KB each
         x0 = vertex_of(Permutation.reverse(200))
-        last = len(_step_times(50.0, MAX_STEP))
+        last = len(_step_times(50.0, MAX_STEP, x0.n))
         peaks = []
         for keep in (None, [0, last]):
             tracemalloc.start()
@@ -439,17 +440,16 @@ class TestKeep:
         # at h = 0.0005 rounding drift in sum(x) peaks near 336 units of
         # n(n+1)/2 * 2**-52 (about 1.5e-9 at n = 200) when the state freezes;
         # the one hyperplane rule allows 2**11 of them
-        last = len(_step_times(40.0, 0.0005))
-        trace = integrate_projected(
-            vertex_of(Permutation.reverse(200)), 40.0, step=0.0005, keep=[0, last]
-        )
+        x0 = vertex_of(Permutation.reverse(200))
+        last = len(_step_times(40.0, 0.0005, x0.n))
+        trace = integrate_projected(x0, 40.0, step=0.0005, keep=[0, last])
         assert np.allclose(trace.final.coords, np.arange(1.0, 201.0))
         assert in_hyperplane(trace.final)
 
 
 class TestStepLimit:
     def test_limit_is_reachable(self):
-        times = _step_times(STEP_LIMIT * MAX_STEP, MAX_STEP)
+        times = _step_times(STEP_LIMIT * MAX_STEP, MAX_STEP, 1)
         assert len(times) == STEP_LIMIT
         assert times[-1] == STEP_LIMIT * MAX_STEP
 
@@ -464,9 +464,18 @@ class TestStepLimit:
     )
     def test_over_limit_raises_before_building(self, t_end, step):
         with pytest.raises(SizeLimitError):
-            _step_times(t_end, step)
+            _step_times(t_end, step, 3)
         with pytest.raises(SizeLimitError):
             integrate_projected([3.0, 2.0, 1.0], t_end, step=step)
+
+    @pytest.mark.parametrize("n, steps", [(200, STEP_LIMIT), (100_000, 200)])
+    def test_update_limit_is_reachable(self, n, steps):
+        # one more coordinate is within STEP_LIMIT but over UPDATE_LIMIT
+        assert len(_step_times(steps * MAX_STEP, MAX_STEP, n)) * n == UPDATE_LIMIT
+        with pytest.raises(SizeLimitError, match=f"{UPDATE_LIMIT} updates"):
+            _step_times(steps * MAX_STEP, MAX_STEP, n + 1)
+        with pytest.raises(SizeLimitError):
+            integrate_projected(vertex_of(Permutation.identity(n + 1)), steps * MAX_STEP)
 
 
 class TestRejectsOutOfModelInputs:
