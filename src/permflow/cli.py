@@ -155,11 +155,13 @@ def _json_reals(xs, spec: str) -> list[str]:
     may reach the subnormals, where fewer digits can round-trip.
     """
     texts = list(map(format, xs, repeat(spec)))
-    redo = (
-        range(len(texts))
-        if int(spec[1:-1]) > 15
-        else [k for k, s in enumerate(texts) if ("e" in s or "." not in s) and s[-4:-2] != "e-"]
-    )
+    if int(spec[1:-1]) > 15:
+        redo = range(len(texts))
+    else:
+        joined = "".join(texts)
+        if "e" not in joined and joined.count(".") == len(texts):
+            return texts  # a point in each token and no exponent: one test for the whole list
+        redo = [k for k, s in enumerate(texts) if ("e" in s or "." not in s) and s[-4:-2] != "e-"]
     if redo:
         # no token contains ", ", so one encode of the list splits back into tokens
         tokens = _dumps([float(texts[k]) for k in redo])[1:-1].split(", ")

@@ -6,14 +6,20 @@ collection of rank assignments consistent with every constraint so far.
 A correct comparison sort drives that count from n! down to exactly 1 —
 the sorted assignment — and the per-comparison information
 bits = log2(count_before / count_after) telescopes to log2(n!) over any
-complete run. `instrument` replays four classical sorts while recording
-this contraction; it grows one dict of the pairs seen, recounts from it
-after each new pair, and builds and validates its `ConstraintSet` once,
-at the end of the run. `feasible_count` does the counting: it multiplies
-over the connected components of the constraint graph and counts each one
-by a dynamic program over its down-sets (the lattice of ideals of the
-constraint poset), so it only visits label sets that some feasible order
-places first. `isolates_sorted` counts nothing: it reads the pairs alone.
+complete run. `feasible_count` does the counting. It closes the pairs
+transitively, as one bitmask per label of the labels below it and one of
+those above it, and splits the closed order recursively into parallel
+parts (the components of the comparability graph, counted by the
+multinomial times each part) and series parts (the components of the
+incomparability graph, counted by the product). Only a prime part, which
+neither graph splits, runs a dynamic program over its down-sets (the
+lattice of ideals of the order), which visits only label sets that some
+feasible order places first. `instrument` replays four classical sorts
+while recording this contraction. It keeps one closure for the whole run:
+a new pair costs one join and one count, a pair the closure already
+implies keeps the count, and the run builds and validates its
+`ConstraintSet` once, at the end. `isolates_sorted` counts nothing: it
+reads the pairs alone.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .perms import Permutation, SizeLimitError
 
@@ -32,7 +38,6 @@ __all__ = [
     "InstrumentedRun",
     "ALGORITHMS",
     "DP_LIMIT",
-    "INSTRUMENT_LIMIT",
     "parse_constraints",
     "feasible_count",
     "is_contradictory",
@@ -41,11 +46,9 @@ __all__ = [
     "comparison_count",
 ]
 
-#: Counting one connected component visits its down-sets, up to 2^n of them
-#: when the constraints are few but connect every label (a star, say).
+#: Counting and instrumented runs stop here: a prime part of the order is
+#: counted over its down-sets, up to 2^n of them.
 DP_LIMIT = 18
-#: Instrumented runs recount the feasible set after every comparison.
-INSTRUMENT_LIMIT = 10
 
 ALGORITHMS = ("insertion", "merge", "quick", "heap")
 
@@ -110,56 +113,111 @@ def parse_constraints(text: str, n: int) -> ConstraintSet:
 def feasible_count(s: ConstraintSet) -> int:
     """Number of rank assignments to labels 1..n satisfying every constraint.
 
-    Labels in different connected components of the constraint graph never
-    constrain each other, so the count is the multinomial n! / prod |C|!
-    (the ways to share the ranks out among the components) times the
-    count of each component on its own. A component is counted over its
-    down-sets (label sets closed under "must rank below"), which a label
-    joins once all its lower labels are in, so sets no feasible order
-    places first are never visited. Exact integer arithmetic throughout;
-    0 when the constraints are contradictory.
+    The pairs are closed transitively one at a time (`_join`); a pair
+    whose hi already ranks below its lo closes a cycle, and the count is 0.
+    The closed order is counted by its series-parallel decomposition
+    (`_count`), so only its prime parts are counted over their down-sets.
+    Exact integer arithmetic throughout.
     """
     if s.n > DP_LIMIT:
         raise SizeLimitError(f"subset counting is limited to n <= {DP_LIMIT}, got {s.n}")
-    return _count_orders(s.n, s.constraints)
+    below, above = [0] * s.n, [0] * s.n
+    for c in s.constraints:
+        if below[c.lo - 1] >> (c.hi - 1) & 1:
+            return 0
+        _join(below, above, c.lo - 1, c.hi - 1)
+    return _count(below, above)
 
 
-def _count_orders(n: int, constraints: Iterable[Constraint]) -> int:
-    """`feasible_count` of constraints that are already valid over labels 1..n."""
-    root = list(range(n))
+def _join(below: list[int], above: list[int], lo: int, hi: int) -> bool:
+    """Close the order under label lo < label hi (0-based); False if it held already.
 
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
+    below[v] and above[v] are the bitmasks of the labels that rank under and
+    over label v in every feasible order: the transitive closure of the
+    pairs so far. A new pair puts everything at or under lo below
+    everything at or over hi, one mask update per label touched. The caller
+    makes sure hi is not already below lo.
+    """
+    if below[hi] >> lo & 1:
+        return False
+    under = below[lo] | 1 << lo
+    over = above[hi] | 1 << hi
+    for masks, labels, extra in ((below, over, under), (above, under, over)):
+        while labels:
+            bit = labels & -labels
+            labels ^= bit
+            masks[bit.bit_length() - 1] |= extra
+    return True
 
-    below = [0] * n  # below[v] = bitmask of labels that must rank under label v+1
-    for c in constraints:
-        below[c.hi - 1] |= 1 << (c.lo - 1)
-        root[find(c.lo - 1)] = find(c.hi - 1)
-    components: dict[int, int] = {}  # root label -> bitmask of its component
-    for v in range(n):
-        r = find(v)
-        components[r] = components.get(r, 0) | 1 << v
-    total = math.factorial(n)
-    for labels in components.values():
-        size = labels.bit_count()
-        total //= math.factorial(size)
-        if size > 1:
-            total *= _count_down_sets(below, labels)
-            if total == 0:
-                return 0
+
+def _count(below: list[int], above: list[int]) -> int:
+    """Orders of all labels under the closed order `below`/`above` (see `_join`).
+
+    A parallel node, whose comparability graph falls apart into components,
+    takes the multinomial (the ways to share the ranks out among the parts)
+    times each part's count; a series node, whose incomparability graph
+    falls apart, puts each part wholly below the next, so it takes the
+    product of the parts' counts. Only a prime node, connected in both
+    graphs, is counted over its down-sets (Möhring, "Computationally
+    tractable classes of ordered sets", 1989).
+    """
+    related = [b | a for b, a in zip(below, above)]
+    return _count_node(below, related, (1 << len(below)) - 1, True)
+
+
+def _count_node(below: list[int], related: list[int], labels: int, comparable: bool) -> int:
+    """`_count` of `labels`, split along the comparability graph if `comparable`.
+
+    Otherwise the split is along the incomparability graph. Each part is
+    split along the other graph next, since it is connected in the graph
+    that made it. So a set that the incomparability graph does not split
+    is prime, and one that the comparability graph does not split goes on
+    to the incomparability graph.
+    """
+    parts = _components(related, labels, comparable)
+    if not comparable and len(parts) == 1:
+        return _count_down_sets(below, labels)
+    total = math.factorial(labels.bit_count()) if comparable else 1
+    for part in parts:
+        if part & part - 1:  # a single label has one order
+            if comparable:
+                total //= math.factorial(part.bit_count())
+            total *= _count_node(below, related, part, not comparable)
     return total
 
 
-def _count_down_sets(below: list[int], labels: int) -> int:
-    """Orders of one component's labels, one down-set layer at a time.
+def _components(related: list[int], labels: int, comparable: bool) -> list[int]:
+    """The connected components, as bitmasks, of one graph on `labels`.
 
-    A layer maps each down-set of one size to the number of orders that
-    place exactly that set first; it comes out empty only on a cycle.
+    related[v] is the mask of the labels comparable to label v: the
+    comparability graph's neighbours, or, unless `comparable`, the
+    complement of the incomparability graph's.
     """
-    joins = [(1 << v, below[v]) for v in range(len(below)) if labels >> v & 1]
+    flip = 0 if comparable else -1  # x ^ -1 == ~x
+    parts = []
+    while labels:
+        frontier = labels & -labels
+        left = labels ^ frontier
+        while frontier and left:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = left & (related[bit.bit_length() - 1] ^ flip)
+            left ^= new
+            frontier |= new
+        parts.append(labels ^ left)
+        labels = left
+    return parts
+
+
+def _count_down_sets(below: list[int], labels: int) -> int:
+    """Orders of one prime node's labels, one down-set layer at a time.
+
+    A layer maps each down-set of one size (a set of the node's labels that
+    holds every node label under each of its members) to the number of
+    orders that place exactly that set first, so sets no feasible order
+    places first are never visited.
+    """
+    joins = [(1 << v, below[v] & labels) for v in range(len(below)) if labels >> v & 1]
     layer = {0: 1}
     for _ in joins:
         grown: defaultdict[int, int] = defaultdict(int)
@@ -167,8 +225,6 @@ def _count_down_sets(below: list[int], labels: int) -> int:
             for bit, need in joins:
                 if not (mask & bit or need & ~mask):
                     grown[mask | bit] += ways
-        if not grown:
-            return 0
         layer = grown
     return layer[labels]
 
@@ -350,21 +406,22 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
     """Run a comparison sort on p, recording each comparison's contraction.
 
     Every comparison of keys u, v orients the constraint by the observed
-    order (smaller key below larger). A new pair joins the pairs seen so
-    far, kept in first-seen order, and the feasible set is recounted from
-    them; a repeated comparison contributes a trace row with bits = 0. The
-    pairs are valid by construction, so the run builds its `ConstraintSet`
-    once at the end and validates it once. The variants are fixed: binary
+    order (smaller key below larger). The run keeps one transitive closure
+    of the pairs seen: a pair it does not imply yet is joined to it and
+    the feasible set is recounted from it (see `feasible_count`); a pair
+    it implies, repeated or not, keeps the count and contributes a trace
+    row with bits = 0. The pairs seen are kept in first-seen order; they
+    are valid by construction, so the run builds its `ConstraintSet` once
+    at the end and validates it once. The variants are fixed: binary
     insertion's backward shift, top-down merge splitting at floor(n/2),
     quicksort on the first-element pivot, and a max-heap with sift-down.
     """
     sort, p = _sort_and_input(algorithm, p)
-    if p.n > INSTRUMENT_LIMIT:
-        raise SizeLimitError(
-            f"instrumented runs are limited to n <= {INSTRUMENT_LIMIT}, got {p.n}"
-        )
+    if p.n > DP_LIMIT:
+        raise SizeLimitError(f"instrumented runs are limited to n <= {DP_LIMIT}, got {p.n}")
 
     seen: dict[Constraint, None] = {}  # insertion-ordered set of the pairs so far
+    below, above = [0] * p.n, [0] * p.n
     count_now = math.factorial(p.n)
     steps: list[TraceStep] = []
 
@@ -372,10 +429,10 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
         nonlocal count_now
         lo, hi = (u, v) if u < v else (v, u)
         c = Constraint(lo, hi)
+        seen[c] = None
         before = count_now
-        if c not in seen:
-            seen[c] = None
-            count_now = _count_orders(p.n, seen)
+        if _join(below, above, lo - 1, hi - 1):
+            count_now = _count(below, above)
         steps.append(
             TraceStep(
                 constraint=c,

@@ -910,9 +910,9 @@ class TestSlice:
         assert code == 2
 
     def test_instrument_size_cap(self, capsys):
-        ranks = ",".join(str(k) for k in range(11, 0, -1))
+        ranks = ",".join(str(k) for k in range(19, 0, -1))
         code, _, err = run(
-            ["slice", "--n", "11", "--instrument", "merge", "--input", ranks], capsys
+            ["slice", "--n", "19", "--instrument", "merge", "--input", ranks], capsys
         )
         assert code == 3
 

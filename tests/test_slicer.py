@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permflow import (
@@ -11,7 +11,6 @@ from permflow import (
     Constraint,
     ConstraintSet,
     DP_LIMIT,
-    INSTRUMENT_LIMIT,
     Permutation,
     SizeLimitError,
     comparison_count,
@@ -102,6 +101,109 @@ def near_chains(draw, n_min, n_max):
         extra = [(min(a, b), max(a, b)) for a, b in extra]
     pairs = draw(st.permutations(links + extra))
     return constraint_set(n, pairs)
+
+
+def _series_parallel_pairs(draw, labels):
+    """(pairs, count, minimal labels, maximal labels) of a series-parallel order.
+
+    The labels are split in two at a drawn point, recursively. A series
+    node puts its left part wholly below its right part, with a pair from
+    each maximal label of the left to each minimal label of the right (only
+    the covers, so a counter must close them transitively); its count is
+    the product of the parts' counts. A parallel node adds no pair; its
+    count is the binomial times the parts' counts.
+    """
+    if len(labels) == 1:
+        return [], 1, labels, labels
+    k = draw(st.integers(1, len(labels) - 1))
+    lo_pairs, lo_count, lo_min, lo_max = _series_parallel_pairs(draw, labels[:k])
+    hi_pairs, hi_count, hi_min, hi_max = _series_parallel_pairs(draw, labels[k:])
+    pairs = lo_pairs + hi_pairs
+    if draw(st.booleans()):
+        pairs += [(a, b) for a in lo_max for b in hi_min]
+        return pairs, lo_count * hi_count, lo_min, hi_max
+    count = math.comb(len(labels), k) * lo_count * hi_count
+    return pairs, count, lo_min + hi_min, lo_max + hi_max
+
+
+@st.composite
+def series_parallel(draw, n_min, n_max):
+    """A series-parallel order on shuffled labels 1..n, and its closed-form count."""
+    n = draw(st.integers(n_min, n_max))
+    labels = draw(st.permutations(range(1, n + 1)))
+    pairs, count, _, _ = _series_parallel_pairs(draw, labels)
+    return constraint_set(n, draw(st.permutations(pairs))), count
+
+
+def fence(labels):
+    """The zigzag labels[0] < labels[1] > labels[2] < labels[3] > ..."""
+    return [
+        (labels[k], labels[k + 1]) if k % 2 == 0 else (labels[k + 1], labels[k])
+        for k in range(len(labels) - 1)
+    ]
+
+
+def crown(labels):
+    """Lows l_i and highs h_i, with l_i < h_i and l_i < h_(i+1 mod k)."""
+    k = len(labels) // 2
+    lows, highs = labels[:k], labels[k:]
+    return [(lows[i], highs[j]) for i in range(k) for j in (i, (i + 1) % k)]
+
+
+@st.composite
+def prime_orders(draw, n_max):
+    """An N, a fence or a crown, alone or beside, below or above a series-parallel order."""
+    shape = draw(st.sampled_from(["N", "fence", "crown"]))
+    if shape == "N":
+        size = 4
+    elif shape == "fence":
+        size = draw(st.integers(4, n_max))
+    else:
+        size = 2 * draw(st.integers(3, n_max // 2))
+    n = draw(st.integers(size, n_max))
+    labels = draw(st.permutations(range(1, n + 1)))
+    core, rest = labels[:size], labels[size:]
+    if shape == "N":
+        pairs = [(core[0], core[2]), (core[1], core[2]), (core[1], core[3])]
+    else:
+        pairs = (fence if shape == "fence" else crown)(core)
+    if rest:
+        pairs += _series_parallel_pairs(draw, rest)[0]
+        where = draw(st.sampled_from(["beside", "below", "above"]))
+        if where == "below":
+            pairs += [(a, b) for a in rest for b in core]
+        elif where == "above":
+            pairs += [(b, a) for a in rest for b in core]
+    return constraint_set(n, draw(st.permutations(pairs)))
+
+
+def zigzag(n):
+    """Euler's zigzag number: the alternating permutations of n, by the Seidel triangle."""
+    row = [1]
+    for _ in range(n):
+        grown = [0]
+        for v in reversed(row):
+            grown.append(grown[-1] + v)
+        row = grown
+    return row[-1]
+
+
+def closure(s):
+    """below[a][b]: label a ranks under label b in every order (Warshall)."""
+    below = [[False] * (s.n + 1) for _ in range(s.n + 1)]
+    for c in s.constraints:
+        below[c.lo][c.hi] = True
+    for k in range(1, s.n + 1):
+        for a in range(1, s.n + 1):
+            if below[a][k]:
+                for b in range(1, s.n + 1):
+                    below[a][b] = below[a][b] or below[k][b]
+    return below
+
+
+def with_pair(s, a, b):
+    """s plus the pair a < b (kept once if s holds it already)."""
+    return constraint_set(s.n, [(c.lo, c.hi) for c in s.constraints] + [(a, b)])
 
 
 def chain_text(n):
@@ -293,6 +395,66 @@ class TestFeasibleCountOracles:
         assert feasible_count(s) == 0
 
 
+class TestCountingPastBruteForce:
+    @settings(max_examples=100, deadline=None)
+    @given(series_parallel(1, DP_LIMIT))
+    @example(  # the star: label 1 below all others
+        (
+            constraint_set(DP_LIMIT, [(1, k) for k in range(2, DP_LIMIT + 1)]),
+            math.factorial(DP_LIMIT - 1),
+        )
+    )
+    def test_series_parallel_matches_closed_form(self, order):
+        s, count = order
+        assert feasible_count(s) == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(prime_orders(14))
+    def test_prime_orders_match_reference(self, s):
+        assert feasible_count(s) == reference_count(s)
+
+    def test_fences_count_alternating_permutations(self):
+        for n in range(1, DP_LIMIT + 1):
+            s = constraint_set(n, fence(list(range(1, n + 1))))
+            assert feasible_count(s) == zigzag(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_sets(2, 12, lambda n: 2 * n, acyclic=True))
+    def test_every_pair_splits_or_keeps_the_count(self, s):
+        # an incomparable pair splits the orders between its two
+        # orientations; a comparable one keeps them all, and its reverse
+        # none
+        total = feasible_count(s)
+        below = closure(s)
+        for a, b in itertools.combinations(range(1, s.n + 1), 2):
+            up, down = feasible_count(with_pair(s, a, b)), feasible_count(with_pair(s, b, a))
+            if below[a][b]:
+                assert (up, down) == (total, 0)
+            elif below[b][a]:
+                assert (up, down) == (0, total)
+            else:
+                assert up + down == total and up > 0 and down > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            random_sets(2, DP_LIMIT, lambda n: 2 * n, acyclic=True),
+            series_parallel(2, DP_LIMIT).map(lambda order: order[0]),
+            prime_orders(DP_LIMIT),
+        )
+    )
+    def test_some_pair_is_balanced(self, s):
+        # Kahn and Saks (1984): a poset that is not a chain has a pair a, b
+        # with 3/11 <= e(P + a<b) / e(P) <= 8/11
+        total = feasible_count(s)
+        if total == 1:
+            return  # a chain
+        for a, b in itertools.combinations(range(1, s.n + 1), 2):
+            if 3 * total <= 11 * feasible_count(with_pair(s, a, b)) <= 8 * total:
+                return
+        pytest.fail(f"no pair of {s} splits its {total} orders within 3/11..8/11")
+
+
 class TestContradiction:
     def test_acyclic_is_fine(self):
         assert not is_contradictory(parse_constraints("1<2,2<3,1<3", 3))
@@ -445,15 +607,20 @@ class TestInstrument:
         st.sampled_from(ALGORITHMS),
         st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))),
     )
+    @example("heap", (5, 9, 2, 7, 1, 8, 3, 6, 4))
+    @example("quick", (10, 9, 8, 7, 6, 5, 4, 3, 2, 1))
+    @example("insertion", (6, 2, 11, 9, 4, 1, 10, 3, 7, 5, 8))
+    @example("merge", (7, 12, 3, 9, 1, 11, 5, 2, 10, 6, 4, 8))
     def test_ledger_matches_enumeration_of_the_pairs_seen(self, algorithm, ranks):
         # every row recounts the distinct pairs so far from scratch, and the
         # run's set lists them in the order they were first compared
         run = instrument(algorithm, ranks)
+        oracle = feasible_count_brute if len(ranks) <= 8 else reference_count
         seen = {}
         for step in run.trace:
             seen[step.constraint] = None
             fresh = ConstraintSet(len(ranks), tuple(seen))
-            assert step.feasible_after == feasible_count_brute(fresh)
+            assert step.feasible_after == oracle(fresh)
         assert run.constraints.constraints == tuple(seen)
 
     def test_builds_one_set(self, monkeypatch):
@@ -465,8 +632,8 @@ class TestInstrument:
             check(self)
 
         monkeypatch.setattr(ConstraintSet, "__post_init__", counted)
-        run = instrument("quick", tuple(range(INSTRUMENT_LIMIT, 0, -1)))
-        assert run.comparisons == math.comb(INSTRUMENT_LIMIT, 2)
+        run = instrument("quick", tuple(range(DP_LIMIT, 0, -1)))
+        assert run.comparisons == math.comb(DP_LIMIT, 2)
         assert built == [len(run.constraints.constraints)]
 
     def test_worst_input_meets_information_bound(self):
@@ -497,7 +664,7 @@ class TestInstrument:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            instrument("merge", tuple(range(1, INSTRUMENT_LIMIT + 2)))
+            instrument("merge", tuple(range(1, DP_LIMIT + 2)))
 
 
 class TestComparisonCount:
