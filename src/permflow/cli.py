@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from itertools import repeat
 from typing import Optional, Sequence
 
 from .dtree import (
@@ -65,8 +64,8 @@ CELL_LIMIT = 1_000_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
 #: O(n log n) before any pair is examined. At the limit (`--start reverse
-#: --n 707`, 249,571 events) a fresh process took 0.5 s and 82 MB peak
-#: RSS for JSON and 0.4-0.7 s and 83 MB for CSV on a shared 2-vCPU VM.
+#: --n 707`, 249,571 events) a fresh process took 0.3 s and 73 MB peak
+#: RSS for JSON and 0.4-0.6 s and 97 MB for CSV on a shared 2-vCPU VM.
 EVENT_LIMIT = 250_000
 #: Most coordinate pairs `flow events` may examine. The crossing kernel
 #: looks at all n(n - 1)/2 pairs however few of them cross: with no
@@ -75,6 +74,11 @@ EVENT_LIMIT = 250_000
 #: (49,995,000 pairs) and is checked from n alone, before the start is
 #: built.
 PAIR_LIMIT = 50_000_000
+#: Most reals one `flow trace` fill formats at once. A trace of more
+#: cells fills one row template per block of rows, so its floats and JSON
+#: tokens (about 80 bytes a real) stay near 5 MB, and n <= 200 with 21
+#: samples or fewer is a single block.
+_FILL_BLOCK = 1 << 16
 
 
 # --- start-spec parsing ------------------------------------------------------
@@ -145,22 +149,26 @@ def _round(x: float, spec: str) -> float:
 def _json_reals(xs, spec: str) -> list[str]:
     """JSON tokens for the reals xs: each is json.dumps(float(format(x, spec))).
 
-    s = format(x, spec) already is that token when it has at most 15
-    significant digits and is written as repr writes it: with a point and
-    no exponent, or with a two-digit negative exponent. Up to 15 digits
-    round-trip through a double, so they are the shortest repr of
-    float(s). Every other s goes through one json.dumps: an integer lacks
-    repr's ".0", repr moves to an exponent only from 1e16 on, 16 or 17
-    digits need not be the shortest, and a three-digit negative exponent
-    may reach the subnormals, where fewer digits can round-trip.
+    One %-fill writes every s = format(x, spec), comma-terminated, and a
+    split cuts the text into tokens. s already is the JSON token when it
+    has at most 15 significant digits and is written as repr writes it:
+    with a point and no exponent, or with a two-digit negative exponent.
+    Up to 15 digits round-trip through a double, so they are the shortest
+    repr of float(s). The filled text is tested once for the common case,
+    no "e" and one "." per real; only when that fails is each token tested.
+    Every other s goes through one json.dumps: an integer lacks repr's
+    ".0", repr moves to an exponent only from 1e16 on, 16 or 17 digits
+    need not be the shortest, and a three-digit negative exponent may
+    reach the subnormals, where fewer digits can round-trip.
     """
-    texts = list(map(format, xs, repeat(spec)))
+    filled = (f"%{spec}," * len(xs)) % tuple(xs)
+    texts = filled.split(",")
+    texts.pop()  # the empty text after the last comma
     if int(spec[1:-1]) > 15:
         redo = range(len(texts))
+    elif "e" not in filled and filled.count(".") == len(texts):
+        return texts
     else:
-        joined = "".join(texts)
-        if "e" not in joined and joined.count(".") == len(texts):
-            return texts  # a point in each token and no exponent: one test for the whole list
         redo = [k for k, s in enumerate(texts) if ("e" in s or "." not in s) and s[-4:-2] != "e-"]
     if redo:
         # no token contains ", ", so one encode of the list splits back into tokens
@@ -222,14 +230,26 @@ def _cmd_flow_events(args, spec: str) -> str:
     count = len(schedule)
     if args.format == "json":
         # JSON does not print the meeting values. Each event fills one
-        # template, and %d writes what json.dumps writes for an int.
+        # template, and %d writes what json.dumps writes for an int. The
+        # spec in the template writes format(t, spec), which is the JSON
+        # token when `_json_reals` would keep it: precision at most 15, and
+        # no "e" and one "." per event in the body (the template text has
+        # neither). Otherwise the t cells are refilled with its tokens.
         cells = [None] * (3 * count)
         cells[0::3] = schedule.i.tolist()
         cells[1::3] = schedule.j.tolist()
-        cells[2::3] = _json_reals(schedule.t.tolist(), spec)
+        cells[2::3] = schedule.t.tolist()
         del schedule  # not held through the encode: 8 MB at EVENT_LIMIT
-        cells = tuple(cells)  # the fill holds the tuple alone, not the list too
-        events = ", ".join(['{"i": %d, "j": %d, "t": %s}'] * count) % cells
+        events = ""
+        if int(spec[1:-1]) <= 15:
+            cells = tuple(cells)  # the fill holds the tuple of floats alone
+            events = ", ".join(['{"i": %d, "j": %d, "t": %' + spec + "}"] * count) % cells
+        if "e" in events or events.count(".") != count:
+            del events
+            cells = list(cells)
+            cells[2::3] = _json_reals(cells[2::3], spec)
+            cells = tuple(cells)  # the fill holds the tuple of tokens alone
+            events = ", ".join(['{"i": %d, "j": %d, "t": %s}'] * count) % cells
         head = _dumps({"n": start.n, "start": list(start.ranks), "d0": _round(d0, spec)})
         tail = _dumps(
             {
@@ -299,21 +319,27 @@ def _cmd_flow_trace(args, spec: str) -> str:
     else:
         trace = sample_trace(x0, wanted)
         rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
+    # A block of rows fills one row template with each row's t, n
+    # coordinates and disorder. It holds about _FILL_BLOCK reals (at least
+    # one row), so the floats and tokens held at once stay bounded.
+    width = start.n + 2
+    step = max(1, _FILL_BLOCK // width)
+    blocks = (
+        [v for t, x, d in rows[r0 : r0 + step] for v in (t, *x.tolist(), d)]
+        for r0 in range(0, len(rows), step)
+    )
     if args.format == "json":
         head = _dumps({"n": start.n, "start": list(start.ranks), "projected": args.projected})
-        ts = _json_reals([t for t, _, _ in rows], spec)
-        ds = _json_reals([d for _, _, d in rows], spec)
+        row = '{"t": %s, "x": [' + ", ".join(["%s"] * start.n) + '], "disorder": %s}'
         body = ", ".join(
-            '{"t": %s, "x": [%s], "disorder": %s}' % (t, ", ".join(_json_reals(x.tolist(), spec)), d)
-            for t, (_, x, _), d in zip(ts, rows, ds)
+            ", ".join([row] * (len(reals) // width)) % tuple(_json_reals(reals, spec))
+            for reals in blocks
         )
         return f'{head[:-1]}, "rows": [{body}]}}'
     header = "t," + ",".join(f"x{k}" for k in range(1, start.n + 1)) + ",disorder"
-    lines = [header]
-    for t, x, d in rows:
-        cells = [f"{v:{spec}}" for v in x.tolist()]
-        lines.append(f"{t:{spec}},{','.join(cells)},{d:{spec}}")
-    return "\n".join(lines)
+    # %-formatting with the spec writes what format(x, spec) writes
+    row = "\n" + ",".join([f"%{spec}"] * width)
+    return header + "".join("".join([row] * (len(reals) // width)) % tuple(reals) for reals in blocks)
 
 
 def _cmd_dtree(args, spec: str) -> str:

@@ -204,8 +204,14 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     O(n * rows per block + events), not O(n^2). Only the crossing ratios
     take t = -ln(ratio), with `math.log`, so each time matches
     `crossing_time` bit for bit (numpy's `log` may differ in the last ulp).
-    One `np.lexsort` then orders the columns by (t, i, j); no NaN passes
-    the ratio test, so that is the order of sorted (t, i, j) tuples.
+    The blocks walk the triangle row by row, and `np.triu_indices` and
+    `np.flatnonzero` keep each block's pairs in row-major order, so the
+    rows arrive sorted by (i, j). One stable `np.argsort` of t then orders
+    them by (t, i, j): equal times keep their (i, j) order, and no NaN
+    passes the ratio test, so that is the order of sorted (t, i, j)
+    tuples. An enumeration that emits pairs in another order (such as the
+    merge of ROADMAP item 5) must restore the (i, j) order before this
+    sort, or go back to `np.lexsort((j, i, t))`.
 
     For a vertex start that float order is the exact order. There
     a_i - a_j is the integer d = p_i - p_j + j - i, so a crossing pair has
@@ -232,7 +238,7 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     ratio, i, j = (np.concatenate(column) for column in zip(*blocks))
     del blocks
     t = -np.fromiter(map(math.log, ratio.tolist()), dtype=float, count=ratio.size)
-    order = np.lexsort((j, i, t))
+    order = np.argsort(t, kind="stable")
     i = i[order]
     return CrossingSchedule(t=t[order], i=i + 1, j=j[order] + 1, offset=a[i])
 

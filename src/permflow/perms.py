@@ -85,33 +85,29 @@ def hyperplane_sum(n: int) -> int:
 def inversions(p: Permutation | Iterable[int]) -> int:
     """Count pairs i < j with ranks[i] > ranks[j].
 
-    Bottom-up merge sort in O(n log n): when the head of a right run is
-    taken before the rest of its left run, it forms an inversion with
-    every key still waiting on the left.
+    A Fenwick tree over the ranks seen so far, in O(n log n) and without
+    numpy: after k ranks, rank r forms an inversion with each of them
+    above r, that is k less the prefix count of those at most r. tree[m]
+    counts the seen ranks in (m - lowbit(m), m], so a prefix count walks
+    down by clearing low bits and an insertion walks up by adding them,
+    at most log2(n) + 1 steps each.
     """
     if not isinstance(p, Permutation):
         p = Permutation.of(p)
-    runs = list(p.ranks)
+    n = p.n
+    tree = [0] * (n + 1)
     count = 0
-    width = 1
-    while width < p.n:
-        merged: list[int] = []
-        for lo in range(0, p.n, 2 * width):
-            left = runs[lo : lo + width]
-            right = runs[lo + width : lo + 2 * width]
-            i = j = 0
-            while i < len(left) and j < len(right):
-                if right[j] < left[i]:
-                    merged.append(right[j])
-                    j += 1
-                    count += len(left) - i
-                else:
-                    merged.append(left[i])
-                    i += 1
-            merged += left[i:]
-            merged += right[j:]
-        runs = merged
-        width *= 2
+    for k, r in enumerate(p.ranks):
+        m = r
+        at_most = 0
+        while m:
+            at_most += tree[m]
+            m &= m - 1
+        count += k - at_most
+        m = r
+        while m <= n:
+            tree[m] += 1
+            m += m & -m
     return count
 
 

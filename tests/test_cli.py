@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +193,21 @@ class TestFlowEvents:
         assert code == 0 and err == ""
         assert len(json.loads(out)["events"]) == 249_571 <= EVENT_LIMIT
 
+    def test_event_limit_fill_holds_floats_alone(self):
+        # The fill's tuple holds the 249,571 times as floats. A fill over
+        # their formatted JSON tokens, with the cell list built before the
+        # tuple, peaked at 50.5 MB traced here; the float fill at 40.6 MB.
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(["flow", "events", "--n", "707"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue().count('"t": ') == 249_571 <= EVENT_LIMIT
+        assert peak < 45_000_000
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_over_event_limit_exits_three_before_any_pair(self, fmt, capsys, monkeypatch):
         def no_events(*args, **kwargs):
@@ -302,6 +318,22 @@ class TestFlowEventsOracle:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         assert out.getvalue() == reference_events_output(ranks, fmt, f".{precision}g")
+
+    @pytest.mark.parametrize("precision", [1, 2, 16])
+    def test_fused_fill_falls_back(self, precision):
+        # At 1 and 2 digits some times print as integers ("1", "2"), which
+        # lack the ".0" json.dumps writes; above 15 digits no formatted time
+        # is kept. Each refills the t cells from _json_reals.
+        ranks = list(_seeded_shuffle(120, 1).ranks)
+        argv = ["flow", "events", "--n", "120", "--start", "random:1",
+                "--precision", str(precision)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == reference_events_output(ranks, "json", f".{precision}g")
+        if precision < 16:
+            times = [e["t"] for e in json.loads(out.getvalue())["events"]]
+            assert any(t == int(t) for t in times)
 
     def test_empty_schedule(self, capsys):
         code, out, _ = run(["flow", "events", "--n", "1", "--start", "sorted"], capsys)
@@ -593,6 +625,18 @@ class TestFlowTrace:
 
     @pytest.mark.parametrize("args, digest", CLOSED_GOLDEN)
     def test_closed_form_golden_bytes(self, args, digest, capsys):
+        code, out, _ = run(["flow", "trace", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("block", [1, 37, 200])
+    @pytest.mark.parametrize(
+        "args, digest", [(["--projected", *a], d) for a, d in GOLDEN] + CLOSED_GOLDEN
+    )
+    def test_golden_bytes_in_row_blocks(self, args, digest, block, capsys, monkeypatch):
+        # 1 fills one row at a time; 37 and 200 fill several rows of the
+        # narrower traces per block, with a shorter last block
+        monkeypatch.setattr(permflow.cli, "_FILL_BLOCK", block)
         code, out, _ = run(["flow", "trace", *args], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
