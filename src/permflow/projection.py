@@ -257,13 +257,16 @@ def integrate_projected(
                 f"keep must hold one or more grid indices in 0..{len(times)}"
             )
     targets = np.arange(1, x0.n + 1, dtype=float)
-    x = x0.coords
+    # one buffer each for x and g: a step computes the same x + (t - prev)*g,
+    # and a recorded StateVector copies x
+    x = x0.coords.copy()
+    g = np.empty_like(x)
     samples = []
     wanted = iter(keep)
     next_kept = next(wanted)
     prev = 0.0
     for k, t in enumerate((*times, None)):
-        g = targets - x
+        np.subtract(targets, x, out=g)
         if k == next_kept:
             samples.append(
                 ProjectedSample(
@@ -276,6 +279,7 @@ def integrate_projected(
             next_kept = next(wanted, None)
         if t is None:
             break
-        x = x + (t - prev) * g
+        g *= t - prev
+        x += g
         prev = t
     return ProjectedTrace(samples=tuple(samples), step=step)

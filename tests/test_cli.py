@@ -655,6 +655,9 @@ class TestNonFiniteParameters:
             ["flow", "events", "--n", "4", "--epsilon", "inf"],
             ["flow", "events", "--n", "4", "--c", "inf"],
             ["flow", "events", "--n", "4", "--c", "nan"],
+            # finite t_end, but t_end * (samples - 1) overflows to inf
+            ["flow", "trace", "--n", "4", "--t-end", "1e308", "--samples", "3"],
+            ["flow", "trace", "--n", "4", "--t-end", "1e308", "--samples", "3", "--format", "csv"],
         ],
     )
     def test_non_finite_parameters_exit_two(self, argv, capsys):
@@ -1243,3 +1246,82 @@ class TestCommonOptions:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestParserPath:
+    """`main` builds only the commands argv names; what it prints must not change."""
+
+    ARGVS = [
+        ["--help"],
+        ["flow", "--help"],
+        ["flow", "events", "--help"],
+        ["flow", "trace", "--help"],
+        ["dtree", "--help"],
+        ["slice", "--help"],
+        ["report", "--help"],
+        ["bench", "--help"],
+        ["-h", "slice"],
+        ["flow", "-h", "events"],
+        [],
+        ["nosuchcommand"],
+        ["flow"],
+        ["flow", "bogus"],
+        ["dtree", "slice"],
+        ["dtree"],
+        ["flow", "trace", "--t-end", "1"],
+        ["slice", "--n", "3"],
+        ["slice", "--n", "3", "--constraints", "1<2", "--instrument", "merge"],
+        ["slice", "--n", "3", "--instrument", "bubble"],
+        ["dtree", "--n", "3", "--bogus"],
+        ["--", "dtree", "--n", "3"],
+        ["--", "flow", "events", "--n", "3"],
+        ["flow", "events", "--n", "4"],
+        ["flow", "trace", "--n", "3", "--t-end", "1"],
+        ["dtree", "--n", "3"],
+        ["slice", "--n", "4", "--constraints", "1<2"],
+        ["slice", "--n", "4", "--instrument", "merge", "--input", "2,4,1,3"],
+        ["report"],
+        ["report", "--format", "csv"],
+        ["bench", "--n-min", "2", "--n-max", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_same_as_the_whole_tree(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = run(argv, capsys)
+        build = permflow.cli._build_parser
+        # argv naming no command builds every body
+        monkeypatch.setattr(permflow.cli, "_build_parser", lambda _argv: build([]))
+        assert path == run(argv, capsys)
+
+    def test_other_commands_have_no_body(self, capsys):
+        parser = permflow.cli._build_parser(["dtree", "--n", "3"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["slice", "--n", "3", "--constraints", ""])
+        assert "unrecognized arguments: --n 3 --constraints" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, dest", [([], "command"), (["flow"], "flow_command")])
+    def test_missing_command_names_its_level(self, argv, dest, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: the following arguments are required: {dest}\n")
+
+    # sha256 of --help at COLUMNS=80, recorded while every parser was built
+    # on every call
+    HELP_GOLDEN = [
+        ([], "85f5fbd49613b930c05eaa88a1368fe7a29191d00deb387396022fa9da317c54"),
+        (["flow"], "3a158a18397bf8dff14bca69101584c077a883d95eb829de461edc33ab6712f5"),
+        (["flow", "events"], "816b7b3a08e75ea3580a635f9b4a98d46306c9d36e0da8023e5a23d7c8df48d3"),
+        (["flow", "trace"], "4d7202203b0cd5fe3e79a0d29828ad1c640ccf16b8aefcd0815b8a87cfe7e5d8"),
+        (["dtree"], "735f42401287f6e84eafd7b33c3ad1d5d56b9cb1eff6057f2bc5cb68b5324b03"),
+        (["slice"], "d10511dea79398e028ca32242984aecede55ea7dffdaef2835057a8a7766306f"),
+        (["report"], "908256d4ae4e347dc685102e15712e66e38236b580e2c9a52b63483950d371ca"),
+        (["bench"], "c973a235e9756230d6a969f9f433ebbd1ce6314ae0b1ee052f081a9e8973840e"),
+    ]
+
+    @pytest.mark.parametrize("command, digest", HELP_GOLDEN)
+    def test_help_golden(self, command, digest, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run([*command, "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
