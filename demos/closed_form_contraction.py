@@ -21,14 +21,14 @@ from permflow import (
 
 n = 5
 start = vertex_of(Permutation.reverse(n))
-d0 = disorder_squared(start).d0
+d0 = disorder_squared(start)
 print(f"start {tuple(start.coords)}  disorder d0 = {d0:.0f}")
 print()
 print(f"{'t':>6}  {'state':^42}  {'disorder':>10}  {'d0*e^-2t':>10}")
 for k in range(7):
     t = 0.5 * k
     x = flow_state(start, t)
-    measured = disorder_squared(x).d0
+    measured = disorder_squared(x)
     predicted = disorder_at(start, t)
     cells = " ".join(f"{v:7.4f}" for v in x.coords)
     print(f"{t:>6.2f}  {cells}  {measured:>10.5f}  {predicted:>10.5f}")

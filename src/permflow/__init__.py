@@ -35,7 +35,6 @@ from .slicing import *  # noqa: F403
 _LAZY = {
     **dict.fromkeys(
         (
-            "DisorderReport",
             "StateVector",
             "as_state",
             "disorder_squared",

@@ -225,7 +225,7 @@ def _cmd_flow_events(args, spec: str) -> str:
             f"got {est.crossing_count}"
         )
     x0 = vertex_of(start)
-    d0 = disorder_squared(x0).d0
+    d0 = disorder_squared(x0)
     schedule = crossing_events(x0)
     count = len(schedule)
     if args.format == "json":
@@ -321,7 +321,7 @@ def _cmd_flow_trace(args, spec: str) -> str:
                 )
             picked.append(idx)
         trace = integrate_projected(x0, args.t_end, step=args.step, keep=picked)
-        rows = [(s.t, s.state.coords, disorder_squared(s.state).d0) for s in trace.samples]
+        rows = [(s.t, s.state.coords, disorder_squared(s.state)) for s in trace.samples]
     else:
         trace = sample_trace(x0, wanted)
         rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
@@ -451,7 +451,7 @@ def _cmd_report(args, spec: str) -> str:
 
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
-    d0 = disorder_squared(x0).d0
+    d0 = disorder_squared(x0)
     t = crossing_events(x0).t
     est = estimate_sorting(start)
     fields = [

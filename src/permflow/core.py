@@ -32,7 +32,6 @@ __all__ = [
     "SizeLimitError",
     "Permutation",
     "StateVector",
-    "DisorderReport",
     "as_state",
     "sorted_vertex",
     "vertex_of",
@@ -64,15 +63,6 @@ class StateVector:
 
     def __iter__(self):
         return iter(self.coords)
-
-
-@dataclass(frozen=True)
-class DisorderReport:
-    """Squared distance d0 to the sorted vertex, and the potential v0 = d0/2."""
-
-    d0: float
-    v0: float
-    n: int
 
 
 def as_state(x: StateVector | Sequence[float] | np.ndarray) -> StateVector:
@@ -127,13 +117,12 @@ def vertex_of(p: Permutation | Iterable[int]) -> StateVector:
     return StateVector(np.array(p.ranks, dtype=float))
 
 
-def disorder_squared(x: StateVector | Sequence[float]) -> DisorderReport:
-    """Squared Euclidean distance from x to the sorted vertex, plus half of it.
+def disorder_squared(x: StateVector | Sequence[float]) -> float:
+    """Squared Euclidean distance d0 from x to the sorted vertex.
 
     d0 = sum_i (x_i - i)^2 measures how far a state is from the sorted
     order; it is zero exactly at (1, 2, ..., n).
     """
     s = as_state(x)
     a = s.coords - np.arange(1, s.n + 1)
-    d0 = float(np.dot(a, a))
-    return DisorderReport(d0=d0, v0=d0 / 2.0, n=s.n)
+    return float(np.dot(a, a))

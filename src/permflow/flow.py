@@ -80,25 +80,13 @@ def _offsets(x: StateVector) -> np.ndarray:
 
 
 def flow_state(x0: StateVector | Sequence[float], t: float) -> StateVector:
-    """Exact state of the contraction flow at time t >= 0."""
-    x0 = as_state(x0)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    _require_hyperplane(x0)
-    targets = np.arange(1, x0.n + 1, dtype=float)
-    return StateVector(targets + _offsets(x0) * math.exp(-t))
+    """Exact state of the contraction flow at time t >= 0: `sample_trace(x0, [t])`'s."""
+    return sample_trace(x0, [t]).samples[0].state
 
 
 def disorder_at(x0: StateVector | Sequence[float], t: float) -> float:
-    """Squared distance to the sorted vertex at time t: d0 * exp(-2t).
-
-    A start off the hyperplane raises ValueError, as in `flow_state`.
-    """
-    x0 = as_state(x0)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    _require_hyperplane(x0)
-    return disorder_squared(x0).d0 * math.exp(-2.0 * t)
+    """Squared distance to the sorted vertex at time t: d0 * exp(-2t), `sample_trace`'s."""
+    return sample_trace(x0, [t]).samples[0].disorder
 
 
 def _log_ratio(d0: float, epsilon: float) -> float:
@@ -178,7 +166,7 @@ class CrossingSchedule:
         return self.t.size
 
     def meeting_values(self) -> np.ndarray:
-        """i + offset * exp(-t) per row by `math.exp`, as `flow_state` computes it, bit for bit."""
+        """i + offset * exp(-t) per row by `math.exp`, as `sample_trace` computes it, bit for bit."""
         rows = zip(self.i.tolist(), self.offset.tolist(), self.t.tolist())
         return np.array([lo + a * math.exp(-s) for lo, a, s in rows])
 
@@ -247,11 +235,11 @@ def discrete_estimate(n: int, t: float, dt: Optional[float] = None) -> float:
     """Discrete operations t/dt implied by time t at step dt (default 1/n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if t < 0:
+    if not (t >= 0):
         raise ValueError(f"t must be >= 0, got {t}")
     if dt is None:
         dt = 1.0 / n
-    if dt <= 0:
+    if not (dt > 0):
         raise ValueError(f"dt must be > 0, got {dt}")
     return t / dt
 
@@ -281,15 +269,19 @@ def lemma_lower_bound(n: int, d0: float, epsilon: float, c: float) -> float:
 def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> FlowTrace:
     """Evaluate the closed-form flow at the given strictly increasing times.
 
-    Each sample carries the same floats as `flow_state(x0, t)` and
-    `disorder_at(x0, t)`; the start is checked and its offsets and d0 are
+    The package's one evaluator of the closed-form flow: the sample at t holds
+    the state v_s + (x0 - v_s) * exp(-t) and the disorder d0 * exp(-2t),
+    and `flow_state` and `disorder_at` read the single sample at their t.
+    A time must be >= 0, so NaN raises ValueError; t = inf gives the
+    sorted vertex. The start is checked and its offsets and d0 are
     computed once per trace. An off-hyperplane start raises ValueError
     when there is at least one time.
     """
     x0 = as_state(x0)
     ts = [float(t) for t in times]
-    if any(t < 0 for t in ts):
-        raise ValueError("sample times must be >= 0")
+    for t in ts:
+        if not (t >= 0):
+            raise ValueError(f"t must be >= 0, got {t}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
     if not ts:
@@ -297,7 +289,7 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> F
     _require_hyperplane(x0)
     targets = np.arange(1, x0.n + 1, dtype=float)
     a = _offsets(x0)
-    d0 = disorder_squared(x0).d0
+    d0 = disorder_squared(x0)
     samples = tuple(
         FlowSample(
             t=t,
@@ -323,7 +315,7 @@ def estimate_sorting(
     require_finite_positive("epsilon", epsilon)
     require_finite_positive("c", c)
     x0 = vertex_of(p)
-    d0 = disorder_squared(x0).d0
+    d0 = disorder_squared(x0)
     if d0 <= epsilon * epsilon:
         t = 0.0
         estimate = 0.0

@@ -57,7 +57,16 @@ class Permutation:
 
     @classmethod
     def of(cls, ranks: Iterable[int]) -> "Permutation":
-        return cls(tuple(int(r) for r in ranks))
+        """Permutation of integral ranks; another rank (2.5, "3", inf, nan) raises ValueError."""
+        given = tuple(ranks)
+        try:
+            ints = tuple(map(int, given))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != given:
+            bad = next(r for r in given if not _is_integral(r))
+            raise ValueError(f"ranks must be integers, got {bad!r}")
+        return cls(ints)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -69,6 +78,14 @@ class Permutation:
 
     def is_sorted(self) -> bool:
         return self.ranks == tuple(range(1, self.n + 1))
+
+
+def _is_integral(r) -> bool:
+    """True when int(r) succeeds and equals r."""
+    try:
+        return int(r) == r
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def require_finite_positive(name: str, value: float) -> None:

@@ -19,8 +19,9 @@ unchanged. `integrate_projected` therefore integrates the pull as it is:
 each explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
 (1 - h)*(x - v_s), so it contracts V by exactly (1 - h)^2 <= exp(-2h),
 and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i), up
-to rounding. A state is sorted only when it is recorded, for its count of
-tie blocks.
+to rounding. A recorded sample is a time and a state: its potential and
+its count of tie blocks are computed, and the state sorted, only when
+they are read.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StateVector, _hyperplane_bound, _require_hyperplane, as_state
+from .core import StateVector, _hyperplane_bound, _require_hyperplane, as_state, disorder_squared
 from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 
 __all__ = [
@@ -47,9 +48,9 @@ __all__ = [
 ]
 
 #: Most Euler steps one integration takes. An unrecorded step costs about
-#: 3.5 us at n <= 200 and keeps nothing; a recorded one about 25 us and a
-#: sample of 0.5 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step
-#: recorded (keep=None) the limit bounds a run near 2.5 s and 50 MB +
+#: 3.5 us at n <= 200 and keeps nothing; a recorded one about 11 us and a
+#: sample of 0.4 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step
+#: recorded (keep=None) the limit bounds a run near 1.1 s and 40 MB +
 #: 0.8 MB per coordinate.
 STEP_LIMIT = 100_000
 #: Most coordinate updates (Euler steps x n) one integration takes: STEP_LIMIT
@@ -94,12 +95,6 @@ def _group(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(coords, kind="stable")
     values = coords[order]
     return order, values[1:] - values[:-1] <= 1e-9 * coords.size
-
-
-def _count_blocks(joined: np.ndarray) -> int:
-    """Number of tie blocks with two or more members: runs of joining gaps."""
-    # each run of k joining gaps holds k - 1 adjacent joining pairs
-    return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
 def active_ties(x: StateVector | Sequence[float]) -> tuple[tuple[int, ...], ...]:
@@ -186,8 +181,18 @@ def project_velocity(
 class ProjectedSample:
     t: float
     state: StateVector
-    potential: float
-    active_block_count: int
+
+    @property
+    def potential(self) -> float:
+        """V = 0.5*||x - v_s||^2."""
+        return 0.5 * disorder_squared(self.state)
+
+    @property
+    def active_block_count(self) -> int:
+        """Tie blocks of `active_ties` with two or more members: runs of joining gaps."""
+        joined = _group(self.state.coords)[1]
+        # each run of k joining gaps holds k - 1 adjacent joining pairs
+        return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
 @dataclass(frozen=True)
@@ -234,14 +239,14 @@ def integrate_projected(
     front. The start is checked once: in exact arithmetic a step keeps the
     coordinate sum, so a later state is off the hyperplane only by rounding.
 
-    Samples record the potential 0.5*||x - v_s||^2 and the number of
-    tie blocks as `active_ties` counts them. Grid index k is the state
+    Samples record the time and the state; a sample's potential
+    0.5*||x - v_s||^2 and its number of tie blocks are computed when read,
+    so no step sorts its state. Grid index k is the state
     after k steps: 0 is the start at t = 0 and the last,
     len(samples) - 1 with keep=None, is t_end. `keep`, a strictly
     increasing sequence of grid indices, records only those states, each
-    bit for bit as keep=None records it; every step still runs. Only
-    recorded states are sorted, so with a short `keep` memory does not
-    grow with t_end.
+    bit for bit as keep=None records it; every step still runs. With a
+    short `keep`, memory does not grow with t_end.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
@@ -266,19 +271,12 @@ def integrate_projected(
     next_kept = next(wanted)
     prev = 0.0
     for k, t in enumerate((*times, None)):
-        np.subtract(targets, x, out=g)
         if k == next_kept:
-            samples.append(
-                ProjectedSample(
-                    t=prev,
-                    state=StateVector(x),
-                    potential=0.5 * float(np.dot(g, g)),
-                    active_block_count=_count_blocks(_group(x)[1]),
-                )
-            )
+            samples.append(ProjectedSample(t=prev, state=StateVector(x)))
             next_kept = next(wanted, None)
         if t is None:
             break
+        np.subtract(targets, x, out=g)
         g *= t - prev
         x += g
         prev = t

@@ -70,9 +70,9 @@ def test_criterion_02_exponential_contraction():
         states.append([c + shift for c in coords])
     times = [rng.uniform(0.0, 10.0) for _ in range(100)]
     for x0 in states:
-        d0 = disorder_squared(x0).d0
+        d0 = disorder_squared(x0)
         for t in times:
-            measured = disorder_squared(flow_state(x0, t)).d0
+            measured = disorder_squared(flow_state(x0, t))
             if abs(measured - d0 * math.exp(-2 * t)) > 1e-12 * d0:
                 ok = False
     _verdict(

@@ -261,7 +261,7 @@ def reference_events_output(ranks, fmt, spec):
     """`flow events` stdout built from the per-pair loop, one dict or f-string per event."""
     p = Permutation.of(ranks)
     x0 = vertex_of(p)
-    d0 = disorder_squared(x0).d0
+    d0 = disorder_squared(x0)
     est = estimate_sorting(p)
     events = reference_crossing_events(x0.coords)
     if fmt == "json":

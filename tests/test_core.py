@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from permflow import (
     disorder_squared,
     hyperplane_sum,
     in_hyperplane,
+    instrument,
     inversions,
     log2_factorial,
     reverse_disorder,
@@ -30,6 +32,37 @@ class TestPermutation:
     def test_of_coerces_iterables(self):
         assert Permutation.of([2, 1]).ranks == (2, 1)
         assert Permutation.of(np.array([1, 3, 2])).ranks == (1, 3, 2)
+        # integral floats too, stored as ints
+        for ranks in ((2.0, 1.0), np.array([2.0, 1.0])):
+            assert Permutation.of(ranks).ranks == (2, 1)
+            assert all(type(r) is int for r in Permutation.of(ranks).ranks)
+
+    @pytest.mark.parametrize(
+        "ranks, named",
+        [
+            ([2.7, 1.2, 3.9], "2.7"),
+            ([1, 2, 3.5], "3.5"),
+            (["1", "2"], "'1'"),
+            ([2, "1"], "'1'"),
+            ([1, math.inf], "inf"),
+            ([math.nan, 1], "nan"),
+            ([None, 1], "None"),
+        ],
+    )
+    def test_of_rejects_non_integral_ranks(self, ranks, named):
+        with pytest.raises(ValueError, match=f"ranks must be integers, got {re.escape(named)}$"):
+            Permutation.of(ranks)
+
+    def test_non_integral_rank_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="got 2.9$"):
+            vertex_of([2.9, 1.1])
+        with pytest.raises(ValueError, match="got 2.5$"):
+            instrument("merge", (2.5, 1.2, 3.9))
+
+    def test_of_names_one_rank_at_large_n(self):
+        with pytest.raises(ValueError) as err:
+            Permutation.of([*range(1, 10_000), 0.5])
+        assert str(err.value) == "ranks must be integers, got 0.5"
 
     @pytest.mark.parametrize("bad", [(), (0, 1), (1, 1), (1, 3), (2, 3, 4)])
     def test_rejects_non_permutations(self, bad):
@@ -117,13 +150,12 @@ class TestInversions:
 
 class TestDisorder:
     def test_worked_values(self):
-        assert disorder_squared([3.0, 2.0, 1.0]).d0 == 8.0
-        assert disorder_squared(sorted_vertex(6)).d0 == 0.0
+        assert disorder_squared([3.0, 2.0, 1.0]) == 8.0
+        assert disorder_squared(sorted_vertex(6)) == 0.0
 
-    def test_potential_is_half(self):
-        report = disorder_squared([3.0, 2.0, 1.0])
-        assert report.v0 == report.d0 / 2
-        assert report.n == 3
+    def test_returns_a_float(self):
+        assert type(disorder_squared([3.0, 2.0, 1.0])) is float
+        assert type(disorder_squared(np.array([1, 2, 3]))) is float
 
     def test_reverse_disorder_formula(self):
         # independent route: sum of squared displacements of the reversal
@@ -133,7 +165,7 @@ class TestDisorder:
 
     def test_reverse_disorder_matches_measurement(self):
         for n in range(1, 10):
-            measured = disorder_squared(vertex_of(Permutation.reverse(n))).d0
+            measured = disorder_squared(vertex_of(Permutation.reverse(n)))
             assert measured == reverse_disorder(n)
 
     def test_reverse_disorder_validates(self):

@@ -147,10 +147,10 @@ class TestDisorderDecay:
         rng = random.Random(123)
         for _ in range(100):
             x0 = random_hyperplane_state(10, rng)
-            d0 = disorder_squared(x0).d0
+            d0 = disorder_squared(x0)
             for _ in range(100):
                 t = rng.uniform(0, 10)
-                measured = disorder_squared(flow_state(x0, t)).d0
+                measured = disorder_squared(flow_state(x0, t))
                 assert abs(measured - disorder_at(x0, t)) <= 1e-12 * d0
 
     def test_zero_everywhere_for_sorted(self):
@@ -179,7 +179,42 @@ class TestDisorderDecay:
             with pytest.raises(ValueError, match="hyperplane"):
                 disorder_at(start, 1.0)
         else:
-            assert disorder_at(start, 1.0) == disorder_squared(start).d0 * math.exp(-2.0)
+            assert disorder_at(start, 1.0) == disorder_squared(start) * math.exp(-2.0)
+
+
+class TestNonFiniteTime:
+    # t < 0 and dt <= 0 are False for NaN, so each check is written as
+    # not (t >= 0) / not (dt > 0)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x0: flow_state(x0, math.nan),
+            lambda x0: disorder_at(x0, math.nan),
+            lambda x0: sample_trace(x0, [math.nan]),
+            lambda x0: sample_trace(x0, [0.0, math.nan]),
+            lambda x0: discrete_estimate(3, math.nan),
+            lambda x0: discrete_estimate(3, 1.0, math.nan),
+        ],
+        ids=[
+            "flow_state",
+            "disorder_at",
+            "sample_trace-only",
+            "sample_trace-second",
+            "discrete_estimate-t",
+            "discrete_estimate-dt",
+        ],
+    )
+    def test_nan_time_or_step_raises(self, call):
+        with pytest.raises(ValueError, match="t must be >=? 0, got nan$"):
+            call(vertex_of(Permutation.reverse(3)))
+
+    def test_infinite_time_gives_the_sorted_vertex(self):
+        x0 = vertex_of(Permutation.reverse(4))
+        assert flow_state(x0, math.inf).coords.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert disorder_at(x0, math.inf) == 0.0
+        last = sample_trace(x0, [0.0, 1.0, math.inf]).samples[-1]
+        assert last.state.coords.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert last.disorder == 0.0
 
 
 class TestTimeToEpsilon:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ import permflow.projection
 from permflow import (
     MAX_STEP,
     Permutation,
+    ProjectedSample,
     STEP_LIMIT,
     UPDATE_LIMIT,
     SizeLimitError,
@@ -61,7 +63,7 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
         return (
             t,
             state.coords,
-            0.5 * disorder_squared(state).d0,
+            0.5 * disorder_squared(state),
             sum(1 for b in blocks if len(b) > 1),
         )
 
@@ -291,6 +293,13 @@ class TestIntegrateProjected:
         assert trace.samples[0].active_block_count == 1
         assert trace.samples[-1].active_block_count == 0
 
+    def test_sample_is_a_time_and_a_state(self):
+        # the potential and the tie-block count are read from the state
+        assert [f.name for f in dataclasses.fields(ProjectedSample)] == ["t", "state"]
+        s = ProjectedSample(t=0.0, state=StateVector([2.0, 2.0, 2.0]))
+        assert s.potential == 1.0  # half of (1 + 0 + 1)
+        assert s.active_block_count == 1
+
     def test_step_guard(self):
         with pytest.raises(ValueError):
             integrate_projected([3.0, 2.0, 1.0], 1.0, step=2 * MAX_STEP)
@@ -405,7 +414,8 @@ class TestKeep:
             integrate_projected([3.0, 2.0, 1.0], 0.05, keep=keep)
 
     def test_only_kept_states_are_grouped(self, monkeypatch):
-        # an unrecorded step never sorts its state
+        # integration sorts no state; each read of a sample's tie-block count
+        # sorts that sample's state once, and reading its potential sorts none
         calls = []
         group = permflow.projection._group
 
@@ -417,10 +427,15 @@ class TestKeep:
         keep = [0, 7, 250, 500]
         trace = integrate_projected(vertex_of(Permutation.reverse(30)), 5.0, keep=keep)
         assert [s.t for s in trace.samples] == [0.0, 0.07, 2.5, 5.0]
-        assert len(calls) == len(keep)
+        assert calls == []
+        assert trace.potentials.tolist() == [0.5 * disorder_squared(s.state) for s in trace.samples]
+        assert calls == []
+        for k, s in enumerate(trace.samples, 1):
+            assert s.active_block_count == 0  # the reversed start ties only at c = 1/2
+            assert calls == [30] * k
 
     def test_memory_does_not_grow_with_t_end(self):
-        # the full trace keeps 5,001 samples of about 0.5 KB + 1.6 KB each
+        # the full trace keeps 5,001 samples of about 0.4 KB + 1.6 KB each
         x0 = vertex_of(Permutation.reverse(200))
         last = len(_step_times(50.0, MAX_STEP, x0.n))
         peaks = []
