@@ -39,7 +39,6 @@ _LAZY = {
             "as_state",
             "disorder_squared",
             "in_hyperplane",
-            "sorted_vertex",
             "vertex_of",
         ),
         "core",
@@ -51,7 +50,6 @@ _LAZY = {
             "FlowTrace",
             "SortingEstimate",
             "crossing_events",
-            "crossing_time",
             "discrete_estimate",
             "disorder_at",
             "estimate_sorting",

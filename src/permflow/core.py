@@ -4,9 +4,11 @@ The numpy half of the package's ground floor: a state is a point of R^n,
 usually on the hyperplane sum(x) = n(n+1)/2 where the rank polytope (the
 convex hull of all rearrangements of (1, 2, ..., n)) lives, and
 `in_hyperplane` is the package's one test of that; a permutation embeds
-as one of its vertices; and the squared distance to the sorted vertex
-measures disorder. The discrete half (permutations,
-inversions, the size guard) lives in `perms` and is re-exported here.
+as one of its vertices (`vertex_of`); and the squared distance to the
+sorted vertex measures disorder (`disorder_squared`). The discrete half
+(permutations, inversions, the size guard) lives and is exported in
+`perms`; `Permutation`, `SizeLimitError` and `inversions` stay readable
+here as module attributes only.
 
 Indices and ranks are 1-based throughout the public API.
 """
@@ -18,28 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .perms import (
-    Permutation,
-    SizeLimitError,
-    hyperplane_sum,
-    inversions,
-    log2_factorial,
-    require_finite_positive,
-    reverse_disorder,
-)
+from .perms import Permutation, SizeLimitError, hyperplane_sum, inversions  # noqa: F401
 
 __all__ = [
-    "SizeLimitError",
-    "Permutation",
     "StateVector",
     "as_state",
-    "sorted_vertex",
     "vertex_of",
-    "inversions",
     "disorder_squared",
-    "reverse_disorder",
-    "log2_factorial",
-    "hyperplane_sum",
     "in_hyperplane",
 ]
 
@@ -101,13 +88,6 @@ def _require_hyperplane(x: StateVector) -> None:
     """
     if not in_hyperplane(x):
         raise ValueError("state must lie on the hyperplane sum(x) = n(n+1)/2")
-
-
-def sorted_vertex(n: int) -> StateVector:
-    """The vertex (1, 2, ..., n) representing the sorted order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return StateVector(np.arange(1, n + 1, dtype=float))
 
 
 def vertex_of(p: Permutation | Iterable[int]) -> StateVector:

@@ -31,9 +31,7 @@ __all__ = [
     "verify_tree",
     "tree_stats",
     "tree_to_dict",
-    "tree_from_dict",
     "tree_to_json",
-    "tree_from_json",
 ]
 
 #: build_optimal refuses n beyond this outright.
@@ -68,7 +66,6 @@ Node = Union[Leaf, Internal]
 class TreeStats:
     height: int
     leaf_count: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,6 @@ def verify_tree(tree: Node, n: int) -> tuple[bool, Optional[tuple[int, ...]]]:
 
 def tree_stats(tree: Node) -> TreeStats:
     """Height (comparisons on the longest path) and leaf count by traversal."""
-    n = 0
     height = 0
     leaves = 0
     stack: list[tuple[Node, int]] = [(tree, 0)]
@@ -222,13 +218,12 @@ def tree_stats(tree: Node) -> TreeStats:
         if isinstance(node, Leaf):
             leaves += 1
             height = max(height, depth)
-            n = max(n, len(node.output))
         elif isinstance(node, Internal):
             stack.append((node.low, depth + 1))
             stack.append((node.high, depth + 1))
         else:
             raise ValueError(f"not a tree node: {node!r}")
-    return TreeStats(height=height, leaf_count=leaves, n=n)
+    return TreeStats(height=height, leaf_count=leaves)
 
 
 def tree_to_dict(tree: Node) -> dict:
@@ -244,20 +239,5 @@ def tree_to_dict(tree: Node) -> dict:
     raise ValueError(f"not a tree node: {tree!r}")
 
 
-def tree_from_dict(data: dict) -> Node:
-    if not isinstance(data, dict):
-        raise ValueError(f"expected an object, got {type(data).__name__}")
-    if "out" in data:
-        return Leaf(tuple(int(v) for v in data["out"]))
-    if {"cmp", "lo", "hi"} <= data.keys():
-        i, j = (int(v) for v in data["cmp"])
-        return Internal((i, j), tree_from_dict(data["lo"]), tree_from_dict(data["hi"]))
-    raise ValueError(f"node object needs 'out' or 'cmp'/'lo'/'hi', got keys {sorted(data)}")
-
-
 def tree_to_json(tree: Node, indent: Optional[int] = None) -> str:
     return json.dumps(tree_to_dict(tree), indent=indent)
-
-
-def tree_from_json(text: str) -> Node:
-    return tree_from_dict(json.loads(text))

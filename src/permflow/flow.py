@@ -38,7 +38,6 @@ __all__ = [
     "flow_state",
     "disorder_at",
     "time_to_epsilon",
-    "crossing_time",
     "crossing_events",
     "discrete_estimate",
     "lemma_lower_bound",
@@ -58,7 +57,6 @@ class FlowSample:
 class FlowTrace:
     """Closed-form flow evaluated at a strictly increasing list of times."""
 
-    start: StateVector
     samples: tuple[FlowSample, ...]
 
 
@@ -120,31 +118,6 @@ def time_to_epsilon(d0: float, epsilon: float) -> float:
     return max(0.0, 0.5 * _log_ratio(d0, epsilon))
 
 
-def crossing_time(x0: StateVector | Sequence[float], i: int, j: int) -> Optional[float]:
-    """Time at which coordinates i and j of the flow coincide, if ever.
-
-    With offsets a_k = x0_k - k and i < j, the meeting condition reads
-    exp(-t) = (j - i) / (a_i - a_j); a crossing exists exactly when that
-    ratio lies in (0, 1), and since exp(-t) is strictly monotone the pair
-    meets at most once. Indices are 1-based.
-    """
-    x0 = as_state(x0)
-    if i == j:
-        raise ValueError("indices must differ")
-    i, j = (i, j) if i < j else (j, i)
-    if not (1 <= i and j <= x0.n):
-        raise ValueError(f"indices must be in 1..{x0.n}, got ({i}, {j})")
-    _require_hyperplane(x0)
-    a = _offsets(x0)
-    denom = float(a[i - 1] - a[j - 1])
-    if denom == 0:
-        return None
-    ratio = (j - i) / denom
-    if not (0.0 < ratio < 1.0):
-        return None
-    return -math.log(ratio)
-
-
 #: Most pairs i < j that one block of the triangle pass holds (at least one
 #: row per block). Each pair costs about 50 bytes of index, ratio and mask
 #: arrays, so a block peaks near 3 MB, and n <= 256 is a single block. The
@@ -182,16 +155,17 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     The ratio (j - i) / (a_i - a_j) of every pair comes from numpy passes
     over blocks of `_PAIR_BLOCK // n` rows of the upper triangle (a row
     holds at most n - 1 pairs, so a block at most `_PAIR_BLOCK`), the same
-    IEEE subtraction and division as in `crossing_time`; a zero denominator
-    gives an infinite ratio and drops out with the others outside (0, 1).
+    IEEE subtraction and division as the per-pair loop of the test oracle
+    in `tests/crossing_oracle.py`; a zero denominator gives an infinite
+    ratio and drops out with the others outside (0, 1).
     In exact arithmetic a pair meets iff x_i > x_j, for any start, since
     a_i - a_j = x_i - x_j + (j - i): a_i - a_j > j - i <=> x_i > x_j.
     Off the vertices the float ratio test decides, not x_i > x_j, and the
     two differ: at n = 39 it meets x_16 one ulp below x_38 at t = 1.1e-16.
     Each block keeps the ratio, i and j of its crossing pairs, so memory is
     O(n * rows per block + events), not O(n^2). Only the crossing ratios
-    take t = -ln(ratio), with `math.log`, so each time matches
-    `crossing_time` bit for bit (numpy's `log` may differ in the last ulp).
+    take t = -ln(ratio), with `math.log`, so each time matches that
+    oracle bit for bit (numpy's `log` may differ in the last ulp).
     The blocks walk the triangle row by row, and `np.triu_indices` and
     `np.flatnonzero` keep each block's pairs in row-major order, so the
     rows arrive sorted by (i, j). One stable `np.argsort` of t then orders
@@ -285,7 +259,7 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> F
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
     if not ts:
-        return FlowTrace(start=x0, samples=())
+        return FlowTrace(samples=())
     _require_hyperplane(x0)
     targets = np.arange(1, x0.n + 1, dtype=float)
     a = _offsets(x0)
@@ -298,7 +272,7 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> F
         )
         for t in ts
     )
-    return FlowTrace(start=x0, samples=samples)
+    return FlowTrace(samples=samples)
 
 
 def estimate_sorting(

@@ -1,8 +1,8 @@
 """Permutations of ranks 1..n and the integer facts about them.
 
 The discrete half of the package: a permutation, its inversion count,
-the exact disorder of the reversed order, log2(n!), the coordinate sum
-of the rank polytope's hyperplane, and the input checks and size guard
+the exact disorder of the reversed order, the coordinate sum of the
+rank polytope's hyperplane, and the input checks and size guard
 shared by every layer. Nothing here imports numpy, so `slicing`, `dtree`
 and the `permflow slice` / `permflow dtree` commands start without it.
 The numpy state half (state vectors, vertices, the disorder potential)
@@ -23,7 +23,6 @@ __all__ = [
     "Permutation",
     "inversions",
     "reverse_disorder",
-    "log2_factorial",
     "hyperplane_sum",
 ]
 
@@ -47,9 +46,15 @@ class Permutation:
         if n < 1:
             raise ValueError("permutation must have length >= 1")
         if sorted(self.ranks) != list(range(1, n + 1)):
-            raise ValueError(
-                f"ranks must contain each of 1..{n} exactly once, got {self.ranks}"
-            )
+            allowed = set(range(1, n + 1))
+            seen = set()
+            for r in self.ranks:
+                if r in seen or r not in allowed:
+                    fault = "appears twice" if r in seen else "is not one of them"
+                    raise ValueError(
+                        f"ranks must contain each of 1..{n} exactly once: rank {r!r} {fault}"
+                    )
+                seen.add(r)
 
     @property
     def n(self) -> int:
@@ -75,9 +80,6 @@ class Permutation:
     @classmethod
     def reverse(cls, n: int) -> "Permutation":
         return cls(tuple(range(n, 0, -1)))
-
-    def is_sorted(self) -> bool:
-        return self.ranks == tuple(range(1, self.n + 1))
 
 
 def _is_integral(r) -> bool:
@@ -137,10 +139,3 @@ def reverse_disorder(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return n * (n * n - 1) // 3
-
-
-def log2_factorial(n: int) -> float:
-    """log2(n!) by direct summation of log2(k) for k = 2..n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return float(sum(math.log2(k) for k in range(2, n + 1)))

@@ -39,7 +39,6 @@ from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 __all__ = [
     "ProjectedSample",
     "ProjectedTrace",
-    "MAX_STEP",
     "STEP_LIMIT",
     "UPDATE_LIMIT",
     "active_ties",
@@ -197,26 +196,13 @@ class ProjectedSample:
 
 @dataclass(frozen=True)
 class ProjectedTrace:
-    """Euler path of the projected descent with its potential decay."""
+    """The recorded samples of one Euler run of the projected descent."""
 
     samples: tuple[ProjectedSample, ...]
-    step: float
-
-    @property
-    def start(self) -> StateVector:
-        return self.samples[0].state
 
     @property
     def final(self) -> StateVector:
         return self.samples[-1].state
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def potentials(self) -> np.ndarray:
-        return np.array([s.potential for s in self.samples])
 
 
 def integrate_projected(
@@ -280,4 +266,4 @@ def integrate_projected(
         g *= t - prev
         x += g
         prev = t
-    return ProjectedTrace(samples=tuple(samples), step=step)
+    return ProjectedTrace(samples=tuple(samples))

@@ -40,10 +40,8 @@ __all__ = [
     "DP_LIMIT",
     "parse_constraints",
     "feasible_count",
-    "is_contradictory",
     "isolates_sorted",
     "instrument",
-    "comparison_count",
 ]
 
 #: Counting and instrumented runs stop here: a prime part of the order is
@@ -229,25 +227,6 @@ def _count_down_sets(below: list[int], labels: int) -> int:
     return layer[labels]
 
 
-def is_contradictory(s: ConstraintSet) -> bool:
-    """True when the constraint digraph has a directed cycle (count would be 0).
-
-    Kahn's topological order, built in O(n + m); a cycle never joins it.
-    """
-    above: list[list[int]] = [[] for _ in range(s.n + 1)]
-    waiting = [0] * (s.n + 1)  # waiting[v] = constraints below label v not yet placed
-    for c in s.constraints:
-        above[c.lo].append(c.hi)
-        waiting[c.hi] += 1
-    order = [v for v in range(1, s.n + 1) if waiting[v] == 0]
-    for v in order:  # the loop reaches the labels it appends
-        for w in above[v]:
-            waiting[w] -= 1
-            if waiting[w] == 0:
-                order.append(w)
-    return len(order) < s.n
-
-
 def isolates_sorted(s: ConstraintSet) -> bool:
     """True when exactly one assignment remains and it is the sorted one.
 
@@ -343,19 +322,6 @@ _SORTS: dict[str, Callable[[list, Less], list]] = {
 }
 
 
-def _sort_and_input(
-    algorithm: str, p: Permutation | Sequence[int]
-) -> tuple[Callable[[list, Less], list], Permutation]:
-    """The named sort variant and p as a Permutation; ValueError on either."""
-    if algorithm not in _SORTS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
-        )
-    if not isinstance(p, Permutation):
-        p = Permutation.of(p)
-    return _SORTS[algorithm], p
-
-
 @dataclass(frozen=True)
 class TraceStep:
     """One comparison: the constraint it fixed and the count contraction."""
@@ -373,7 +339,6 @@ class InstrumentedRun:
     algorithm: str
     input: Permutation
     trace: tuple[TraceStep, ...]
-    output: tuple[int, ...]
     constraints: ConstraintSet
 
     @property
@@ -412,11 +377,17 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
     it implies, repeated or not, keeps the count and contributes a trace
     row with bits = 0. The pairs seen are kept in first-seen order; they
     are valid by construction, so the run builds its `ConstraintSet` once
-    at the end and validates it once. The variants are fixed: binary
-    insertion's backward shift, top-down merge splitting at floor(n/2),
+    at the end and validates it once. The variants are fixed: insertion
+    by a linear backward scan, top-down merge splitting at floor(n/2),
     quicksort on the first-element pivot, and a max-heap with sift-down.
+    The sort must return (1, ..., n); any other output raises RuntimeError.
     """
-    sort, p = _sort_and_input(algorithm, p)
+    if algorithm not in _SORTS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
+        )
+    if not isinstance(p, Permutation):
+        p = Permutation.of(p)
     if p.n > DP_LIMIT:
         raise SizeLimitError(f"instrumented runs are limited to n <= {DP_LIMIT}, got {p.n}")
 
@@ -443,33 +414,12 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
         )
         return u < v
 
-    out = sort(list(p.ranks), less)
+    out = _SORTS[algorithm](list(p.ranks), less)
     if out != list(range(1, p.n + 1)):
         raise RuntimeError(f"{algorithm} failed to sort {p.ranks}: got {out}")
     return InstrumentedRun(
         algorithm=algorithm,
         input=p,
         trace=tuple(steps),
-        output=tuple(out),
         constraints=ConstraintSet(p.n, tuple(seen)),
     )
-
-
-def comparison_count(algorithm: str, p: Permutation | Sequence[int]) -> int:
-    """Comparisons one of the fixed sort variants spends on p — counting only.
-
-    Unlike instrument, no feasible sets are maintained, so this scales to
-    any n that the plain sort itself can handle.
-    """
-    sort, p = _sort_and_input(algorithm, p)
-    hits = 0
-
-    def less(u: int, v: int) -> bool:
-        nonlocal hits
-        hits += 1
-        return u < v
-
-    out = sort(list(p.ranks), less)
-    if out != list(range(1, p.n + 1)):
-        raise RuntimeError(f"{algorithm} failed to sort {p.ranks}: got {out}")
-    return hits

@@ -1,4 +1,4 @@
-"""Brute-force enumeration: the independent oracle for `feasible_count`.
+"""Independent oracles for `feasible_count`: brute-force enumeration and Kahn's cycle test.
 
 Not a test module itself; the counting tests import it.
 """
@@ -40,3 +40,22 @@ def feasible_count_brute(s: ConstraintSet) -> int:
     for c in s.constraints:
         keep &= rows[:, c.lo - 1] < rows[:, c.hi - 1]
     return int(np.count_nonzero(keep))
+
+
+def is_contradictory(s: ConstraintSet) -> bool:
+    """True when the constraint digraph has a directed cycle: the oracle for a zero count.
+
+    Kahn's topological order, built in O(n + m); a cycle never joins it.
+    """
+    above: list[list[int]] = [[] for _ in range(s.n + 1)]
+    waiting = [0] * (s.n + 1)  # waiting[v] = constraints below label v not yet placed
+    for c in s.constraints:
+        above[c.lo].append(c.hi)
+        waiting[c.hi] += 1
+    order = [v for v in range(1, s.n + 1) if waiting[v] == 0]
+    for v in order:  # the loop reaches the labels it appends
+        for w in above[v]:
+            waiting[w] -= 1
+            if waiting[w] == 0:
+                order.append(w)
+    return len(order) < s.n

@@ -16,7 +16,6 @@ from permflow import (
     ConstraintSet,
     Permutation,
     build_optimal,
-    comparison_count,
     crossing_events,
     disorder_squared,
     feasible_count,
@@ -190,7 +189,7 @@ def test_criterion_07_telescoping_information():
         ok = ok and run.final_feasible == 1
         ok = ok and abs(run.total_bits - target_bits) <= 1e-9
     counts = [
-        comparison_count("merge", ranks)
+        instrument("merge", ranks).comparisons
         for ranks in itertools.permutations(range(1, 8))
     ]
     ok = ok and max(counts) <= merge_worst(7) and any(c >= 13 for c in counts)

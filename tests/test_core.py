@@ -16,9 +16,7 @@ from permflow import (
     in_hyperplane,
     instrument,
     inversions,
-    log2_factorial,
     reverse_disorder,
-    sorted_vertex,
     vertex_of,
 )
 
@@ -69,11 +67,25 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(bad)
 
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [((1, 1), "rank 1 appears twice"), ((2, 0), "rank 0 is not one of them")],
+    )
+    def test_names_the_first_offending_rank(self, bad, fault):
+        with pytest.raises(ValueError) as err:
+            Permutation(bad)
+        assert str(err.value) == f"ranks must contain each of 1..2 exactly once: {fault}"
+
+    def test_non_permutation_message_stays_short_at_large_n(self):
+        # the message names n and one rank, not all 10,000 of them
+        with pytest.raises(ValueError) as err:
+            inversions([1] * 10_000)
+        assert len(str(err.value)) < 200
+        assert str(err.value).endswith("1..10000 exactly once: rank 1 appears twice")
+
     def test_identity_and_reverse(self):
         assert Permutation.identity(4).ranks == (1, 2, 3, 4)
         assert Permutation.reverse(4).ranks == (4, 3, 2, 1)
-        assert Permutation.identity(1).is_sorted()
-        assert not Permutation.reverse(2).is_sorted()
 
 
 class TestStateVector:
@@ -96,7 +108,7 @@ class TestStateVector:
 def test_hyperplane_sum_matches_vertices():
     for n in range(1, 8):
         assert hyperplane_sum(n) == sum(range(1, n + 1))
-        assert in_hyperplane(sorted_vertex(n))
+        assert in_hyperplane(vertex_of(Permutation.identity(n)))
         assert in_hyperplane(vertex_of(Permutation.reverse(n)))
     assert not in_hyperplane([1.0, 2.0, 4.0])
     # the absolute 1e-9 floor governs at small n
@@ -108,12 +120,10 @@ def test_hyperplane_sum_matches_vertices():
         assert not in_hyperplane([math.inf, -math.inf, 6.0])
 
 
-def test_sorted_vertex_and_embedding():
-    assert np.array_equal(sorted_vertex(3).coords, [1.0, 2.0, 3.0])
+def test_vertex_embedding():
+    assert np.array_equal(vertex_of(Permutation.identity(3)).coords, [1.0, 2.0, 3.0])
     assert np.array_equal(vertex_of(Permutation.of((2, 3, 1))).coords, [2.0, 3.0, 1.0])
     assert np.array_equal(vertex_of([3, 1, 2]).coords, [3.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        sorted_vertex(0)
 
 
 def reference_inversions(ranks):
@@ -151,7 +161,7 @@ class TestInversions:
 class TestDisorder:
     def test_worked_values(self):
         assert disorder_squared([3.0, 2.0, 1.0]) == 8.0
-        assert disorder_squared(sorted_vertex(6)) == 0.0
+        assert disorder_squared(vertex_of(Permutation.identity(6))) == 0.0
 
     def test_returns_a_float(self):
         assert type(disorder_squared([3.0, 2.0, 1.0])) is float
@@ -171,11 +181,3 @@ class TestDisorder:
     def test_reverse_disorder_validates(self):
         with pytest.raises(ValueError):
             reverse_disorder(0)
-
-
-def test_log2_factorial_sums():
-    assert log2_factorial(1) == 0.0
-    assert math.isclose(log2_factorial(4), math.log2(24), rel_tol=1e-12)
-    assert math.isclose(log2_factorial(10), math.log2(math.factorial(10)), rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        log2_factorial(0)

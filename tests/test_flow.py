@@ -14,7 +14,6 @@ import permflow.flow
 from permflow import (
     Permutation,
     crossing_events,
-    crossing_time,
     discrete_estimate,
     disorder_at,
     disorder_squared,
@@ -32,7 +31,7 @@ from permflow import (
 )
 from permflow.cli import _seeded_shuffle
 
-from crossing_oracle import reference_crossing_events
+from crossing_oracle import reference_crossing_events, reference_crossing_time
 
 LN2 = math.log(2)
 
@@ -264,44 +263,6 @@ class TestTimeToEpsilon:
         assert math.isfinite(t) and t >= 0.0
 
 
-class TestCrossingTime:
-    def test_reverse_triple_fully_degenerate(self):
-        start = vertex_of(Permutation.reverse(3))
-        for pair in [(1, 2), (1, 3), (2, 3)]:
-            assert math.isclose(crossing_time(start, *pair), LN2, rel_tol=1e-12)
-
-    def test_sorted_never_crosses(self):
-        start = vertex_of(Permutation.identity(3))
-        assert crossing_time(start, 1, 2) is None
-
-    def test_index_order_is_irrelevant(self):
-        start = vertex_of(Permutation.reverse(4))
-        assert crossing_time(start, 3, 1) == crossing_time(start, 1, 3)
-
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            crossing_time(vertex_of(Permutation.reverse(3)), 2, 2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            crossing_time(vertex_of(Permutation.reverse(3)), 0, 2)
-        with pytest.raises(ValueError):
-            crossing_time(vertex_of(Permutation.reverse(3)), 1, 4)
-
-    def test_coordinates_really_meet(self):
-        rng = random.Random(99)
-        for _ in range(50):
-            ranks = list(range(1, 7))
-            rng.shuffle(ranks)
-            start = vertex_of(Permutation.of(ranks))
-            for i, j in itertools.combinations(range(1, 7), 2):
-                t = crossing_time(start, i, j)
-                if t is None:
-                    continue
-                x = flow_state(start, t)
-                assert abs(x.coords[i - 1] - x.coords[j - 1]) < 1e-9
-
-
 class TestCrossingEvents:
     def test_reverse_triple(self):
         events = crossing_events(vertex_of(Permutation.reverse(3)))
@@ -325,6 +286,47 @@ class TestCrossingEvents:
         assert keys == sorted(keys)
         assert len(events) == 2
 
+    def test_coordinates_really_meet(self):
+        rng = random.Random(99)
+        for _ in range(50):
+            ranks = list(range(1, 7))
+            rng.shuffle(ranks)
+            start = vertex_of(Permutation.of(ranks))
+            events = crossing_events(start)
+            for t, i, j in zip(events.t.tolist(), events.i.tolist(), events.j.tolist()):
+                x = flow_state(start, t)
+                assert abs(x.coords[i - 1] - x.coords[j - 1]) < 1e-9
+
+    def test_pairs_are_the_inversions(self):
+        # on a vertex a pair meets iff its ranks are inverted, and each such
+        # pair is one row with its lower index first
+        for ranks in itertools.permutations(range(1, 6)):
+            events = crossing_events(vertex_of(Permutation.of(ranks)))
+            pairs = list(zip(events.i.tolist(), events.j.tolist()))
+            inverted = {
+                (i, j)
+                for i, j in itertools.combinations(range(1, 6), 2)
+                if ranks[i - 1] > ranks[j - 1]
+            }
+            assert len(pairs) == len(set(pairs)), ranks
+            assert set(pairs) == inverted, ranks
+
+    def test_vertex_times_are_integer_ratios(self):
+        # a vertex pair meets where exp(-t) = (j - i) / (p_i - p_j + j - i)
+        for ranks in itertools.permutations(range(1, 6)):
+            events = crossing_events(vertex_of(Permutation.of(ranks)))
+            for t, i, j in zip(events.t.tolist(), events.i.tolist(), events.j.tolist()):
+                d = ranks[i - 1] - ranks[j - 1] + j - i
+                assert 0 < j - i < d < 2 * len(ranks)
+                assert t.hex() == (-math.log((j - i) / d)).hex(), (ranks, i, j)
+
+    def test_state_vector_and_sequence_agree(self):
+        ranks = (3, 1, 4, 5, 2)
+        from_state = crossing_events(vertex_of(Permutation.of(ranks)))
+        from_list = crossing_events([float(r) for r in ranks])
+        for column in ("t", "i", "j", "offset"):
+            assert getattr(from_state, column).tobytes() == getattr(from_list, column).tobytes()
+
     def test_event_times_positive(self):
         for ranks in itertools.permutations(range(1, 5)):
             for t in crossing_events(vertex_of(Permutation.of(ranks))).t.tolist():
@@ -341,13 +343,13 @@ class TestCrossingEvents:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12))
-    def test_events_are_the_pairs_crossing_time_reports(self, offsets):
+    def test_events_are_the_pairs_the_oracle_meets(self, offsets):
         n = len(offsets)
         x = np.arange(1, n + 1) + np.array(offsets)
         x += (hyperplane_sum(n) - x.sum()) / n
         expected = {}
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            t = crossing_time(x, i, j)
+            t = reference_crossing_time(x, i, j)
             if t is not None:
                 expected[(i, j)] = t
         events = crossing_events(x)
@@ -438,7 +440,7 @@ class TestCrossingColumns:
         values = events.meeting_values().tolist()
         for (s, lo, hi), a, value in zip(rows, offset.tolist(), values):
             assert 1 <= lo < hi <= len(x)
-            assert s.hex() == crossing_time(x0, lo, hi).hex()
+            assert s.hex() == reference_crossing_time(x0, lo, hi).hex()
             assert a.hex() == (x[lo - 1] - lo).hex()
             assert value.hex() == float(flow_state(x0, s).coords[lo - 1]).hex()
         return rows
@@ -570,6 +572,15 @@ class TestSampleTrace:
         d0 = trace.samples[0].disorder
         for s in trace.samples:
             assert math.isclose(s.disorder, d0 * math.exp(-2 * s.t), rel_tol=1e-12)
+
+    def test_sample_at_zero_is_the_start(self):
+        # a trace keeps no copy of its start: its sample at t = 0 is the start
+        for ranks in itertools.permutations(range(1, 5)):
+            x0 = vertex_of(Permutation.of(ranks))
+            first = sample_trace(x0, [0.0, 1.0]).samples[0]
+            assert first.t == 0.0
+            assert first.state.coords.tobytes() == x0.coords.tobytes()
+            assert first.disorder == disorder_squared(x0)
 
     def test_requires_increasing_times(self):
         start = vertex_of(Permutation.reverse(3))

@@ -64,9 +64,8 @@ class TestPublicNames:
             for module in (importlib.import_module(f"permflow.{m}") for m in MODULES)
             if name in module.__all__
         ]
-        assert homes, f"no module lists {name} in __all__"
-        for module in homes:
-            assert getattr(module, name) is value, f"{module.__name__}.{name}"
+        assert len(homes) == 1, f"{name} is listed in the __all__ of {homes}, not of one module"
+        assert getattr(homes[0], name) is value, f"{homes[0].__name__}.{name}"
 
     @pytest.mark.parametrize("module", MODULES)
     def test_every_module_name_is_exported(self, module):
@@ -74,6 +73,26 @@ class TestPublicNames:
         for name in defining.__all__:
             assert name in permflow.__all__, f"{module}.{name}"
             assert getattr(permflow, name) is getattr(defining, name), f"{module}.{name}"
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "comparison_count",
+            "crossing_time",
+            "is_contradictory",
+            "log2_factorial",
+            "sorted_vertex",
+            "tree_from_dict",
+            "tree_from_json",
+        ],
+    )
+    def test_removed_name_is_gone(self, name):
+        # each had a replacement and no caller outside the tests
+        assert name not in permflow.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(permflow, name)
+        for m in MODULES:
+            assert not hasattr(importlib.import_module(f"permflow.{m}"), name), m
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
