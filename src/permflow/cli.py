@@ -282,7 +282,7 @@ def _cmd_flow_events(args, spec: str) -> str:
 def _cmd_flow_trace(args, spec: str) -> str:
     from .core import disorder_squared, vertex_of
     from .flow import sample_trace
-    from .projection import _step_times, integrate_projected
+    from .projection import integrate_projected
 
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
@@ -306,21 +306,7 @@ def _cmd_flow_trace(args, spec: str) -> str:
     x0 = vertex_of(start)
     wanted = [args.t_end * k / (args.samples - 1) for k in range(args.samples)]
     if args.projected:
-        # sample k of the trace sits at grid[k]; reject off-grid times
-        # before paying for the integration
-        grid = [0.0, *_step_times(args.t_end, args.step, args.n)]
-        last = len(grid) - 1
-        picked = []
-        for t in wanted:
-            idx = last if t == wanted[-1] else min(int(round(t / args.step)), last)
-            if abs(grid[idx] - t) > 1e-9 * t:
-                raise ValueError(
-                    f"sample time {t:g} is off the Euler grid (nearest step "
-                    f"time {grid[idx]:g}); choose --step and --samples so that "
-                    "t-end/(samples-1) is a multiple of --step"
-                )
-            picked.append(idx)
-        trace = integrate_projected(x0, args.t_end, step=args.step, keep=picked)
+        trace = integrate_projected(x0, args.t_end, step=args.step, times=wanted)
         rows = [(s.t, s.state.coords, disorder_squared(s.state)) for s in trace.samples]
     else:
         trace = sample_trace(x0, wanted)

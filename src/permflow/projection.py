@@ -19,15 +19,15 @@ unchanged. `integrate_projected` therefore integrates the pull as it is:
 each explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
 (1 - h)*(x - v_s), so it contracts V by exactly (1 - h)^2 <= exp(-2h),
 and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i), up
-to rounding. A recorded sample is a time and a state: its potential and
-its count of tie blocks are computed, and the state sorted, only when
-they are read.
+to rounding. Step k ends at k*step and the last exactly at t_end; this
+module alone maps a requested sample time to its state on that grid. A
+recorded sample is a time and a state: its potential and its count of
+tie blocks are computed, and the state sorted, only when they are read.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,8 +49,8 @@ __all__ = [
 #: Most Euler steps one integration takes. An unrecorded step costs about
 #: 3.5 us at n <= 200 and keeps nothing; a recorded one about 11 us and a
 #: sample of 0.4 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step
-#: recorded (keep=None) the limit bounds a run near 1.1 s and 40 MB +
-#: 0.8 MB per coordinate.
+#: recorded (times=None) the limit bounds a run near 1.1 s and 40 MB +
+#: 0.8 MB per coordinate; with `times`, no step runs past the last one.
 STEP_LIMIT = 100_000
 #: Most coordinate updates (Euler steps x n) one integration takes: STEP_LIMIT
 #: times 200, the n of STEP_LIMIT's figures. From n = 1000 on a step costs
@@ -58,15 +58,12 @@ STEP_LIMIT = 100_000
 UPDATE_LIMIT = 20_000_000
 
 
-def _step_times(t_end: float, step: float, n: int) -> list[float]:
-    """End times of the Euler steps from 0 to t_end, the last one t_end.
+def _step_count(t_end: float, step: float, n: int) -> int:
+    """Number of Euler steps to t_end: step k ends at k * step, the last at t_end.
 
-    Step k ends at k * step; a final shorter step lands on t_end unless
-    the last full step already does (within 1e-12). Validates t_end
-    (finite, > 0) and step (0 < step <= MAX_STEP), and raises
-    SizeLimitError before building the list when there would be more
-    than STEP_LIMIT steps or UPDATE_LIMIT steps x n, so a caller can check
-    requested sample times against this grid before any step runs.
+    A final shorter step is added unless the last full one lands within
+    1e-12 of t_end. Validates t_end (finite, > 0) and step (0 < step <=
+    MAX_STEP); SizeLimitError past STEP_LIMIT steps or UPDATE_LIMIT steps x n.
     """
     require_finite_positive("t_end", t_end)
     if not (0 < step <= MAX_STEP):
@@ -74,15 +71,33 @@ def _step_times(t_end: float, step: float, n: int) -> list[float]:
     # capped, so an overflowing t_end / step still counts as over the limit
     full_steps = math.floor(min(t_end / step + 1e-12, STEP_LIMIT + 1))
     lands = full_steps > 0 and full_steps * step >= t_end - 1e-12
-    if full_steps + (not lands) > min(STEP_LIMIT, UPDATE_LIMIT // n):
+    steps = full_steps + (not lands)
+    if steps > min(STEP_LIMIT, UPDATE_LIMIT // n):
         raise SizeLimitError(
             f"projected traces are limited to {STEP_LIMIT} Euler steps and {UPDATE_LIMIT} "
             f"updates (steps x n); t_end {t_end:g} at step {step:g} needs more at n = {n}"
         )
-    times = [k * step for k in range(1, full_steps + 1)]
-    if not lands:
-        times.append(t_end)
-    return times
+    return steps
+
+
+def _grid_index(t: float, t_end: float, step: float, steps: int) -> int:
+    """Index k of the Euler state at sample time t: the state after k steps.
+
+    A time within 1e-9 * t of t_end is the last state; any other time must
+    lie within 1e-9 * t of its nearest multiple of step (ValueError).
+    """
+    if not (0 <= t < math.inf):
+        raise ValueError(f"sample times must be finite and >= 0, got {t}")
+    if abs(t - t_end) <= 1e-9 * t:
+        return steps
+    k = round(t / step) if t < t_end else steps
+    near = t_end if k == steps else k * step
+    if abs(near - t) > 1e-9 * t:
+        raise ValueError(
+            f"sample time {t:g} is off the Euler grid (nearest step time {near:g}, "
+            f"step {step:g}); choose sample times at t_end or on multiples of the step"
+        )
+    return k
 
 
 def _group(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,61 +224,58 @@ def integrate_projected(
     x0: StateVector | Sequence[float],
     t_end: float,
     step: float = MAX_STEP,
-    keep: Sequence[int] | None = None,
+    times: Sequence[float] | None = None,
 ) -> ProjectedTrace:
     """Explicit Euler on the pull toward the sorted vertex.
 
-    Each step takes the velocity g = v_s - x and advances x by `step`
-    times g (the last step is shortened to land exactly on t_end). The
-    pull keeps every tie's target order, so projecting it onto the tie
-    blocks would return it unchanged (module docstring). Requires a
-    start on the hyperplane (`in_hyperplane`, so also finite), finite
-    0 < t_end and 0 < step <= MAX_STEP, so each step h contracts the
-    potential by exactly (1 - h)^2 <= exp(-2h) and the state after steps
-    h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to rounding; more than
-    STEP_LIMIT steps or UPDATE_LIMIT steps x n raise SizeLimitError up
-    front. The start is checked once: in exact arithmetic a step keeps the
-    coordinate sum, so a later state is off the hyperplane only by rounding.
+    Each step advances x by h times g = v_s - x; step k ends at k * step
+    and the last exactly at t_end. The pull keeps every tie's target
+    order, so projecting it onto the tie blocks would return it unchanged
+    (module docstring). Requires a start on the hyperplane (`in_hyperplane`,
+    so also finite; checked once, as a step keeps the coordinate sum up to
+    rounding), finite 0 < t_end and 0 < step <= MAX_STEP, so each step h
+    contracts the potential by exactly (1 - h)^2 <= exp(-2h) and the state
+    after steps h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to rounding.
+    More than STEP_LIMIT steps or UPDATE_LIMIT steps x n raise SizeLimitError.
 
-    Samples record the time and the state; a sample's potential
-    0.5*||x - v_s||^2 and its number of tie blocks are computed when read,
-    so no step sorts its state. Grid index k is the state
-    after k steps: 0 is the start at t = 0 and the last,
-    len(samples) - 1 with keep=None, is t_end. `keep`, a strictly
-    increasing sequence of grid indices, records only those states, each
-    bit for bit as keep=None records it; every step still runs. With a
-    short `keep`, memory does not grow with t_end.
+    A sample records its grid time and state; its potential and tie-block
+    count are computed when read, so no step sorts. times=None records
+    every state, from t = 0 to t_end. Otherwise each of the strictly
+    increasing `times` records a state bit for bit as times=None does: the
+    last if the time is within 1e-9 * t of t_end, else the one at the
+    nearest multiple of `step`, which must lie within 1e-9 * t of it; no
+    two times may take one state (ValueError). Every check runs before the
+    first step, and no step runs past the last requested state.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
-    times = _step_times(t_end, step, x0.n)
-    if keep is None:
-        keep = range(len(times) + 1)
+    steps = _step_count(t_end, step, x0.n)
+    if times is None:
+        wanted = range(steps + 1)
     else:
-        keep = [operator.index(k) for k in keep]
-        if any(a >= b for a, b in zip(keep, keep[1:])):
-            raise ValueError("keep must be strictly increasing")
-        if not keep or keep[0] < 0 or keep[-1] > len(times):
-            raise ValueError(
-                f"keep must hold one or more grid indices in 0..{len(times)}"
-            )
+        wanted = [_grid_index(float(t), t_end, step, steps) for t in times]
+        if not wanted:
+            raise ValueError("sample times must hold at least one time")
+        for s, t, j, k in zip(times, times[1:], wanted, wanted[1:]):
+            if t <= s:
+                raise ValueError("sample times must be strictly increasing")
+            if k <= j:
+                raise ValueError(f"sample times {float(s)!r} and {float(t)!r} take one grid state")
     targets = np.arange(1, x0.n + 1, dtype=float)
     # one buffer each for x and g: a step computes the same x + (t - prev)*g,
     # and a recorded StateVector copies x
     x = x0.coords.copy()
     g = np.empty_like(x)
     samples = []
-    wanted = iter(keep)
-    next_kept = next(wanted)
+    k = 0
     prev = 0.0
-    for k, t in enumerate((*times, None)):
-        if k == next_kept:
-            samples.append(ProjectedSample(t=prev, state=StateVector(x)))
-            next_kept = next(wanted, None)
-        if t is None:
-            break
-        np.subtract(targets, x, out=g)
-        g *= t - prev
-        x += g
-        prev = t
+    for want in wanted:
+        while k < want:
+            k += 1
+            t = t_end if k == steps else k * step
+            np.subtract(targets, x, out=g)
+            g *= t - prev
+            x += g
+            prev = t
+        samples.append(ProjectedSample(t=prev, state=StateVector(x)))
     return ProjectedTrace(samples=tuple(samples))

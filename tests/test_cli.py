@@ -427,14 +427,41 @@ class TestFlowTrace:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
-        assert "--step" in err and "--samples" in err
+        assert err == (
+            "error: sample time 0.005 is off the Euler grid (nearest step time 0, step 0.01); "
+            "choose sample times at t_end or on multiples of the step\n"
+        )
+
+    @pytest.mark.parametrize("mode", [[], ["--projected"]])
+    def test_times_that_round_together_are_not_increasing(self, mode, capsys):
+        # at t_end = 5e-324 the middle sample time rounds to 0
+        code, out, err = run(
+            ["flow", "trace", *mode, "--n", "3", "--t-end", "5e-324", "--samples", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: sample times must be strictly increasing\n"
+
+    def test_last_projected_row_is_at_t_end(self, capsys):
+        # the 140th step of 0.01 would end at 1.4000000000000001
+        code, out, err = run(
+            ["flow", "trace", "--projected", "--n", "4", "--t-end", "1.4", "--samples", "2",
+             "--precision", "17"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert '"t": 1.4, ' in out
+        assert [r["t"] for r in json.loads(out)["rows"]] == [0.0, 1.4]
+
+    @staticmethod
+    def refuse_states(monkeypatch):
+        def no_state(*args, **kwargs):
+            raise AssertionError("built an Euler state for a refused request")
+
+        monkeypatch.setattr(permflow.projection, "ProjectedSample", no_state)
 
     def test_off_grid_time_rejected_before_integrating(self, capsys, monkeypatch):
-        def no_integration(*args, **kwargs):
-            raise AssertionError("integrated a request with an off-grid sample time")
-
-        monkeypatch.setattr(permflow.projection, "integrate_projected", no_integration)
+        self.refuse_states(monkeypatch)
         code, out, err = run(
             ["flow", "trace", "--projected", "--n", "200", "--t-end", "50", "--samples", "7"],
             capsys,
@@ -444,10 +471,7 @@ class TestFlowTrace:
         assert "off the Euler grid" in err
 
     def test_over_step_limit_exits_three_before_integrating(self, capsys, monkeypatch):
-        def no_integration(*args, **kwargs):
-            raise AssertionError("integrated a request beyond the step limit")
-
-        monkeypatch.setattr(permflow.projection, "integrate_projected", no_integration)
+        self.refuse_states(monkeypatch)
         t_end = (STEP_LIMIT + 1) * MAX_STEP
         code, out, err = run(
             ["flow", "trace", "--projected", "--n", "5", "--t-end", repr(t_end), "--samples", "2"],
@@ -458,10 +482,7 @@ class TestFlowTrace:
         assert err.startswith("error:") and f"{STEP_LIMIT} Euler steps" in err
 
     def test_over_update_limit_exits_three_before_integrating(self, capsys, monkeypatch):
-        def no_integration(*args, **kwargs):
-            raise AssertionError("integrated a request beyond the update limit")
-
-        monkeypatch.setattr(permflow.projection, "integrate_projected", no_integration)
+        self.refuse_states(monkeypatch)
         # 100,000 steps are within STEP_LIMIT, but not at n = 100,000
         code, out, err = run(
             ["flow", "trace", "--projected", "--n", "100000", "--t-end", "1000", "--samples", "2"],

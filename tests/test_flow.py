@@ -120,7 +120,7 @@ class TestFlowState:
         # 100 Euler steps from this vertex leave sum(x) off n(n+1)/2 by about
         # 1.9e-9: past the absolute 1e-9, inside the relative bound
         x0 = vertex_of(_seeded_shuffle(5000, 10))
-        x = integrate_projected(x0, 1.0, keep=[0, 100]).final
+        x = integrate_projected(x0, 1.0, times=[0.0, 1.0]).final
         assert abs(float(x.coords.sum()) - hyperplane_sum(5000)) > 1e-9
         assert in_hyperplane(x)
         assert flow_state(x, 1.0).n == 5000

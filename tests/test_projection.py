@@ -26,7 +26,7 @@ from permflow import (
     project_velocity,
     vertex_of,
 )
-from permflow.projection import _step_times
+from permflow.projection import _step_count
 
 
 # --- reference: the per-step loop that groups and projects on every step ----
@@ -44,6 +44,19 @@ def reference_blocks(coords, tol):
     return tuple(tuple(sorted(k + 1 for k in g)) for g in groups)
 
 
+def reference_grid(t_end, step):
+    """End times of the Euler steps: k * step, and t_end for the last one.
+
+    The last full step ends at t_end when it lands within 1e-12 of it;
+    otherwise a shorter step is added.
+    """
+    full_steps = int(math.floor(t_end / step + 1e-12))
+    times = [k * step for k in range(1, full_steps + 1)]
+    if times and times[-1] >= t_end - 1e-12:
+        times.pop()
+    return [*times, t_end]
+
+
 def reference_integrate(x0, t_end, step=MAX_STEP):
     """Euler loop that groups each state twice and runs PAV on every step.
 
@@ -52,10 +65,7 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
     """
     x0 = as_state(x0)
     tol = 1e-9 * x0.n
-    full_steps = int(math.floor(t_end / step + 1e-12))
-    times = [k * step for k in range(1, full_steps + 1)]
-    if not times or times[-1] < t_end - 1e-12:
-        times.append(t_end)
+    times = reference_grid(t_end, step)
 
     def sample(t, coords):
         state = StateVector(coords)
@@ -308,6 +318,17 @@ class TestIntegrateProjected:
         with pytest.raises(ValueError):
             integrate_projected([3.0, 2.0, 1.0], 0.0)
 
+    @pytest.mark.parametrize("t_end", [0.7, 1.4, 2.3])
+    @pytest.mark.parametrize("step", [0.01, 0.005])
+    def test_last_sample_is_at_t_end(self, t_end, step):
+        # the last full step lands about an ulp past t_end (140 * 0.01 is
+        # 1.4000000000000001); it is lengthened or shortened to end there
+        trace = integrate_projected([3.0, 2.0, 1.0], t_end, step=step)
+        assert trace.samples[-1].t == t_end
+        assert trace.samples[-2].t == (len(trace.samples) - 2) * step
+        last = integrate_projected([3.0, 2.0, 1.0], t_end, step=step, times=[t_end]).final
+        assert last.coords.tobytes() == trace.final.coords.tobytes()
+
     def test_lands_exactly_on_t_end(self):
         trace = integrate_projected([3.0, 2.0, 1.0], 0.025, step=0.01)
         assert trace.samples[-1].t == 0.025
@@ -321,6 +342,7 @@ class TestMatchesReferenceLoop:
         t_end=st.sampled_from([0.003, 0.05, 0.37, 1.0]),
         step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
     )
+    @example(x0=VERTEX_5, t_end=1.4, step=0.01)
     def test_samples_bit_identical(self, x0, t_end, step):
         # the reference runs PAV on every step: on the pull it is the identity
         assert_matches_reference(x0, t_end, step=step)
@@ -362,7 +384,7 @@ class TestMatchesReferenceLoop:
         trace = integrate_projected(x0, t_end, step=step)
         x0 = np.asarray(x0, dtype=float)
         targets = np.arange(1.0, len(x0) + 1)
-        grid = [0.0, *_step_times(t_end, step, len(x0))]
+        grid = [0.0, *reference_grid(t_end, step)]
         assert [s.t for s in trace.samples] == grid
         v0 = trace.samples[0].potential
         factor = 1.0
@@ -385,7 +407,16 @@ class TestMatchesReferenceLoop:
         assert active_ties(x) == reference_blocks(np.asarray(x), 1e-9 * len(x))
 
 
-class TestKeep:
+def refuse_states(monkeypatch):
+    """Make building any Euler sample fail, so a refusal is shown to come first."""
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("built an Euler state for a refused request")
+
+    monkeypatch.setattr(permflow.projection, "ProjectedSample", no_state)
+
+
+class TestTimes:
     @settings(max_examples=80, deadline=None)
     @given(
         x0=starts(),
@@ -393,25 +424,72 @@ class TestKeep:
         step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
         data=st.data(),
     )
-    def test_kept_samples_match_full_trace(self, x0, t_end, step, data):
+    def test_sampled_times_match_full_trace(self, x0, t_end, step, data):
         full = integrate_projected(x0, t_end, step=step).samples
-        keep = sorted(
-            data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1), label="keep")
+        picked = sorted(
+            data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1), label="picked")
         )
-        got = integrate_projected(x0, t_end, step=step, keep=keep).samples
-        assert len(got) == len(keep)
-        for s, k in zip(got, keep):
+        got = integrate_projected(x0, t_end, step=step, times=[full[k].t for k in picked])
+        assert len(got.samples) == len(picked)
+        for s, k in zip(got.samples, picked):
             want = full[k]
             assert s.t == want.t
             assert s.state.coords.tobytes() == want.state.coords.tobytes()
             assert s.potential == want.potential
             assert s.active_block_count == want.active_block_count
 
-    @pytest.mark.parametrize("keep", [[], [-1, 2], [0, 6], [3, 2], [1, 1]])
-    def test_bad_keep(self, keep):
-        # t_end = 0.05 at the default step gives grid indices 0..5
-        with pytest.raises(ValueError, match="keep"):
-            integrate_projected([3.0, 2.0, 1.0], 0.05, keep=keep)
+    @pytest.mark.parametrize(
+        "times, match",
+        [
+            ([], "at least one"),
+            ([0.02, 0.01], "strictly increasing"),
+            ([0.01, 0.01], "strictly increasing"),
+            ([0.01, 0.01 + 1e-12], r"0\.01 and 0\.010000000001 take one grid state"),
+            ([0.05 - 1e-12, 0.05], "take one grid state"),
+            ([0.0, 0.005], "off the Euler grid"),
+            ([0.0, 0.0149], "off the Euler grid"),
+            ([-0.01, 0.0], ">= 0"),
+            ([0.0, math.nan], ">= 0"),
+            ([0.0, math.inf], ">= 0"),
+            ([0.0, 0.06], "off the Euler grid"),
+        ],
+    )
+    def test_bad_times(self, times, match, monkeypatch):
+        # t_end = 0.05 at the default step gives grid times 0, 0.01, ..., 0.05;
+        # every check runs before the first state is built
+        refuse_states(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            integrate_projected([3.0, 2.0, 1.0], 0.05, times=times)
+
+    def test_times_within_tolerance_take_the_grid_state(self):
+        # a time within 1e-9 * t of a grid time or of t_end records that state
+        full = integrate_projected([3.0, 2.0, 1.0], 0.025, step=0.01).samples
+        got = integrate_projected(
+            [3.0, 2.0, 1.0], 0.025, step=0.01, times=[0.0, 0.01 + 1e-12, 0.025 - 1e-12]
+        ).samples
+        assert [s.t for s in got] == [0.0, 0.01, 0.025]
+        for s, k in zip(got, [0, 1, 3]):
+            assert s.state.coords.tobytes() == full[k].state.coords.tobytes()
+
+    def test_no_step_runs_after_the_last_requested_time(self, monkeypatch):
+        # each Euler step takes one velocity g = v_s - x with np.subtract
+        steps = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def subtract(self, *args, **kwargs):
+                steps.append(1)
+                return np.subtract(*args, **kwargs)
+
+        monkeypatch.setattr(permflow.projection, "np", CountingNumpy())
+        trace = integrate_projected([3.0, 2.0, 1.0], 50.0, times=[0.0, 0.05])
+        assert [s.t for s in trace.samples] == [0.0, 0.05]
+        assert len(steps) == 5
+        steps.clear()
+        integrate_projected([3.0, 2.0, 1.0], 50.0, times=[0.0])
+        assert steps == []
 
     def test_only_kept_states_are_grouped(self, monkeypatch):
         # integration sorts no state; each read of a sample's tie-block count
@@ -424,9 +502,9 @@ class TestKeep:
             return group(coords)
 
         monkeypatch.setattr(permflow.projection, "_group", spy)
-        keep = [0, 7, 250, 500]
-        trace = integrate_projected(vertex_of(Permutation.reverse(30)), 5.0, keep=keep)
-        assert [s.t for s in trace.samples] == [0.0, 0.07, 2.5, 5.0]
+        times = [0.0, 0.07, 2.5, 5.0]
+        trace = integrate_projected(vertex_of(Permutation.reverse(30)), 5.0, times=times)
+        assert [s.t for s in trace.samples] == times
         assert calls == []
         assert [s.potential for s in trace.samples] == [
             0.5 * disorder_squared(s.state) for s in trace.samples
@@ -440,18 +518,17 @@ class TestKeep:
         # the full trace keeps 5,001 samples, each holding at least its n
         # float64 coordinates (about 2 KB a sample in all at n = 200)
         x0 = vertex_of(Permutation.reverse(200))
-        last = len(_step_times(50.0, MAX_STEP, x0.n))
         peaks = []
-        for keep in (None, [0, last]):
+        for times in (None, [0.0, 50.0]):
             tracemalloc.start()
             try:
-                trace = integrate_projected(x0, 50.0, keep=keep)
+                trace = integrate_projected(x0, 50.0, times=times)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert trace.samples[-1].t == 50.0
         full, ends = peaks
-        assert full > (last + 1) * x0.n * 8
+        assert full > 5001 * x0.n * 8
         assert ends * 20 < full
 
     def test_long_small_step_run_stays_tangent(self):
@@ -459,17 +536,17 @@ class TestKeep:
         # n(n+1)/2 * 2**-52 (about 1.5e-9 at n = 200) when the state freezes;
         # the one hyperplane rule allows 2**11 of them
         x0 = vertex_of(Permutation.reverse(200))
-        last = len(_step_times(40.0, 0.0005, x0.n))
-        trace = integrate_projected(x0, 40.0, step=0.0005, keep=[0, last])
+        trace = integrate_projected(x0, 40.0, step=0.0005, times=[0.0, 40.0])
         assert np.allclose(trace.final.coords, np.arange(1.0, 201.0))
         assert in_hyperplane(trace.final)
 
 
 class TestStepLimit:
     def test_limit_is_reachable(self):
-        times = _step_times(STEP_LIMIT * MAX_STEP, MAX_STEP, 1)
-        assert len(times) == STEP_LIMIT
-        assert times[-1] == STEP_LIMIT * MAX_STEP
+        assert _step_count(STEP_LIMIT * MAX_STEP, MAX_STEP, 1) == STEP_LIMIT
+        # the checks pass, and a request for the start alone runs no step
+        trace = integrate_projected([1.0], STEP_LIMIT * MAX_STEP, times=[0.0])
+        assert [s.t for s in trace.samples] == [0.0]
 
     @pytest.mark.parametrize(
         "t_end, step",
@@ -480,20 +557,28 @@ class TestStepLimit:
             (1.0, 5e-324),
         ],
     )
-    def test_over_limit_raises_before_building(self, t_end, step):
-        with pytest.raises(SizeLimitError):
-            _step_times(t_end, step, 3)
-        with pytest.raises(SizeLimitError):
-            integrate_projected([3.0, 2.0, 1.0], t_end, step=step)
+    def test_over_limit_raises_before_building(self, t_end, step, monkeypatch):
+        refuse_states(monkeypatch)
+        with pytest.raises(SizeLimitError, match=f"{STEP_LIMIT} Euler steps"):
+            _step_count(t_end, step, 3)
+        # with every state recorded (times=None) and with sample times
+        for times in (None, [0.0]):
+            with pytest.raises(SizeLimitError, match=f"{STEP_LIMIT} Euler steps"):
+                integrate_projected([3.0, 2.0, 1.0], t_end, step=step, times=times)
 
     @pytest.mark.parametrize("n, steps", [(200, STEP_LIMIT), (100_000, 200)])
-    def test_update_limit_is_reachable(self, n, steps):
+    def test_update_limit_is_reachable(self, n, steps, monkeypatch):
         # one more coordinate is within STEP_LIMIT but over UPDATE_LIMIT
-        assert len(_step_times(steps * MAX_STEP, MAX_STEP, n)) * n == UPDATE_LIMIT
+        t_end = steps * MAX_STEP
+        assert _step_count(t_end, MAX_STEP, n) * n == UPDATE_LIMIT
+        trace = integrate_projected(vertex_of(Permutation.identity(n)), t_end, times=[0.0])
+        assert [s.t for s in trace.samples] == [0.0]
         with pytest.raises(SizeLimitError, match=f"{UPDATE_LIMIT} updates"):
-            _step_times(steps * MAX_STEP, MAX_STEP, n + 1)
-        with pytest.raises(SizeLimitError):
-            integrate_projected(vertex_of(Permutation.identity(n + 1)), steps * MAX_STEP)
+            _step_count(t_end, MAX_STEP, n + 1)
+        refuse_states(monkeypatch)
+        for times in (None, [0.0]):
+            with pytest.raises(SizeLimitError, match=f"{UPDATE_LIMIT} updates"):
+                integrate_projected(vertex_of(Permutation.identity(n + 1)), t_end, times=times)
 
 
 class TestRejectsOutOfModelInputs:
