@@ -16,11 +16,12 @@ point toward the sorted vertex v_s = (1, ..., n).
   instrumented classical sorts.
 - `cli`: the `permflow` command.
 
-`perms`, `dtree` and `slicing` load with the package and export what
-their `__all__` lists; the names of the numpy layers `core`, `flow` and
-`projection`, listed once in `_LAZY`, load on first use, so
-`permflow slice` and `permflow dtree` start without numpy. `__all__` is
-the union of the two.
+Each public name is listed once, in the `__all__` of the module that
+defines it. `perms`, `dtree` and `slicing` load with the package. The
+first use of any other public name, or of `__all__`, imports the numpy
+layers `core`, `flow` and `projection` (PEP 562), so `permflow slice` and
+`permflow dtree` start without numpy. `__all__` is the sorted union of
+the six modules' lists, then `__version__`.
 """
 
 import importlib
@@ -30,63 +31,21 @@ from .dtree import *  # noqa: F403
 from .perms import *  # noqa: F403
 from .slicing import *  # noqa: F403
 
-#: The public names of the numpy layers, by the module that defines them,
-#: imported on first access (PEP 562).
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "StateVector",
-            "as_state",
-            "disorder_squared",
-            "in_hyperplane",
-            "vertex_of",
-        ),
-        "core",
-    ),
-    **dict.fromkeys(
-        (
-            "CrossingSchedule",
-            "FlowSample",
-            "FlowTrace",
-            "SortingEstimate",
-            "crossing_events",
-            "discrete_estimate",
-            "disorder_at",
-            "estimate_sorting",
-            "flow_state",
-            "lemma_lower_bound",
-            "sample_trace",
-            "time_to_epsilon",
-        ),
-        "flow",
-    ),
-    **dict.fromkeys(
-        (
-            "ProjectedSample",
-            "ProjectedTrace",
-            "STEP_LIMIT",
-            "UPDATE_LIMIT",
-            "active_ties",
-            "integrate_projected",
-            "project_velocity",
-        ),
-        "projection",
-    ),
-}
+__version__ = "0.1.0"
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    # probes such as `__wrapped__` must not load numpy
+    if name.startswith("_") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    layers = [importlib.import_module(f".{m}", __name__) for m in ("core", "flow", "projection")]
+    if name == "__all__":
+        names = {n for m in (perms, dtree, slicing, *layers) for n in m.__all__}
+        value = [*sorted(names), "__version__"]
+    else:
+        home = next((m for m in layers if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value
     return value
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    *sorted({*perms.__all__, *dtree.__all__, *slicing.__all__, *_LAZY}),
-    "__version__",
-]

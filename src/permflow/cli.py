@@ -338,8 +338,7 @@ def _cmd_dtree(args, spec: str) -> str:
     bound = info_lower_bound(args.n)
     built = build_optimal(args.n)
     if args.emit_tree:
-        with open(args.emit_tree, "w", newline="") as fh:
-            fh.write(tree_to_json(built.root) + "\n")
+        _write(tree_to_json(built.root), args.emit_tree)
     stats = built.stats
     if args.format == "json":
         return _dumps(

@@ -64,9 +64,7 @@ class FlowTrace:
 class SortingEstimate:
     """Continuous sorting time and its discrete-operation readings for one start."""
 
-    n: int
     continuous_time: float
-    epsilon: float
     discrete_estimate: float
     lemma_lower_bound: float
     crossing_count: int
@@ -171,9 +169,9 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     rows arrive sorted by (i, j). One stable `np.argsort` of t then orders
     them by (t, i, j): equal times keep their (i, j) order, and no NaN
     passes the ratio test, so that is the order of sorted (t, i, j)
-    tuples. An enumeration that emits pairs in another order (such as the
-    merge of ROADMAP item 5) must restore the (i, j) order before this
-    sort, or go back to `np.lexsort((j, i, t))`.
+    tuples. An enumeration that emits pairs in another order (such as a
+    bottom-up merge that finds only the inversion pairs) must restore the
+    (i, j) order before this sort, or go back to `np.lexsort((j, i, t))`.
 
     For a vertex start that float order is the exact order. There
     a_i - a_j is the integer d = p_i - p_j + j - i, so a crossing pair has
@@ -302,9 +300,7 @@ def estimate_sorting(
         if not math.isfinite(estimate):
             raise ValueError(f"c is too small for a finite estimate t*n/c, got c = {c}")
     return SortingEstimate(
-        n=p.n,
         continuous_time=t,
-        epsilon=epsilon,
         discrete_estimate=estimate,
         lemma_lower_bound=bound,
         crossing_count=inversions(p),

@@ -48,8 +48,6 @@ __all__ = [
 #: counted over its down-sets, up to 2^n of them.
 DP_LIMIT = 18
 
-ALGORITHMS = ("insertion", "merge", "quick", "heap")
-
 
 @dataclass(frozen=True)
 class Constraint:
@@ -320,6 +318,8 @@ _SORTS: dict[str, Callable[[list, Less], list]] = {
     "quick": _quick_sort,
     "heap": _heap_sort,
 }
+
+ALGORITHMS = tuple(_SORTS)
 
 
 @dataclass(frozen=True)

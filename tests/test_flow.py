@@ -515,7 +515,6 @@ class TestEstimates:
 
     def test_estimate_sorting_reverse_triple(self):
         est = estimate_sorting(Permutation.reverse(3))
-        assert est.n == 3
         assert math.isclose(est.continuous_time, 1.5 * LN2, rel_tol=1e-12)
         assert math.isclose(est.discrete_estimate, 4.5 * LN2, rel_tol=1e-12)
         assert math.isclose(est.lemma_lower_bound, 4.5 * LN2, rel_tol=1e-12)

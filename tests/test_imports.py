@@ -55,6 +55,66 @@ class TestNumpyFreeStart:
         assert done.stdout == "True\n"
 
 
+class TestLazyNames:
+    """The numpy layers' names resolve through their modules' `__all__` on first use."""
+
+    @pytest.mark.parametrize("name", ["__wrapped__", "_nope"])
+    def test_private_probe_loads_no_numpy(self, name):
+        done = run_fresh(
+            "import permflow\n"
+            f"print(hasattr(permflow, {name!r}), 'numpy' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False False\n"
+
+    def test_all_and_star_import_are_the_union_of_the_modules(self):
+        lists = [importlib.import_module(f"permflow.{m}").__all__ for m in MODULES]
+        expected = [*sorted({name for names in lists for name in names}), "__version__"]
+        done = run_fresh(
+            "namespace = {}\n"
+            "exec('from permflow import *', namespace)\n"
+            "import permflow\n"
+            "print(repr(permflow.__all__))\n"
+            "print(repr([k for k in namespace if k != '__builtins__']))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{expected!r}\n{expected!r}\n"
+
+    def test_discrete_names_load_no_numpy(self):
+        done = run_fresh(
+            "import permflow\n"
+            "from permflow import dtree, perms, slicing\n"
+            "for module in (perms, dtree, slicing):\n"
+            "    for name in module.__all__:\n"
+            "        getattr(permflow, name)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    @pytest.mark.parametrize("name", ["__all__", "vertex_of"])
+    def test_numpy_layer_name_loads_numpy(self, name):
+        done = run_fresh(
+            "import permflow\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"getattr(permflow, {name!r})\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+
+    def test_missing_name_raises_attribute_error_naming_it(self):
+        done = run_fresh(
+            "import permflow\n"
+            "try:\n"
+            "    permflow.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "'no_such_name'" in done.stdout
+
+
 class TestPublicNames:
     @pytest.mark.parametrize("name", sorted(set(permflow.__all__) - {"__version__"}))
     def test_name_is_its_defining_module_object(self, name):
