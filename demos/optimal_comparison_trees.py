@@ -7,9 +7,10 @@ at least ceil(log2 n!). Exhaustive search shows the bound is exact for
 n <= 5 — here are the trees.
 """
 
+import json
 import math
 
-from permflow import build_optimal, info_lower_bound, tree_to_json, verify_tree
+from permflow import build_optimal, info_lower_bound, tree_to_dict, verify_tree
 
 print(f"{'n':>2}  {'n!':>4}  {'ceil(log2 n!)':>13}  {'optimal height':>14}  verified")
 for n in range(1, 6):
@@ -22,4 +23,4 @@ for n in range(1, 6):
 
 print()
 print("the full n=3 tree (cmp = positions compared; lo/hi = outcome branches):")
-print(tree_to_json(build_optimal(3).root, indent=2))
+print(json.dumps(tree_to_dict(build_optimal(3).root), indent=2))

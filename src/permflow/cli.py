@@ -280,7 +280,7 @@ def _cmd_flow_events(args, spec: str) -> str:
 
 
 def _cmd_flow_trace(args, spec: str) -> str:
-    from .core import disorder_squared, vertex_of
+    from .core import vertex_of
     from .flow import sample_trace
     from .projection import integrate_projected
 
@@ -307,10 +307,9 @@ def _cmd_flow_trace(args, spec: str) -> str:
     wanted = [args.t_end * k / (args.samples - 1) for k in range(args.samples)]
     if args.projected:
         trace = integrate_projected(x0, args.t_end, step=args.step, times=wanted)
-        rows = [(s.t, s.state.coords, disorder_squared(s.state)) for s in trace.samples]
     else:
         trace = sample_trace(x0, wanted)
-        rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
+    rows = [(s.t, s.state.coords, s.disorder) for s in trace.samples]
     # A block of rows fills one row template with each row's t, n
     # coordinates and disorder. It holds about _FILL_BLOCK reals (at least
     # one row), so the floats and tokens held at once stay bounded.
@@ -432,7 +431,7 @@ def _cmd_slice(args, spec: str) -> str:
 
 def _cmd_report(args, spec: str) -> str:
     from .core import disorder_squared, vertex_of
-    from .flow import crossing_events, estimate_sorting, time_to_epsilon
+    from .flow import crossing_events, estimate_sorting
 
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
@@ -444,7 +443,7 @@ def _cmd_report(args, spec: str) -> str:
         ("t1", float(t[0])),
         ("crossings", t.size),
         ("info_bound", info_lower_bound(3)),
-        ("t_total", time_to_epsilon(d0, 1.0)),
+        ("t_total", est.continuous_time),
         ("dt", 1.0 / 3.0),
         ("estimate", est.discrete_estimate),
         ("estimate_ceiling", math.ceil(est.discrete_estimate)),
@@ -533,10 +532,8 @@ def _cmd_bench(args, spec: str) -> str:
 # commands its argv names.
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
     parser.add_argument(
         "--precision",
@@ -547,6 +544,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _events_options(events: argparse.ArgumentParser) -> None:
+    _add_common(events, ("json", "csv"))
     events.add_argument("--n", type=int, required=True)
     events.add_argument(
         "--start",
@@ -559,6 +557,7 @@ def _events_options(events: argparse.ArgumentParser) -> None:
 
 
 def _trace_options(trace: argparse.ArgumentParser) -> None:
+    _add_common(trace, ("json", "csv"))
     trace.add_argument("--n", type=int, required=True)
     trace.add_argument("--start", default="reverse")
     trace.add_argument("--samples", type=int, default=11)
@@ -578,12 +577,14 @@ def _trace_options(trace: argparse.ArgumentParser) -> None:
 
 
 def _dtree_options(dtree: argparse.ArgumentParser) -> None:
+    _add_common(dtree, ("json", "csv"))
     dtree.add_argument("--n", type=int, required=True)
     dtree.add_argument("--emit-tree", default=None, help="also write the tree JSON here")
     dtree.set_defaults(handler=_cmd_dtree)
 
 
 def _slice_options(slc: argparse.ArgumentParser) -> None:
+    _add_common(slc, ("json", "csv"))
     slc.add_argument("--n", type=int, required=True)
     group = slc.add_mutually_exclusive_group(required=True)
     group.add_argument("--constraints", default=None, help='e.g. "1<2,2<3" (may be empty)')
@@ -594,10 +595,12 @@ def _slice_options(slc: argparse.ArgumentParser) -> None:
 
 def _report_options(report: argparse.ArgumentParser) -> None:
     # report reads most naturally as plain text; data commands default to JSON
-    report.set_defaults(handler=_cmd_report, format="text")
+    _add_common(report, ("text", "json", "csv"))
+    report.set_defaults(handler=_cmd_report)
 
 
 def _bench_options(bench: argparse.ArgumentParser) -> None:
+    _add_common(bench, ("json", "csv"))
     bench.add_argument("--n-min", type=int, required=True)
     bench.add_argument("--n-max", type=int, required=True)
     bench.add_argument("--step", type=int, default=1, help="stride through n")
@@ -605,8 +608,8 @@ def _bench_options(bench: argparse.ArgumentParser) -> None:
 
 
 #: Each command by name: its help and its body. A body is the table of its
-#: subcommands, or the function that adds a leaf's options after the common
-#: ones and attaches its handler.
+#: subcommands, or the function that adds a leaf's options, the common ones
+#: with its formats first, and attaches its handler.
 _COMMANDS = {
     "flow": (
         "closed-form flow: events and traces",
@@ -644,7 +647,6 @@ def _add_commands(
             rest = argv[named + 1 :] if named is not None else ()
             _add_commands(command, body, f"{name}_command", rest)
         else:
-            _add_common(command)
             body(command)
 
 

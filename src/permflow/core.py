@@ -1,14 +1,15 @@
-"""State vectors on the rank polytope, its vertices, and the disorder potential.
+"""State vectors on the rank polytope, its vertices, the disorder potential, traces.
 
 The numpy half of the package's ground floor: a state is a point of R^n,
 usually on the hyperplane sum(x) = n(n+1)/2 where the rank polytope (the
 convex hull of all rearrangements of (1, 2, ..., n)) lives, and
 `in_hyperplane` is the package's one test of that; a permutation embeds
-as one of its vertices (`vertex_of`); and the squared distance to the
-sorted vertex measures disorder (`disorder_squared`). The discrete half
-(permutations, inversions, the size guard) lives and is exported in
-`perms`; `Permutation`, `SizeLimitError` and `inversions` stay readable
-here as module attributes only.
+as one of its vertices (`vertex_of`); the squared distance to the sorted
+vertex measures disorder (`disorder_squared`); and a `Trace` holds what
+either evaluator of the flow, `flow` or `projection`, samples. The
+discrete half (permutations, inversions, the size guard) lives and is
+exported in `perms`; `Permutation`, `SizeLimitError` and `inversions`
+stay readable here as module attributes only.
 
 Indices and ranks are 1-based throughout the public API.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "vertex_of",
     "disorder_squared",
     "in_hyperplane",
+    "Trace",
 ]
 
 
@@ -97,12 +99,27 @@ def vertex_of(p: Permutation | Iterable[int]) -> StateVector:
     return StateVector(np.array(p.ranks, dtype=float))
 
 
+def _offsets(x: StateVector) -> np.ndarray:
+    """Coordinate offsets a_k = x_k - k from the sorted vertex."""
+    return x.coords - np.arange(1, x.n + 1)
+
+
 def disorder_squared(x: StateVector | Sequence[float]) -> float:
     """Squared Euclidean distance d0 from x to the sorted vertex.
 
     d0 = sum_i (x_i - i)^2 measures how far a state is from the sorted
     order; it is zero exactly at (1, 2, ..., n).
     """
-    s = as_state(x)
-    a = s.coords - np.arange(1, s.n + 1)
+    a = _offsets(as_state(x))
     return float(np.dot(a, a))
+
+
+@dataclass(frozen=True)
+class Trace:
+    """The flow at increasing times: each sample answers t, state and disorder."""
+
+    samples: tuple
+
+    @property
+    def final(self) -> StateVector:
+        return self.samples[-1].state

@@ -239,5 +239,5 @@ def tree_to_dict(tree: Node) -> dict:
     raise ValueError(f"not a tree node: {tree!r}")
 
 
-def tree_to_json(tree: Node, indent: Optional[int] = None) -> str:
-    return json.dumps(tree_to_dict(tree), indent=indent)
+def tree_to_json(tree: Node) -> str:
+    return json.dumps(tree_to_dict(tree))

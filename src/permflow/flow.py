@@ -9,7 +9,9 @@ so the squared distance to v_s decays as d0 * exp(-2t). Two coordinates
 of the flowing state can meet at most once; each such meeting is the
 continuous counterpart of resolving one inversion, and for a vertex
 start the number of meetings equals the inversion count. No numerical
-integration is involved anywhere in this module.
+integration is involved anywhere in this module: `sample_trace` returns
+the exact flow at the requested times as the `core.Trace` that the Euler
+run of `projection` returns too.
 """
 
 from __future__ import annotations
@@ -21,17 +23,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    StateVector,
-    _require_hyperplane,
-    as_state,
-    disorder_squared,
-    vertex_of,
-)
+from .core import StateVector, Trace, as_state, disorder_squared, vertex_of
+from .core import _offsets, _require_hyperplane
 from .perms import Permutation, inversions, require_finite_positive
 
 __all__ = [
-    "FlowTrace",
     "FlowSample",
     "CrossingSchedule",
     "SortingEstimate",
@@ -54,13 +50,6 @@ class FlowSample:
 
 
 @dataclass(frozen=True)
-class FlowTrace:
-    """Closed-form flow evaluated at a strictly increasing list of times."""
-
-    samples: tuple[FlowSample, ...]
-
-
-@dataclass(frozen=True)
 class SortingEstimate:
     """Continuous sorting time and its discrete-operation readings for one start."""
 
@@ -70,14 +59,9 @@ class SortingEstimate:
     crossing_count: int
 
 
-def _offsets(x: StateVector) -> np.ndarray:
-    """Coordinate offsets a_k = x_k - k from the sorted vertex."""
-    return x.coords - np.arange(1, x.n + 1)
-
-
 def flow_state(x0: StateVector | Sequence[float], t: float) -> StateVector:
     """Exact state of the contraction flow at time t >= 0: `sample_trace(x0, [t])`'s."""
-    return sample_trace(x0, [t]).samples[0].state
+    return sample_trace(x0, [t]).final
 
 
 def disorder_at(x0: StateVector | Sequence[float], t: float) -> float:
@@ -238,7 +222,7 @@ def lemma_lower_bound(n: int, d0: float, epsilon: float, c: float) -> float:
     return bound
 
 
-def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> FlowTrace:
+def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> Trace:
     """Evaluate the closed-form flow at the given strictly increasing times.
 
     The package's one evaluator of the closed-form flow: the sample at t holds
@@ -257,7 +241,7 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> F
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
     if not ts:
-        return FlowTrace(samples=())
+        return Trace(samples=())
     _require_hyperplane(x0)
     targets = np.arange(1, x0.n + 1, dtype=float)
     a = _offsets(x0)
@@ -270,7 +254,7 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> F
         )
         for t in ts
     )
-    return FlowTrace(samples=samples)
+    return Trace(samples=samples)
 
 
 def estimate_sorting(

@@ -21,8 +21,9 @@ each explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
 and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i), up
 to rounding. Step k ends at k*step and the last exactly at t_end; this
 module alone maps a requested sample time to its state on that grid. A
-recorded sample is a time and a state: its potential and its count of
-tie blocks are computed, and the state sorted, only when they are read.
+recorded sample of the returned `core.Trace` is a time and a state: its
+disorder, potential and count of tie blocks are computed, and the state
+sorted, only when they are read.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import StateVector, _hyperplane_bound, _require_hyperplane, as_state, disorder_squared
+from .core import StateVector, Trace, as_state, disorder_squared
+from .core import _hyperplane_bound, _require_hyperplane
 from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 
 __all__ = [
     "ProjectedSample",
-    "ProjectedTrace",
     "STEP_LIMIT",
     "UPDATE_LIMIT",
     "active_ties",
@@ -197,9 +198,14 @@ class ProjectedSample:
     state: StateVector
 
     @property
+    def disorder(self) -> float:
+        """d0 = ||x - v_s||^2, `disorder_squared` of the state."""
+        return disorder_squared(self.state)
+
+    @property
     def potential(self) -> float:
         """V = 0.5*||x - v_s||^2."""
-        return 0.5 * disorder_squared(self.state)
+        return 0.5 * self.disorder
 
     @property
     def active_block_count(self) -> int:
@@ -209,23 +215,12 @@ class ProjectedSample:
         return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
-@dataclass(frozen=True)
-class ProjectedTrace:
-    """The recorded samples of one Euler run of the projected descent."""
-
-    samples: tuple[ProjectedSample, ...]
-
-    @property
-    def final(self) -> StateVector:
-        return self.samples[-1].state
-
-
 def integrate_projected(
     x0: StateVector | Sequence[float],
     t_end: float,
     step: float = MAX_STEP,
     times: Sequence[float] | None = None,
-) -> ProjectedTrace:
+) -> Trace:
     """Explicit Euler on the pull toward the sorted vertex.
 
     Each step advances x by h times g = v_s - x; step k ends at k * step
@@ -238,14 +233,14 @@ def integrate_projected(
     after steps h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to rounding.
     More than STEP_LIMIT steps or UPDATE_LIMIT steps x n raise SizeLimitError.
 
-    A sample records its grid time and state; its potential and tie-block
-    count are computed when read, so no step sorts. times=None records
-    every state, from t = 0 to t_end. Otherwise each of the strictly
-    increasing `times` records a state bit for bit as times=None does: the
-    last if the time is within 1e-9 * t of t_end, else the one at the
-    nearest multiple of `step`, which must lie within 1e-9 * t of it; no
-    two times may take one state (ValueError). Every check runs before the
-    first step, and no step runs past the last requested state.
+    A sample records its grid time and state; its disorder, potential and
+    tie-block count are computed when read, so no step sorts. times=None
+    records every state, from t = 0 to t_end. Otherwise each of the
+    strictly increasing `times` records a state bit for bit as times=None
+    does: the last if the time is within 1e-9 * t of t_end, else the one at
+    the nearest multiple of `step`, which must lie within 1e-9 * t of it;
+    no two times may take one state (ValueError). Every check runs before
+    the first step, and no step runs past the last requested state.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
@@ -278,4 +273,4 @@ def integrate_projected(
             x += g
             prev = t
         samples.append(ProjectedSample(t=prev, state=StateVector(x)))
-    return ProjectedTrace(samples=tuple(samples))
+    return Trace(samples=tuple(samples))

@@ -1031,6 +1031,12 @@ class TestReport:
         assert table["info_bound"] == "3"
         assert "deviation_1" in table and "deviation_2" in table
 
+    @pytest.mark.parametrize("args", [[], ["--precision", "17"]])
+    def test_text_format_is_the_default(self, args, capsys):
+        default = run(["report", *args], capsys)
+        assert run(["report", "--format", "text", *args], capsys) == default
+        assert default[0] == 0
+
     # sha256 of stdout for fixed argv
     GOLDEN = [
         ([], "a7d06135eaa34e4f26728e8d06d5902df0fb5191a605674b76e0a0c3c334d549"),
@@ -1334,7 +1340,7 @@ class TestParserPath:
         (["flow", "trace"], "4d7202203b0cd5fe3e79a0d29828ad1c640ccf16b8aefcd0815b8a87cfe7e5d8"),
         (["dtree"], "735f42401287f6e84eafd7b33c3ad1d5d56b9cb1eff6057f2bc5cb68b5324b03"),
         (["slice"], "d10511dea79398e028ca32242984aecede55ea7dffdaef2835057a8a7766306f"),
-        (["report"], "908256d4ae4e347dc685102e15712e66e38236b580e2c9a52b63483950d371ca"),
+        (["report"], "cb60b215057f3f15a13493a37beb4e1e3036c9b158afa8b5af706a1b03634ab9"),
         (["bench"], "c973a235e9756230d6a969f9f433ebbd1ce6314ae0b1ee052f081a9e8973840e"),
     ]
 

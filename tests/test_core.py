@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from permflow import (
     Permutation,
     StateVector,
+    Trace,
     disorder_squared,
     hyperplane_sum,
     in_hyperplane,
     instrument,
+    integrate_projected,
     inversions,
     reverse_disorder,
+    sample_trace,
     vertex_of,
 )
 
@@ -181,3 +184,22 @@ class TestDisorder:
     def test_reverse_disorder_validates(self):
         with pytest.raises(ValueError):
             reverse_disorder(0)
+
+
+class TestTrace:
+    EVALUATORS = {
+        "closed-form": sample_trace,
+        "euler": lambda x0, times: integrate_projected(x0, times[-1], times=times),
+    }
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_both_evaluators_return_one_trace(self, evaluator):
+        x0 = vertex_of(Permutation.of((3, 1, 4, 2)))
+        trace = self.EVALUATORS[evaluator](x0, [0.0, 0.5, 1.0])
+        assert type(trace) is Trace
+        assert trace.final is trace.samples[-1].state
+        assert [s.t for s in trace.samples] == [0.0, 0.5, 1.0]
+        assert trace.samples[0].state.coords.tolist() == [3.0, 1.0, 4.0, 2.0]
+        # every sample answers its disorder, whichever evaluator recorded it
+        for s in trace.samples:
+            assert s.disorder == pytest.approx(disorder_squared(s.state), rel=1e-12)

@@ -137,6 +137,8 @@ class TestPublicNames:
     @pytest.mark.parametrize(
         "name",
         [
+            "FlowTrace",
+            "ProjectedTrace",
             "comparison_count",
             "crossing_time",
             "is_contradictory",

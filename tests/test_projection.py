@@ -304,11 +304,14 @@ class TestIntegrateProjected:
         assert trace.samples[-1].active_block_count == 0
 
     def test_sample_is_a_time_and_a_state(self):
-        # the potential and the tie-block count are read from the state
+        # the disorder, the potential and the tie-block count are read from the state
         assert [f.name for f in dataclasses.fields(ProjectedSample)] == ["t", "state"]
         s = ProjectedSample(t=0.0, state=StateVector([2.0, 2.0, 2.0]))
-        assert s.potential == 1.0  # half of (1 + 0 + 1)
+        assert s.disorder == 2.0  # 1 + 0 + 1
+        assert s.potential == 1.0
         assert s.active_block_count == 1
+        for s in integrate_projected([4.0, 1.0, 3.0, 2.0], 1.0).samples:
+            assert s.disorder == disorder_squared(s.state) == 2 * s.potential
 
     def test_step_guard(self):
         with pytest.raises(ValueError):
