@@ -2,11 +2,12 @@
 
 At a tie x_i = x_j with i < j, the pull g = v_s - x has g_j - g_i = j - i > 0,
 so it already moves the tied coordinates apart in their target order and
-never needs pooling. The Euler loop integrates the pull as it is: each step
-h contracts the potential by exactly (1 - h)^2, never slower than the
-continuous rate e^-2t. This script checks that from three kinds of starts: a
-plain vertex, an edge midpoint (one exact tie) and the barycenter (all
-coordinates tied). Pool-adjacent-violators acts on other velocities, ones
+never needs pooling. Euler integrates the pull as it is, in closed form:
+each step h contracts x - v_s by exactly 1 - h, so the potential by
+(1 - h)^2, never slower than the continuous rate e^-2t, and each recorded
+state is v_s + (x0 - v_s) * prod(1 - h). This script checks that from
+three kinds of starts: a plain vertex, an edge midpoint (one exact tie)
+and the barycenter (all coordinates tied). Pool-adjacent-violators acts on other velocities, ones
 that would re-invert a tie block, as the last section shows.
 """
 

@@ -85,8 +85,8 @@ def in_hyperplane(x: StateVector | Sequence[float]) -> bool:
 def _require_hyperplane(x: StateVector) -> None:
     """Raise ValueError unless `in_hyperplane(x)`: the one entry check of the flows.
 
-    The closed-form flow and every Euler step keep a state on the
-    hyperplane, so a start checked here needs no later check.
+    Both flows contract x - v_s by a scalar factor, which keeps a state on
+    the hyperplane, so a start checked here needs no later check.
     """
     if not in_hyperplane(x):
         raise ValueError("state must lie on the hyperplane sum(x) = n(n+1)/2")
@@ -102,6 +102,20 @@ def vertex_of(p: Permutation | Iterable[int]) -> StateVector:
 def _offsets(x: StateVector) -> np.ndarray:
     """Coordinate offsets a_k = x_k - k from the sorted vertex."""
     return x.coords - np.arange(1, x.n + 1)
+
+
+def _contract(x0: StateVector, factors: Sequence[float]) -> list[StateVector]:
+    """The states v_s + (x0 - v_s) * f, one per contraction factor f, of either flow.
+
+    A factor of exactly 1.0 gives the start itself, bit for bit. Both
+    evaluators pass one factor per sample time, so no factor means no
+    time: the one ValueError for an empty `times`.
+    """
+    if not factors:
+        raise ValueError("sample times must hold at least one time")
+    targets = np.arange(1, x0.n + 1, dtype=float)
+    a = _offsets(x0)
+    return [x0 if f == 1.0 else StateVector(targets + a * f) for f in factors]
 
 
 def disorder_squared(x: StateVector | Sequence[float]) -> float:

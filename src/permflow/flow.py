@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import StateVector, Trace, as_state, disorder_squared, vertex_of
-from .core import _offsets, _require_hyperplane
+from .core import _contract, _offsets, _require_hyperplane
 from .perms import Permutation, inversions, require_finite_positive
 
 __all__ = [
@@ -228,10 +228,10 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> T
     The package's one evaluator of the closed-form flow: the sample at t holds
     the state v_s + (x0 - v_s) * exp(-t) and the disorder d0 * exp(-2t),
     and `flow_state` and `disorder_at` read the single sample at their t.
-    A time must be >= 0, so NaN raises ValueError; t = inf gives the
-    sorted vertex. The start is checked and its offsets and d0 are
-    computed once per trace. An off-hyperplane start raises ValueError
-    when there is at least one time.
+    A time must be >= 0, so NaN raises ValueError; t = 0 gives the start
+    itself and t = inf the sorted vertex. The start is checked and its
+    offsets and d0 are computed once per trace. An off-hyperplane start,
+    and an empty `times`, raise ValueError.
     """
     x0 = as_state(x0)
     ts = [float(t) for t in times]
@@ -240,19 +240,12 @@ def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> T
             raise ValueError(f"t must be >= 0, got {t}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
-    if not ts:
-        return Trace(samples=())
     _require_hyperplane(x0)
-    targets = np.arange(1, x0.n + 1, dtype=float)
-    a = _offsets(x0)
+    states = _contract(x0, [math.exp(-t) for t in ts])
     d0 = disorder_squared(x0)
     samples = tuple(
-        FlowSample(
-            t=t,
-            state=StateVector(targets + a * math.exp(-t)),
-            disorder=d0 * math.exp(-2.0 * t),
-        )
-        for t in ts
+        FlowSample(t=t, state=state, disorder=d0 * math.exp(-2.0 * t))
+        for t, state in zip(ts, states)
     )
     return Trace(samples=samples)
 

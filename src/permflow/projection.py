@@ -15,15 +15,17 @@ true tie x_i = x_j with i < j,
     g_j - g_i = (j - i) - (x_j - x_i) = j - i > 0,
 
 so the pull already keeps the tie's target order and PAV returns it
-unchanged. `integrate_projected` therefore integrates the pull as it is:
-each explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
+unchanged. `integrate_projected` therefore integrates the pull as it is.
+An explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
 (1 - h)*(x - v_s), so it contracts V by exactly (1 - h)^2 <= exp(-2h),
-and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i), up
-to rounding. Step k ends at k*step and the last exactly at t_end; this
-module alone maps a requested sample time to its state on that grid. A
-recorded sample of the returned `core.Trace` is a time and a state: its
-disorder, potential and count of tie blocks are computed, and the state
-sorted, only when they are read.
+and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i).
+Each recorded state is computed from the start by that product
+(`core._contract`, which also builds the exact flow's states from
+exp(-t)), so no step is run one by one. Step k ends at k*step and the
+last exactly at t_end; this module alone maps a requested sample time to
+its state on that grid. A recorded sample of the returned `core.Trace` is
+a time and a state: its disorder, potential and count of tie blocks are
+computed, and the state sorted, only when they are read.
 """
 
 from __future__ import annotations
@@ -35,50 +37,39 @@ from typing import Sequence
 import numpy as np
 
 from .core import StateVector, Trace, as_state, disorder_squared
-from .core import _hyperplane_bound, _require_hyperplane
+from .core import _contract, _hyperplane_bound, _require_hyperplane
 from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 
 __all__ = [
     "ProjectedSample",
-    "STEP_LIMIT",
-    "UPDATE_LIMIT",
+    "COORDINATE_LIMIT",
     "active_ties",
     "project_velocity",
     "integrate_projected",
 ]
 
-#: Most Euler steps one integration takes. An unrecorded step costs about
-#: 3.5 us at n <= 200 and keeps nothing; a recorded one about 11 us and a
-#: sample of 0.4 KB + 8n bytes (2-vCPU VM, Python 3.11). With every step
-#: recorded (times=None) the limit bounds a run near 1.1 s and 40 MB +
-#: 0.8 MB per coordinate; with `times`, no step runs past the last one.
-STEP_LIMIT = 100_000
-#: Most coordinate updates (Euler steps x n) one integration takes: STEP_LIMIT
-#: times 200, the n of STEP_LIMIT's figures. From n = 1000 on a step costs
-#: about 4 ns a coordinate; 200 steps at n = 100,000 took 0.07 s (2-vCPU VM).
-UPDATE_LIMIT = 20_000_000
+#: Most coordinates (samples x n) one integration records: 320 MB of float64.
+#: A run costs what it records, not what t_end is; a sample also holds about
+#: 430 bytes of objects (Python 3.11), so at small n the samples set the cost.
+COORDINATE_LIMIT = 40_000_000
 
 
-def _step_count(t_end: float, step: float, n: int) -> int:
+def _step_count(t_end: float, step: float) -> int:
     """Number of Euler steps to t_end: step k ends at k * step, the last at t_end.
 
     A final shorter step is added unless the last full one lands within
-    1e-12 of t_end. Validates t_end (finite, > 0) and step (0 < step <=
-    MAX_STEP); SizeLimitError past STEP_LIMIT steps or UPDATE_LIMIT steps x n.
+    1e-12 of t_end. Validates t_end (finite, > 0), step (0 < step <=
+    MAX_STEP) and t_end / step, which must be finite (ValueError).
     """
     require_finite_positive("t_end", t_end)
     if not (0 < step <= MAX_STEP):
         raise ValueError(f"step must be in (0, {MAX_STEP}], got {step}")
-    # capped, so an overflowing t_end / step still counts as over the limit
-    full_steps = math.floor(min(t_end / step + 1e-12, STEP_LIMIT + 1))
+    quotient = t_end / step
+    if math.isinf(quotient):
+        raise ValueError(f"t_end {t_end:g} over step {step:g} overflows a double")
+    full_steps = math.floor(quotient + 1e-12)
     lands = full_steps > 0 and full_steps * step >= t_end - 1e-12
-    steps = full_steps + (not lands)
-    if steps > min(STEP_LIMIT, UPDATE_LIMIT // n):
-        raise SizeLimitError(
-            f"projected traces are limited to {STEP_LIMIT} Euler steps and {UPDATE_LIMIT} "
-            f"updates (steps x n); t_end {t_end:g} at step {step:g} needs more at n = {n}"
-        )
-    return steps
+    return full_steps + (not lands)
 
 
 def _grid_index(t: float, t_end: float, step: float, steps: int) -> int:
@@ -221,56 +212,57 @@ def integrate_projected(
     step: float = MAX_STEP,
     times: Sequence[float] | None = None,
 ) -> Trace:
-    """Explicit Euler on the pull toward the sorted vertex.
+    """Explicit Euler on the pull toward the sorted vertex, in closed form.
 
-    Each step advances x by h times g = v_s - x; step k ends at k * step
-    and the last exactly at t_end. The pull keeps every tie's target
-    order, so projecting it onto the tie blocks would return it unchanged
-    (module docstring). Requires a start on the hyperplane (`in_hyperplane`,
-    so also finite; checked once, as a step keeps the coordinate sum up to
-    rounding), finite 0 < t_end and 0 < step <= MAX_STEP, so each step h
-    contracts the potential by exactly (1 - h)^2 <= exp(-2h) and the state
-    after steps h_1..h_k is v_s + (x0 - v_s)*prod(1 - h_i), up to rounding.
-    More than STEP_LIMIT steps or UPDATE_LIMIT steps x n raise SizeLimitError.
+    Step k ends at k * step and the last, of length h = t_end minus the
+    step time before it, exactly at t_end. A step h maps x - v_s to
+    (1 - h)*(x - v_s), so the state after k full steps is
+    v_s + (x0 - v_s)*(1 - step)^k, the last state takes one more factor
+    (1 - h) in place of (1 - step), and each recorded state is computed
+    from x0 alone (module docstring); the state at t = 0 is x0 itself.
+    The pull keeps every tie's target order, so projecting it onto the
+    tie blocks would return it unchanged. Requires a start on the
+    hyperplane (`in_hyperplane`, so also finite; a contraction toward v_s
+    keeps the coordinate sum), finite 0 < t_end, 0 < step <= MAX_STEP and
+    a finite t_end / step, so each step contracts the potential by exactly
+    (1 - h)^2 <= exp(-2h).
 
     A sample records its grid time and state; its disorder, potential and
-    tie-block count are computed when read, so no step sorts. times=None
-    records every state, from t = 0 to t_end. Otherwise each of the
-    strictly increasing `times` records a state bit for bit as times=None
-    does: the last if the time is within 1e-9 * t of t_end, else the one at
-    the nearest multiple of `step`, which must lie within 1e-9 * t of it;
-    no two times may take one state (ValueError). Every check runs before
-    the first step, and no step runs past the last requested state.
+    tie-block count are computed when read, so no state is sorted.
+    times=None records every state, from t = 0 to t_end. Otherwise each of
+    the strictly increasing `times` records a state bit for bit as
+    times=None does: the last if the time is within 1e-9 * t of t_end,
+    else the one at the nearest multiple of `step`, which must lie within
+    1e-9 * t of it; no two times may take one state (ValueError). More
+    than COORDINATE_LIMIT recorded coordinates (samples x n) raise
+    SizeLimitError. Every check runs before the first state is built, and
+    a run costs O(samples x n) whatever t_end is.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
-    steps = _step_count(t_end, step, x0.n)
+    steps = _step_count(t_end, step)
+    count = steps + 1 if times is None else len(times)
+    if count * x0.n > COORDINATE_LIMIT:
+        raise SizeLimitError(
+            f"projected traces are limited to {COORDINATE_LIMIT} coordinates (samples x n), "
+            f"got {count} samples at n = {x0.n}"
+        )
     if times is None:
         wanted = range(steps + 1)
     else:
         wanted = [_grid_index(float(t), t_end, step, steps) for t in times]
-        if not wanted:
-            raise ValueError("sample times must hold at least one time")
         for s, t, j, k in zip(times, times[1:], wanted, wanted[1:]):
             if t <= s:
                 raise ValueError("sample times must be strictly increasing")
             if k <= j:
                 raise ValueError(f"sample times {float(s)!r} and {float(t)!r} take one grid state")
-    targets = np.arange(1, x0.n + 1, dtype=float)
-    # one buffer each for x and g: a step computes the same x + (t - prev)*g,
-    # and a recorded StateVector copies x
-    x = x0.coords.copy()
-    g = np.empty_like(x)
-    samples = []
-    k = 0
-    prev = 0.0
-    for want in wanted:
-        while k < want:
-            k += 1
-            t = t_end if k == steps else k * step
-            np.subtract(targets, x, out=g)
-            g *= t - prev
-            x += g
-            prev = t
-        samples.append(ProjectedSample(t=prev, state=StateVector(x)))
-    return Trace(samples=tuple(samples))
+    # the last step is h = t_end - (steps - 1) * step, so that it ends at t_end
+    last = 1.0 - (t_end - (steps - 1) * step)
+    factors = [(1.0 - step) ** k if k < steps else (1.0 - step) ** (k - 1) * last for k in wanted]
+    states = _contract(x0, factors)
+    return Trace(
+        samples=tuple(
+            ProjectedSample(t=t_end if k == steps else k * step, state=state)
+            for k, state in zip(wanted, states)
+        )
+    )

@@ -14,9 +14,6 @@ import permflow.cli
 import permflow.flow
 import permflow.projection
 from permflow import (
-    MAX_STEP,
-    STEP_LIMIT,
-    UPDATE_LIMIT,
     Permutation,
     build_optimal,
     disorder_squared,
@@ -470,27 +467,38 @@ class TestFlowTrace:
         assert out == ""
         assert "off the Euler grid" in err
 
-    def test_over_step_limit_exits_three_before_integrating(self, capsys, monkeypatch):
+    # the two requests that once took the most Euler steps, one by one: at
+    # their own samples x n as the coordinate limit they run, one under it
+    # they are refused before any state is built
+    @pytest.mark.parametrize(
+        "n, t_end", [(5, "1000.01"), (100_000, "1000")]
+    )
+    def test_coordinate_limit_at_its_edge(self, n, t_end, capsys, monkeypatch):
+        argv = ["flow", "trace", "--projected", "--n", str(n), "--t-end", t_end, "--samples", "2"]
+        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", 2 * n)
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert [r["t"] for r in rows] == [0.0, float(t_end)]
+        assert rows[1]["x"] == [float(k) for k in range(1, n + 1)]
+        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", 2 * n - 1)
         self.refuse_states(monkeypatch)
-        t_end = (STEP_LIMIT + 1) * MAX_STEP
-        code, out, err = run(
-            ["flow", "trace", "--projected", "--n", "5", "--t-end", repr(t_end), "--samples", "2"],
-            capsys,
-        )
+        code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and f"{STEP_LIMIT} Euler steps" in err
+        assert err.startswith("error:") and f"{2 * n - 1} coordinates (samples x n)" in err
 
-    def test_over_update_limit_exits_three_before_integrating(self, capsys, monkeypatch):
+    def test_overflowing_step_count_exits_two_before_integrating(self, capsys, monkeypatch):
+        # t_end / step is inf: a usage error, not an OverflowError traceback
         self.refuse_states(monkeypatch)
-        # 100,000 steps are within STEP_LIMIT, but not at n = 100,000
         code, out, err = run(
-            ["flow", "trace", "--projected", "--n", "100000", "--t-end", "1000", "--samples", "2"],
+            ["flow", "trace", "--projected", "--n", "3", "--step", "1e-300", "--t-end", "1e300",
+             "--samples", "2"],
             capsys,
         )
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert err.startswith("error:") and f"{UPDATE_LIMIT} updates (steps x n)" in err
+        assert err == "error: t_end 1e+300 over step 1e-300 overflows a double\n"
 
     @pytest.mark.parametrize("mode", [[], ["--projected"]])
     def test_over_sample_limit_exits_three_before_sampling(self, mode, capsys, monkeypatch):
@@ -553,7 +561,8 @@ class TestFlowTrace:
             main(["flow", "trace", "--n", "3", "--t-end", "1", "--samples", str(SAMPLE_LIMIT)])
 
     def test_long_projected_run_at_n_1000(self, capsys):
-        # rounding drift in sum(x) passes an absolute 1e-9 from about step 3,262 here
+        # what 4,000 steps leave of an offset (0.99**4000 * 999 = 3.5e-15)
+        # rounds away at 6 digits
         code, out, err = run(
             ["flow", "trace", "--projected", "--n", "1000", "--t-end", "40", "--samples", "2"],
             capsys,
@@ -581,17 +590,17 @@ class TestFlowTrace:
         (
             ["--n", "40", "--start", "reverse", "--t-end", "3", "--format", "csv",
              "--precision", "17"],
-            "11cb8c051f236882c3a82515e0141d9ad35d748cbf136fefb3efe77d3d67cb5e",
+            "591b67b00add0a65f8b216268ee495ac6f877703b22bb7a82c137d84a74ee584",
         ),
         (
             ["--n", "25", "--start", "random:7", "--t-end", "0.8", "--step", "0.005",
              "--precision", "17"],
-            "5442f5c104b342b06672ee25733a717edc3a6e90c2283b3f2c8fea4287428f11",
+            "a86935e7749fbef7d2b2e5bb142cc11098b45a43d9f9b25da723b0de142807d2",
         ),
         (
             ["--n", "30", "--start", "random:3", "--t-end", "0.5", "--samples", "6",
              "--precision", "16"],
-            "ae6b67c3fac9bb3510c5ff349b0967ae9f1c37fe758c9d19931095ee8003ef16",
+            "96d4328fae7d0a96db264fa13c3dbede1998d73d33742c4c8d8f28871fad4738",
         ),
     ]
 

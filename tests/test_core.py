@@ -189,7 +189,7 @@ class TestDisorder:
 class TestTrace:
     EVALUATORS = {
         "closed-form": sample_trace,
-        "euler": lambda x0, times: integrate_projected(x0, times[-1], times=times),
+        "euler": lambda x0, times: integrate_projected(x0, max(times, default=1.0), times=times),
     }
 
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
@@ -200,6 +200,14 @@ class TestTrace:
         assert trace.final is trace.samples[-1].state
         assert [s.t for s in trace.samples] == [0.0, 0.5, 1.0]
         assert trace.samples[0].state.coords.tolist() == [3.0, 1.0, 4.0, 2.0]
+        # the t = 0 sample is the start itself, bit for bit
+        assert trace.samples[0].state is x0
         # every sample answers its disorder, whichever evaluator recorded it
         for s in trace.samples:
             assert s.disorder == pytest.approx(disorder_squared(s.state), rel=1e-12)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_both_evaluators_refuse_empty_times(self, evaluator):
+        # one rule: no sample time is a ValueError, not a trace whose .final fails
+        with pytest.raises(ValueError, match="^sample times must hold at least one time$"):
+            self.EVALUATORS[evaluator](vertex_of(Permutation.of((3, 1, 4, 2))), [])

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import permflow.projection
 from permflow import (
+    COORDINATE_LIMIT,
     MAX_STEP,
     Permutation,
     ProjectedSample,
-    STEP_LIMIT,
-    UPDATE_LIMIT,
     SizeLimitError,
     StateVector,
     active_ties,
@@ -24,6 +23,7 @@ from permflow import (
     in_hyperplane,
     integrate_projected,
     project_velocity,
+    sample_trace,
     vertex_of,
 )
 from permflow.projection import _step_count
@@ -90,14 +90,25 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
     return samples
 
 
+def rounding_bound(x0, k):
+    """4(k + 1) * 2**-53 * (|a_i| + i): the rounding allowed after k steps, per coordinate.
+
+    1 - step is rounded once, so its k-th power may be off by about k ulp,
+    and each coordinate adds one product and one sum; a step-by-step loop
+    rounds once per step.
+    """
+    x0 = np.asarray(as_state(x0).coords)
+    targets = np.arange(1.0, x0.size + 1)
+    return 4 * (k + 1) * 2.0**-53 * (np.abs(x0 - targets) + targets)
+
+
 def assert_matches_reference(x0, t_end, step=MAX_STEP):
     trace = integrate_projected(x0, t_end, step=step)
     want = reference_integrate(x0, t_end, step=step)
     assert len(trace.samples) == len(want)
-    for got, (t, coords, potential, count) in zip(trace.samples, want):
+    for k, (got, (t, coords, _, count)) in enumerate(zip(trace.samples, want)):
         assert got.t == t
-        assert got.state.coords.tobytes() == coords.tobytes()
-        assert got.potential == potential
+        assert np.all(np.abs(got.state.coords - coords) <= rounding_bound(x0, k))
         assert got.active_block_count == count
 
 
@@ -346,8 +357,9 @@ class TestMatchesReferenceLoop:
         step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
     )
     @example(x0=VERTEX_5, t_end=1.4, step=0.01)
-    def test_samples_bit_identical(self, x0, t_end, step):
-        # the reference runs PAV on every step: on the pull it is the identity
+    def test_samples_match_reference_loop(self, x0, t_end, step):
+        # the reference runs PAV on every step: on the pull it is the identity,
+        # and the closed form stays within the rounding of the reference's steps
         assert_matches_reference(x0, t_end, step=step)
 
     @pytest.mark.parametrize(
@@ -358,10 +370,10 @@ class TestMatchesReferenceLoop:
             ([0.95, 2.05], 1.5),
         ],
     )
-    def test_pooling_cases_bit_identical(self, x0, gap):
+    def test_pooling_cases_match_reference_loop(self, x0, gap):
         # grouped at a gap this wide, coordinates more than their index gap
         # apart share a block and PAV would pool the pull; these are not
-        # ties, so the loop follows the unpooled pull as the oracle does
+        # ties, so the closed form follows the unpooled pull as the oracle does
         g = np.arange(1.0, len(x0) + 1) - np.asarray(x0)
         wide = reference_blocks(np.asarray(x0), gap)
         assert not np.array_equal(project_velocity(x0, g, wide), g)
@@ -408,6 +420,35 @@ class TestMatchesReferenceLoop:
     def test_active_ties_matches_reference_grouping(self, x):
         # 1 + 5e-9 joins 1 only from n = 5 on
         assert active_ties(x) == reference_blocks(np.asarray(x), 1e-9 * len(x))
+
+
+class TestAgainstExactFlow:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x0=starts(),
+        t_end=st.sampled_from([0.003, 0.05, 0.37, 0.525, 1.0, 2.3]),
+        step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
+    )
+    @example(x0=VERTEX_40, t_end=0.525, step=0.01)
+    @example(x0=[1.0, 2.5, 2.5, 4.0], t_end=0.003, step=0.01)
+    def test_euler_error_within_its_bound(self, x0, t_end, step):
+        # -h - h^2 / (2(1 - h)) <= ln(1 - h) <= -h, so at time t after steps h_k,
+        # 0 <= exp(-t) - prod(1 - h_k) <= exp(-t) * sum h_k^2 / (2(1 - h_k)):
+        # each coordinate lags the exact flow by at most |a_i| times that
+        trace = integrate_projected(x0, t_end, step=step)
+        grid = [0.0, *reference_grid(t_end, step)]
+        assert [s.t for s in trace.samples] == grid
+        exact = sample_trace(x0, grid).samples
+        targets = np.arange(1.0, len(x0) + 1)
+        a = np.abs(np.asarray(x0) - targets)
+        drift = 0.0
+        for k, (got, want, prev, t) in enumerate(zip(trace.samples, exact, [0.0, *grid], grid)):
+            h = t - prev
+            drift += h * h / (2 * (1 - h))
+            lag = np.abs(want.state.coords - targets) - np.abs(got.state.coords - targets)
+            slack = rounding_bound(x0, k)
+            assert np.all(-slack <= lag)
+            assert np.all(lag <= a * math.exp(-t) * drift + slack)
 
 
 def refuse_states(monkeypatch):
@@ -474,25 +515,24 @@ class TestTimes:
         for s, k in zip(got, [0, 1, 3]):
             assert s.state.coords.tobytes() == full[k].state.coords.tobytes()
 
-    def test_no_step_runs_after_the_last_requested_time(self, monkeypatch):
-        # each Euler step takes one velocity g = v_s - x with np.subtract
-        steps = []
+    @pytest.mark.parametrize("t_end", [1000.01, 1e6, 1e300])
+    def test_far_t_end_reaches_the_sorted_vertex(self, t_end, monkeypatch):
+        # no step is run one by one: 1e302 steps cost what one does, and the
+        # start and the sorted vertex are the two states built
+        built = []
+        contract = permflow.projection._contract
 
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def spy(x0, factors):
+            built.extend(factors)
+            return contract(x0, factors)
 
-            def subtract(self, *args, **kwargs):
-                steps.append(1)
-                return np.subtract(*args, **kwargs)
-
-        monkeypatch.setattr(permflow.projection, "np", CountingNumpy())
-        trace = integrate_projected([3.0, 2.0, 1.0], 50.0, times=[0.0, 0.05])
-        assert [s.t for s in trace.samples] == [0.0, 0.05]
-        assert len(steps) == 5
-        steps.clear()
-        integrate_projected([3.0, 2.0, 1.0], 50.0, times=[0.0])
-        assert steps == []
+        monkeypatch.setattr(permflow.projection, "_contract", spy)
+        x0 = vertex_of(Permutation.reverse(30))
+        trace = integrate_projected(x0, t_end, times=[0.0, t_end])
+        assert [s.t for s in trace.samples] == [0.0, t_end]
+        assert trace.samples[0].state is x0
+        assert trace.final.coords.tolist() == [float(k) for k in range(1, 31)]
+        assert built == [1.0, 0.0]
 
     def test_only_kept_states_are_grouped(self, monkeypatch):
         # integration sorts no state; each read of a sample's tie-block count
@@ -535,53 +575,57 @@ class TestTimes:
         assert ends * 20 < full
 
     def test_long_small_step_run_stays_tangent(self):
-        # at h = 0.0005 rounding drift in sum(x) peaks near 336 units of
-        # n(n+1)/2 * 2**-52 (about 1.5e-9 at n = 200) when the state freezes;
-        # the one hyperplane rule allows 2**11 of them
+        # each state is rounded once per coordinate, from the start, so
+        # sum(x) keeps to the one hyperplane rule however many steps it takes
         x0 = vertex_of(Permutation.reverse(200))
         trace = integrate_projected(x0, 40.0, step=0.0005, times=[0.0, 40.0])
         assert np.allclose(trace.final.coords, np.arange(1.0, 201.0))
         assert in_hyperplane(trace.final)
 
 
-class TestStepLimit:
-    def test_limit_is_reachable(self):
-        assert _step_count(STEP_LIMIT * MAX_STEP, MAX_STEP, 1) == STEP_LIMIT
-        # the checks pass, and a request for the start alone runs no step
-        trace = integrate_projected([1.0], STEP_LIMIT * MAX_STEP, times=[0.0])
-        assert [s.t for s in trace.samples] == [0.0]
+#: A step whose multiples are exact: n = 400,000 at 100 samples is the
+#: coordinate limit, n = 754,717 at 53 samples one coordinate over it
+EXACT_STEP = 2.0**-7
+
+
+class TestCoordinateLimit:
+    @pytest.mark.parametrize("times", [None, [k * EXACT_STEP for k in range(100)]])
+    def test_limit_is_reachable(self, times, monkeypatch):
+        class Accepted(Exception):
+            pass
+
+        def accepted(x0, factors):
+            assert len(factors) * x0.n == COORDINATE_LIMIT
+            raise Accepted
+
+        monkeypatch.setattr(permflow.projection, "_contract", accepted)
+        x0 = StateVector(np.arange(1.0, 400_001.0))
+        with pytest.raises(Accepted):
+            integrate_projected(x0, 99 * EXACT_STEP, step=EXACT_STEP, times=times)
 
     @pytest.mark.parametrize(
-        "t_end, step",
+        "n, times, t_end",
         [
-            ((STEP_LIMIT + 1) * MAX_STEP, MAX_STEP),
-            (STEP_LIMIT * MAX_STEP + 1e-6, MAX_STEP),
-            (1e300, MAX_STEP),
-            (1.0, 5e-324),
+            (754_717, None, 52 * EXACT_STEP),
+            (754_717, [k * EXACT_STEP for k in range(53)], 52 * EXACT_STEP),
+            (1, None, 40_000_000 * EXACT_STEP),
+            (3, None, 1e300),
         ],
     )
-    def test_over_limit_raises_before_building(self, t_end, step, monkeypatch):
+    def test_over_limit_raises_before_building(self, n, times, t_end, monkeypatch):
         refuse_states(monkeypatch)
-        with pytest.raises(SizeLimitError, match=f"{STEP_LIMIT} Euler steps"):
-            _step_count(t_end, step, 3)
-        # with every state recorded (times=None) and with sample times
-        for times in (None, [0.0]):
-            with pytest.raises(SizeLimitError, match=f"{STEP_LIMIT} Euler steps"):
-                integrate_projected([3.0, 2.0, 1.0], t_end, step=step, times=times)
+        x0 = StateVector(np.arange(1.0, n + 1.0))
+        with pytest.raises(SizeLimitError, match=f"{COORDINATE_LIMIT} coordinates"):
+            integrate_projected(x0, t_end, step=EXACT_STEP, times=times)
 
-    @pytest.mark.parametrize("n, steps", [(200, STEP_LIMIT), (100_000, 200)])
-    def test_update_limit_is_reachable(self, n, steps, monkeypatch):
-        # one more coordinate is within STEP_LIMIT but over UPDATE_LIMIT
-        t_end = steps * MAX_STEP
-        assert _step_count(t_end, MAX_STEP, n) * n == UPDATE_LIMIT
-        trace = integrate_projected(vertex_of(Permutation.identity(n)), t_end, times=[0.0])
-        assert [s.t for s in trace.samples] == [0.0]
-        with pytest.raises(SizeLimitError, match=f"{UPDATE_LIMIT} updates"):
-            _step_count(t_end, MAX_STEP, n + 1)
+    @pytest.mark.parametrize("times", [None, [0.0]])
+    def test_overflowing_step_count_raises_before_building(self, times, monkeypatch):
+        # 1.0 / 5e-324 is inf: no grid, so ValueError rather than OverflowError
         refuse_states(monkeypatch)
-        for times in (None, [0.0]):
-            with pytest.raises(SizeLimitError, match=f"{UPDATE_LIMIT} updates"):
-                integrate_projected(vertex_of(Permutation.identity(n + 1)), t_end, times=times)
+        with pytest.raises(ValueError, match="overflows a double"):
+            _step_count(1.0, 5e-324)
+        with pytest.raises(ValueError, match="overflows a double"):
+            integrate_projected([3.0, 2.0, 1.0], 1.0, step=5e-324, times=times)
 
 
 class TestRejectsOutOfModelInputs:
