@@ -48,10 +48,10 @@ __all__ = [
     "integrate_projected",
 ]
 
-#: Most coordinates (samples x n) one integration records: 320 MB of float64.
-#: A run costs what it records, not what t_end is; a sample also holds about
-#: 430 bytes of objects (Python 3.11), so at small n the samples set the cost.
-COORDINATE_LIMIT = 40_000_000
+_SAMPLE_WORDS = 54  # a sample's own objects: about 430 bytes (Python 3.11)
+#: Most float64 words one integration records, samples x (n + 54): about
+#: 320 MB, or two samples at n = 20,000,000. A run costs what it records.
+COORDINATE_LIMIT = 2 * (20_000_000 + _SAMPLE_WORDS)
 
 
 def _step_count(t_end: float, step: float) -> int:
@@ -214,18 +214,16 @@ def integrate_projected(
 ) -> Trace:
     """Explicit Euler on the pull toward the sorted vertex, in closed form.
 
-    Step k ends at k * step and the last, of length h = t_end minus the
-    step time before it, exactly at t_end. A step h maps x - v_s to
-    (1 - h)*(x - v_s), so the state after k full steps is
-    v_s + (x0 - v_s)*(1 - step)^k, the last state takes one more factor
-    (1 - h) in place of (1 - step), and each recorded state is computed
-    from x0 alone (module docstring); the state at t = 0 is x0 itself.
-    The pull keeps every tie's target order, so projecting it onto the
-    tie blocks would return it unchanged. Requires a start on the
-    hyperplane (`in_hyperplane`, so also finite; a contraction toward v_s
-    keeps the coordinate sum), finite 0 < t_end, 0 < step <= MAX_STEP and
-    a finite t_end / step, so each step contracts the potential by exactly
-    (1 - h)^2 <= exp(-2h).
+    Step k ends at k * step and the last, of length h, exactly at t_end.
+    The state after k full steps is v_s + (x0 - v_s)*(1 - step)^k and the
+    last takes (1 - h) for one (1 - step) (module docstring); each factor
+    is exp(k*log1p(-step)), a few ulp off however many steps it stands
+    for, and the state at t = 0 is x0 itself. The pull keeps every tie's
+    target order, so projecting it onto the tie blocks would return it
+    unchanged. Requires a start on the hyperplane (`in_hyperplane`, so
+    also finite; a contraction toward v_s keeps the coordinate sum),
+    finite 0 < t_end, 0 < step <= MAX_STEP and a finite t_end / step, so
+    each step contracts the potential by exactly (1 - h)^2 <= exp(-2h).
 
     A sample records its grid time and state; its disorder, potential and
     tie-block count are computed when read, so no state is sorted.
@@ -234,18 +232,18 @@ def integrate_projected(
     times=None does: the last if the time is within 1e-9 * t of t_end,
     else the one at the nearest multiple of `step`, which must lie within
     1e-9 * t of it; no two times may take one state (ValueError). More
-    than COORDINATE_LIMIT recorded coordinates (samples x n) raise
-    SizeLimitError. Every check runs before the first state is built, and
-    a run costs O(samples x n) whatever t_end is.
+    than COORDINATE_LIMIT words, samples x (n + 54), raise SizeLimitError.
+    Every check runs before the first state is built, and a run costs
+    O(samples x n) whatever t_end is.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
     steps = _step_count(t_end, step)
     count = steps + 1 if times is None else len(times)
-    if count * x0.n > COORDINATE_LIMIT:
+    if count * (x0.n + _SAMPLE_WORDS) > COORDINATE_LIMIT:
         raise SizeLimitError(
-            f"projected traces are limited to {COORDINATE_LIMIT} coordinates (samples x n), "
-            f"got {count} samples at n = {x0.n}"
+            f"projected traces are limited to {COORDINATE_LIMIT} words "
+            f"(samples x (n + {_SAMPLE_WORDS})), got {count} samples at n = {x0.n}"
         )
     if times is None:
         wanted = range(steps + 1)
@@ -257,8 +255,9 @@ def integrate_projected(
             if k <= j:
                 raise ValueError(f"sample times {float(s)!r} and {float(t)!r} take one grid state")
     # the last step is h = t_end - (steps - 1) * step, so that it ends at t_end
-    last = 1.0 - (t_end - (steps - 1) * step)
-    factors = [(1.0 - step) ** k if k < steps else (1.0 - step) ** (k - 1) * last for k in wanted]
+    per_step = math.log1p(-step)
+    last = math.log1p(-(t_end - (steps - 1) * step))
+    factors = [math.exp(k * per_step if k < steps else (k - 1) * per_step + last) for k in wanted]
     states = _contract(x0, factors)
     return Trace(
         samples=tuple(

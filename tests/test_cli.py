@@ -468,25 +468,26 @@ class TestFlowTrace:
         assert "off the Euler grid" in err
 
     # the two requests that once took the most Euler steps, one by one: at
-    # their own samples x n as the coordinate limit they run, one under it
+    # their own samples x (n + 54) as the limit they run, one word under it
     # they are refused before any state is built
     @pytest.mark.parametrize(
         "n, t_end", [(5, "1000.01"), (100_000, "1000")]
     )
     def test_coordinate_limit_at_its_edge(self, n, t_end, capsys, monkeypatch):
         argv = ["flow", "trace", "--projected", "--n", str(n), "--t-end", t_end, "--samples", "2"]
-        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", 2 * n)
+        words = 2 * (n + 54)
+        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", words)
         code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
         rows = json.loads(out)["rows"]
         assert [r["t"] for r in rows] == [0.0, float(t_end)]
         assert rows[1]["x"] == [float(k) for k in range(1, n + 1)]
-        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", 2 * n - 1)
+        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", words - 1)
         self.refuse_states(monkeypatch)
         code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and f"{2 * n - 1} coordinates (samples x n)" in err
+        assert err.startswith("error:") and f"{words - 1} words (samples x (n + 54))" in err
 
     def test_overflowing_step_count_exits_two_before_integrating(self, capsys, monkeypatch):
         # t_end / step is inf: a usage error, not an OverflowError traceback
@@ -499,6 +500,21 @@ class TestFlowTrace:
         assert code == 2
         assert out == ""
         assert err == "error: t_end 1e+300 over step 1e-300 overflows a double\n"
+
+    def test_tiny_step_still_contracts(self, capsys):
+        # 1 - 1e-17 rounds to 1.0, yet the 1e17 steps to t = 1 contract the
+        # start by e^-1, as the closed-form mode prints it
+        base = ["flow", "trace", "--n", "3", "--t-end", "1", "--samples", "2", "--precision", "17"]
+        code, out, err = run([*base, "--projected", "--step", "1e-17"], capsys)
+        assert code == 0 and err == ""
+        got = json.loads(out)["rows"]
+        code, out, err = run(base, capsys)
+        assert code == 0 and err == ""
+        want = json.loads(out)["rows"]
+        assert [r["t"] for r in got] == [0.0, 1.0]
+        assert got[0]["x"] == want[0]["x"]
+        assert got[1]["x"] == pytest.approx(want[1]["x"], rel=1e-15)
+        assert got[1]["x"] != got[0]["x"]
 
     @pytest.mark.parametrize("mode", [[], ["--projected"]])
     def test_over_sample_limit_exits_three_before_sampling(self, mode, capsys, monkeypatch):
@@ -590,17 +606,17 @@ class TestFlowTrace:
         (
             ["--n", "40", "--start", "reverse", "--t-end", "3", "--format", "csv",
              "--precision", "17"],
-            "591b67b00add0a65f8b216268ee495ac6f877703b22bb7a82c137d84a74ee584",
+            "b630e557d10a2bacf787b792f7084e68c938d492dedff17d818d8cd06ac30bfc",
         ),
         (
             ["--n", "25", "--start", "random:7", "--t-end", "0.8", "--step", "0.005",
              "--precision", "17"],
-            "a86935e7749fbef7d2b2e5bb142cc11098b45a43d9f9b25da723b0de142807d2",
+            "bbe37b8379640de6d4828c9a0182e40fe54d2d4361ebcc8d6fcbb31a60173a40",
         ),
         (
             ["--n", "30", "--start", "random:3", "--t-end", "0.5", "--samples", "6",
              "--precision", "16"],
-            "96d4328fae7d0a96db264fa13c3dbede1998d73d33742c4c8d8f28871fad4738",
+            "ddae2d7e45af6ce4f6a4e59a90fbcc13acfb5afe241d625edec1d0b1ee7289b2",
         ),
     ]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import permflow.projection
 from permflow import (
-    COORDINATE_LIMIT,
     MAX_STEP,
     Permutation,
     ProjectedSample,
@@ -90,25 +89,44 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
     return samples
 
 
-def rounding_bound(x0, k):
-    """4(k + 1) * 2**-53 * (|a_i| + i): the rounding allowed after k steps, per coordinate.
-
-    1 - step is rounded once, so its k-th power may be off by about k ulp,
-    and each coordinate adds one product and one sum; a step-by-step loop
-    rounds once per step.
-    """
+def scale(x0):
+    """|a_i| + i per coordinate: the size of each term of v_s + (x0 - v_s) * f."""
     x0 = np.asarray(as_state(x0).coords)
     targets = np.arange(1.0, x0.size + 1)
-    return 4 * (k + 1) * 2.0**-53 * (np.abs(x0 - targets) + targets)
+    return np.abs(x0 - targets) + targets
+
+
+def rounding_bound(x0, k):
+    """4(k + 1) * 2**-53 * (|a_i| + i): how far a step-by-step loop may drift in k steps.
+
+    The loop rounds each coordinate once or twice per step, so after k
+    steps it may be off by about k ulp of |a_i| + i.
+    """
+    return 4 * (k + 1) * 2.0**-53 * scale(x0)
+
+
+def closed_form_bound(x0, t):
+    """8(t + 2) * 2**-53 * (|a_i| + i): how far two closed-form states at time t may differ.
+
+    A factor exp(k * log1p(-step)) or exp(-t) is off by about (2t + 1)
+    ulp, whatever k is, and each coordinate adds one product and one sum.
+    """
+    return 8 * (t + 2) * 2.0**-53 * scale(x0)
 
 
 def assert_matches_reference(x0, t_end, step=MAX_STEP):
     trace = integrate_projected(x0, t_end, step=step)
     want = reference_integrate(x0, t_end, step=step)
     assert len(trace.samples) == len(want)
-    for k, (got, (t, coords, _, count)) in enumerate(zip(trace.samples, want)):
+    for k, (got, (t, coords, potential, count)) in enumerate(zip(trace.samples, want)):
         assert got.t == t
-        assert np.all(np.abs(got.state.coords - coords) <= rounding_bound(x0, k))
+        slack = rounding_bound(x0, k)
+        assert np.all(np.abs(got.state.coords - coords) <= slack)
+        # V = 0.5 * sum e_i^2, so a change of at most slack_i in each e_i moves
+        # V by at most sum (|e_i| + slack_i) * slack_i, plus the sums' rounding
+        offsets = np.abs(coords - np.arange(1.0, len(coords) + 1))
+        tol = np.dot(offsets + slack, slack) + 4 * len(coords) * 2.0**-53 * potential
+        assert abs(got.potential - potential) <= tol
         assert got.active_block_count == count
 
 
@@ -446,9 +464,27 @@ class TestAgainstExactFlow:
             h = t - prev
             drift += h * h / (2 * (1 - h))
             lag = np.abs(want.state.coords - targets) - np.abs(got.state.coords - targets)
-            slack = rounding_bound(x0, k)
+            slack = closed_form_bound(x0, t)
             assert np.all(-slack <= lag)
             assert np.all(lag <= a * math.exp(-t) * drift + slack)
+
+    @pytest.mark.parametrize("step", [1e-9, 1e-12, 1e-17])
+    def test_tiny_steps_keep_to_the_exact_flow(self, step):
+        # 1 - 1e-17 rounds to 1.0, and 1 - 1e-9 is off by 1e-8 of the step:
+        # raised to the 1e9-th power that would be 1e-7 off; the factor keeps
+        # to a few ulp however many steps it stands for, and the state at
+        # t = 1 lags the exact one by at most |a_i| * e^-1 * step / (2(1 - step))
+        x0 = VERTEX_40
+        got = integrate_projected(x0, 1.0, step=step, times=[0.0, 1.0])
+        want = sample_trace(x0, [1.0])
+        assert [s.t for s in got.samples] == [0.0, 1.0]
+        assert got.samples[0].state.coords.tolist() == x0
+        targets = np.arange(1.0, len(x0) + 1)
+        a = np.abs(np.asarray(x0) - targets)
+        lag = np.abs(want.final.coords - targets) - np.abs(got.final.coords - targets)
+        slack = closed_form_bound(x0, 1.0)
+        assert np.all(-slack <= lag)
+        assert np.all(lag <= a * math.exp(-1) * step / (2 * (1 - step)) + slack)
 
 
 def refuse_states(monkeypatch):
@@ -583,39 +619,64 @@ class TestTimes:
         assert in_hyperplane(trace.final)
 
 
-#: A step whose multiples are exact: n = 400,000 at 100 samples is the
-#: coordinate limit, n = 754,717 at 53 samples one coordinate over it
+#: A step whose multiples are exact
 EXACT_STEP = 2.0**-7
 
 
+def grid_times(count):
+    """The first `count` grid times of EXACT_STEP."""
+    return [k * EXACT_STEP for k in range(count)]
+
+
 class TestCoordinateLimit:
-    @pytest.mark.parametrize("times", [None, [k * EXACT_STEP for k in range(100)]])
-    def test_limit_is_reachable(self, times, monkeypatch):
+    # each sample counts n + 54 words: its coordinates and its own objects.
+    # 100 samples at n = 399,946 record 40,000,000 words, 108 under the limit;
+    # 101 samples at n = 200 record 25,654, the limit when it is patched to that
+    @pytest.mark.parametrize("times", [None, "grid"])
+    @pytest.mark.parametrize("n, samples, limit", [(399_946, 100, None), (200, 101, 25_654)])
+    def test_limit_is_reachable(self, n, samples, limit, times, monkeypatch):
         class Accepted(Exception):
             pass
 
         def accepted(x0, factors):
-            assert len(factors) * x0.n == COORDINATE_LIMIT
+            assert len(factors) == samples
             raise Accepted
 
+        if limit is not None:
+            monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", limit)
         monkeypatch.setattr(permflow.projection, "_contract", accepted)
-        x0 = StateVector(np.arange(1.0, 400_001.0))
+        x0 = StateVector(np.arange(1.0, n + 1.0))
+        times = grid_times(samples) if times else None
         with pytest.raises(Accepted):
-            integrate_projected(x0, 99 * EXACT_STEP, step=EXACT_STEP, times=times)
+            integrate_projected(x0, (samples - 1) * EXACT_STEP, step=EXACT_STEP, times=times)
 
     @pytest.mark.parametrize(
-        "n, times, t_end",
+        "n, times, t_end, limit",
         [
-            (754_717, None, 52 * EXACT_STEP),
-            (754_717, [k * EXACT_STEP for k in range(53)], 52 * EXACT_STEP),
-            (1, None, 40_000_000 * EXACT_STEP),
-            (3, None, 1e300),
+            (200, None, 100 * EXACT_STEP, 25_653),
+            (200, grid_times(101), 100 * EXACT_STEP, 25_653),
+            (400_000, None, 99 * EXACT_STEP, None),
+            (400_000, grid_times(100), 99 * EXACT_STEP, None),
+            (1, None, 727_274 * EXACT_STEP, None),
+            (1, None, 312_499.99, None),
+            (3, None, 1e300, None),
         ],
     )
-    def test_over_limit_raises_before_building(self, n, times, t_end, monkeypatch):
+    def test_over_limit_raises_before_building(self, n, times, t_end, limit, monkeypatch):
+        # one word over a patched limit; 100 samples at n = 400,000 take
+        # 40,005,400 words; at n = 1, 727,275 samples are the fewest over the
+        # limit, and the 40,000,000 samples of t_end = 312,499.99 would hold
+        # about 17 GB of objects for 320 MB of coordinates
+        def no_states(*args, **kwargs):
+            raise AssertionError("built the states of a refused request")
+
+        if limit is not None:
+            monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", limit)
+        monkeypatch.setattr(permflow.projection, "_contract", no_states)
         refuse_states(monkeypatch)
         x0 = StateVector(np.arange(1.0, n + 1.0))
-        with pytest.raises(SizeLimitError, match=f"{COORDINATE_LIMIT} coordinates"):
+        words = permflow.projection.COORDINATE_LIMIT
+        with pytest.raises(SizeLimitError, match=rf"{words} words \(samples x \(n \+ 54\)\)"):
             integrate_projected(x0, t_end, step=EXACT_STEP, times=times)
 
     @pytest.mark.parametrize("times", [None, [0.0]])
