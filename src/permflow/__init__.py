@@ -10,7 +10,7 @@ point toward the sorted vertex v_s = (1, ..., n).
 - `core`: state vectors, polytope vertices, the disorder measure.
 - `flow`: the closed-form flow, its crossing events, time/operation
   estimates.
-- `projection`: Euler descent on the pull and its tie blocks.
+- `projection`: Euler descent on the pull.
 - `dtree`: optimal comparison trees and the ceil(log2 n!) bound.
 - `slicing`: comparisons as half-space constraints, feasible counting,
   instrumented classical sorts.

@@ -61,11 +61,6 @@ def as_state(x: StateVector | Sequence[float] | np.ndarray) -> StateVector:
     return StateVector(np.asarray(x, dtype=float))
 
 
-def _hyperplane_bound(n: int) -> float:
-    """The tolerance of `in_hyperplane` at dimension n."""
-    return max(1e-9, hyperplane_sum(n) * 2.0**-41)
-
-
 def in_hyperplane(x: StateVector | Sequence[float]) -> bool:
     """True when x is finite and |sum(x) - n(n+1)/2| <= max(1e-9, n(n+1)/2 * 2**-41).
 
@@ -79,7 +74,8 @@ def in_hyperplane(x: StateVector | Sequence[float]) -> bool:
     s = as_state(x)
     with np.errstate(invalid="ignore", over="ignore"):
         total = float(s.coords.sum())
-    return abs(total - hyperplane_sum(s.n)) <= _hyperplane_bound(s.n)
+    target = hyperplane_sum(s.n)
+    return abs(total - target) <= max(1e-9, target * 2.0**-41)
 
 
 def _require_hyperplane(x: StateVector) -> None:

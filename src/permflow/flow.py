@@ -142,8 +142,11 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     ratio and drops out with the others outside (0, 1).
     In exact arithmetic a pair meets iff x_i > x_j, for any start, since
     a_i - a_j = x_i - x_j + (j - i): a_i - a_j > j - i <=> x_i > x_j.
-    Off the vertices the float ratio test decides, not x_i > x_j, and the
-    two differ: at n = 39 it meets x_16 one ulp below x_38 at t = 1.1e-16.
+    Off the vertices the rounded ratio can pass the test where x_i < x_j
+    (at n = 39, for x_16 one ulp below x_38, with t = 1.1e-16), so a
+    candidate is kept only if also x_i > x_j, an O(1) test per candidate.
+    A pair with x_i > x_j whose rounded ratio is not below 1 is still not
+    listed; it would meet within a few ulp of t = 0.
     Each block keeps the ratio, i and j of its crossing pairs, so memory is
     O(n * rows per block + events), not O(n^2). Only the crossing ratios
     take t = -ln(ratio), with `math.log`, so each time matches that
@@ -167,7 +170,7 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
-    a = _offsets(x0)
+    x, a = x0.coords, _offsets(x0)
     # an empty first block lets n = 1, which has no row, concatenate too
     index = np.empty(0, dtype=np.intp)
     blocks = [(np.empty(0), index, index)]
@@ -178,6 +181,7 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (j - i) / (a[i] - a[j])
         cross = np.flatnonzero((0.0 < ratio) & (ratio < 1.0))
+        cross = cross[x[i[cross]] > x[j[cross]]]
         blocks.append((ratio[cross], i[cross], j[cross]))
     ratio, i, j = (np.concatenate(column) for column in zip(*blocks))
     del blocks

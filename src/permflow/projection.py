@@ -1,24 +1,20 @@
-"""Order-preserving descent: the pull toward the sorted vertex keeps every tie.
+"""Euler descent on the pull toward the sorted vertex, which keeps every tie.
 
-When several coordinates of the state are equal (neighbours in value
-order within 1e-9 * n) they form a tie block. A velocity whose
-components would immediately re-invert a block's internal target order
-can be replaced, inside the block, by its closest non-decreasing
-surrogate: pool-adjacent-violators (PAV) averaging in index order. The
-projection p of a velocity g onto that cone satisfies <g, p> = ||p||^2,
-so the potential V = 0.5*||x - v_s||^2 never increases along the
-projected field (`project_velocity`).
-
-Along the pull g = v_s - x itself the projection has nothing to do. At a
-true tie x_i = x_j with i < j,
+The package integrates one field, the pull g = v_s - x. Where coordinates
+of the state are equal (neighbours in value order within 1e-9 * n form a
+tie block), a descent that keeps the ties may move them apart only in
+their target order, lower index lower. The pull already does: at a true
+tie x_i = x_j with i < j,
 
     g_j - g_i = (j - i) - (x_j - x_i) = j - i > 0,
 
-so the pull already keeps the tie's target order and PAV returns it
-unchanged. `integrate_projected` therefore integrates the pull as it is.
+so projecting it onto the order-keeping velocities of each block, by
+pool-adjacent-violators in index order, would return it unchanged, and no
+projection runs. `integrate_projected` integrates the pull as it is.
 An explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
-(1 - h)*(x - v_s), so it contracts V by exactly (1 - h)^2 <= exp(-2h),
-and after steps h_1..h_k the state is v_s + (x0 - v_s)*prod(1 - h_i).
+(1 - h)*(x - v_s), so it contracts V = 0.5*||x - v_s||^2 by exactly
+(1 - h)^2 <= exp(-2h), and after steps h_1..h_k the state is
+v_s + (x0 - v_s)*prod(1 - h_i).
 Each recorded state is computed from the start by that product
 (`core._contract`, which also builds the exact flow's states from
 exp(-t)), so no step is run one by one. Step k ends at k*step and the
@@ -37,14 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import StateVector, Trace, as_state, disorder_squared
-from .core import _contract, _hyperplane_bound, _require_hyperplane
+from .core import _contract, _require_hyperplane
 from .perms import MAX_STEP, SizeLimitError, require_finite_positive
 
 __all__ = [
     "ProjectedSample",
     "COORDINATE_LIMIT",
-    "active_ties",
-    "project_velocity",
     "integrate_projected",
 ]
 
@@ -92,95 +86,10 @@ def _grid_index(t: float, t_end: float, step: float, steps: int) -> int:
     return k
 
 
-def _group(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort coords once: value order, and which neighbour gaps join a tie.
-
-    A gap of at most 1e-9 * n joins its two neighbours into one block; the
-    stable sort puts equal values in index order.
-    """
-    order = np.argsort(coords, kind="stable")
-    values = coords[order]
-    return order, values[1:] - values[:-1] <= 1e-9 * coords.size
-
-
-def active_ties(x: StateVector | Sequence[float]) -> tuple[tuple[int, ...], ...]:
-    """Partition of the indices 1..n into groups whose values chain within 1e-9 * n.
-
-    Consecutive values in sorted order that differ by at most 1e-9 * n
-    land in the same block (transitively), so a block's spread can exceed
-    that only through chaining. Blocks come in ascending value order, each
-    listing its members in ascending index order (the order of their pull
-    targets); blocks of one index are kept so the partition covers 1..n.
-    """
-    x = as_state(x)
-    order, joined = _group(x.coords)
-    return tuple(
-        tuple(np.sort(b + 1).tolist()) for b in np.split(order, np.flatnonzero(~joined) + 1)
-    )
-
-
-def _pool_adjacent_violators(v: np.ndarray) -> np.ndarray:
-    """Non-decreasing least-squares fit to v (unit weights)."""
-    # Stack of (mean, count) pools; merge backward while out of order.
-    means: list[float] = []
-    counts: list[int] = []
-    for value in v:
-        means.append(float(value))
-        counts.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, c2 = means.pop(), counts.pop()
-            m1, c1 = means.pop(), counts.pop()
-            c = c1 + c2
-            means.append((m1 * c1 + m2 * c2) / c)
-            counts.append(c)
-    out = np.empty(len(v))
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
-    return out
-
-
-def _require_tangent(g: np.ndarray) -> None:
-    """Raise ValueError unless |sum(g)| is within the hyperplane bound of `core`.
-
-    g = v_s - x for some x on the hyperplane is tangent to it, so sum(g)
-    may be off 0 by what `in_hyperplane` allows sum(x) to be off
-    n(n+1)/2: max(1e-9, n(n+1)/2 * 2**-41).
-    """
-    if abs(float(g.sum())) > _hyperplane_bound(g.size):
-        raise ValueError("velocity must sum to 0 (tangent to the hyperplane)")
-
-
-def project_velocity(
-    x: StateVector | Sequence[float],
-    g: np.ndarray | Sequence[float],
-    blocks: Sequence[Sequence[int]] | None = None,
-) -> np.ndarray:
-    """Closest velocity to g that respects the tie blocks of x.
-
-    `blocks` is a partition of 1..n as `active_ties` returns it, and
-    defaults to `active_ties(x)`. Within each block (members in the order
-    listed, ascending index) the result is the nearest non-decreasing
-    vector to g's restriction, by pool-adjacent-violators; components
-    outside any tie pass through unchanged, and block sums are preserved.
-    The input must be tangent to the hyperplane: |sum(g)| at most
-    max(1e-9, n(n+1)/2 * 2**-41), the bound of `in_hyperplane`.
-    Projecting is idempotent and the output p satisfies <g, p> = ||p||^2.
-    """
-    x = as_state(x)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (x.n,):
-        raise ValueError(f"velocity must have shape ({x.n},), got {g.shape}")
-    _require_tangent(g)
-    if blocks is None:
-        blocks = active_ties(x)
-    p = g.copy()
-    for b in blocks:
-        if len(b) > 1:
-            idx = np.asarray(b) - 1
-            p[idx] = _pool_adjacent_violators(g[idx])
-    return p
+def _group(coords: np.ndarray) -> np.ndarray:
+    """Which neighbour gaps of the sorted coords join a tie: those of at most 1e-9 * n."""
+    values = np.sort(coords)
+    return values[1:] - values[:-1] <= 1e-9 * coords.size
 
 
 @dataclass(frozen=True)
@@ -200,8 +109,12 @@ class ProjectedSample:
 
     @property
     def active_block_count(self) -> int:
-        """Tie blocks of `active_ties` with two or more members: runs of joining gaps."""
-        joined = _group(self.state.coords)[1]
+        """Tie blocks of two or more coordinates: runs of joining gaps.
+
+        Neighbours in value order within 1e-9 * n join one block, so a
+        block's spread may exceed that through chaining.
+        """
+        joined = _group(self.state.coords)
         # each run of k joining gaps holds k - 1 adjacent joining pairs
         return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 

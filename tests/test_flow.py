@@ -22,6 +22,7 @@ from permflow import (
     flow_state,
     hyperplane_sum,
     in_hyperplane,
+    instrument,
     inversions,
     lemma_lower_bound,
     reverse_disorder,
@@ -31,11 +32,11 @@ from permflow import (
 )
 from permflow.cli import _seeded_shuffle
 
-from crossing_oracle import reference_crossing_events, reference_crossing_time
+from crossing_oracle import reference_crossing_events, reference_crossing_time, replay_schedule
 
 LN2 = math.log(2)
 
-#: A hyperplane start (n = 39) whose ratio test meets x_16 < x_38
+#: A hyperplane start (n = 39): the rounded ratio passes for x_16 < x_38, which never meet
 ULP_APART = [float(k) for k in range(1, 40)]
 ULP_APART[15] = 4.369176445368342
 ULP_APART[37] = 4.369176445368343  # one ulp above x_16
@@ -365,10 +366,19 @@ class TestCrossingEvents:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(hyperplane_starts(), tied_starts()))
-    # x_16 one ulp below x_38: the ratio test still meets them at t = 1.1e-16
+    # x_16 one ulp below x_38: the ratio alone would meet them at t = 1.1e-16
     @example(x0=ULP_APART)
     def test_matches_reference_loop_off_the_vertices(self, x0):
         assert event_bits(crossing_events(x0)) == reference_bits(x0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(hyperplane_starts(), tied_starts()))
+    @example(x0=ULP_APART)
+    def test_every_pair_is_inverted_on_the_start(self, x0):
+        # in exact arithmetic i < j meet iff x_i > x_j; no rounding lists a pair that does not
+        events = crossing_events(x0)
+        for i, j in zip(events.i.tolist(), events.j.tolist()):
+            assert x0[i - 1] > x0[j - 1], (i, j)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
     def test_matches_reference_loop_on_reverse(self, n):
@@ -423,6 +433,35 @@ class TestCrossingEvents:
         assert [s == t for s, t in zip(times, times[1:])] == [
             k == m for k, m in zip(keys, keys[1:])
         ]
+
+
+class TestCrossingReplay:
+    """The schedule told as the flow and as a sort: oracles that share no pair loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(vertex_starts(max_n=60))
+    def test_replay_on_vertex_starts(self, x0):
+        replay_schedule(x0, crossing_events(x0))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 39, 120])
+    def test_replay_on_reverse(self, n):
+        # every pair meets at ln 2: one group, one block of all n
+        x0 = vertex_of(Permutation.reverse(n)).coords
+        assert replay_schedule(x0, crossing_events(x0)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(vertex_starts(max_n=18))
+    def test_insertion_sort_compares_each_crossing_pair_once(self, x0):
+        # the comparisons of an inverted pair are the crossing pairs (i, j),
+        # as values (p_j, p_i), each once; at most n - 1 others stop the scans
+        p = [int(v) for v in x0]
+        where = {v: k for k, v in enumerate(p)}
+        compared = [(s.constraint.lo, s.constraint.hi) for s in instrument("insertion", p).trace]
+        inverted = [(lo, hi) for lo, hi in compared if where[lo] > where[hi]]
+        events = crossing_events(x0)
+        crossing = [(p[j - 1], p[i - 1]) for i, j in zip(events.i.tolist(), events.j.tolist())]
+        assert sorted(inverted) == sorted(crossing)
+        assert len(compared) - len(inverted) <= len(p) - 1
 
 
 class TestCrossingColumns:

@@ -139,10 +139,12 @@ class TestPublicNames:
         [
             "FlowTrace",
             "ProjectedTrace",
+            "active_ties",
             "comparison_count",
             "crossing_time",
             "is_contradictory",
             "log2_factorial",
+            "project_velocity",
             "sorted_vertex",
             "tree_from_dict",
             "tree_from_json",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -15,13 +16,11 @@ from permflow import (
     ProjectedSample,
     SizeLimitError,
     StateVector,
-    active_ties,
     as_state,
     disorder_squared,
     flow_state,
     in_hyperplane,
     integrate_projected,
-    project_velocity,
     sample_trace,
     vertex_of,
 )
@@ -43,6 +42,32 @@ def reference_blocks(coords, tol):
     return tuple(tuple(sorted(k + 1 for k in g)) for g in groups)
 
 
+def reference_pav(values):
+    """Nearest non-decreasing sequence to values (unit weights): pool adjacent violators."""
+    pools = []  # [mean, count], merged backward while out of order
+    for v in values:
+        pools.append([float(v), 1])
+        while len(pools) > 1 and pools[-2][0] > pools[-1][0]:
+            m2, c2 = pools.pop()
+            m1, c1 = pools.pop()
+            pools.append([(m1 * c1 + m2 * c2) / (c1 + c2), c1 + c2])
+    return [m for m, c in pools for _ in range(c)]
+
+
+def reference_project(g, blocks):
+    """g with each block's components, in index order, replaced by their PAV fit."""
+    p = np.array(g, dtype=float)
+    for block in blocks:
+        idx = [k - 1 for k in block]
+        p[idx] = reference_pav(p[idx])
+    return p
+
+
+def reference_block_count(x):
+    """Blocks of two or more among `reference_blocks` at the tie gap 1e-9 * n."""
+    return sum(len(b) > 1 for b in reference_blocks(x, 1e-9 * len(x)))
+
+
 def reference_grid(t_end, step):
     """End times of the Euler steps: k * step, and t_end for the last one.
 
@@ -60,7 +85,8 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
     """Euler loop that groups each state twice and runs PAV on every step.
 
     Ties join gaps of at most 1e-9 * n. Returns (t, coords, potential,
-    active_block_count) per sample.
+    active_block_count) per sample. The projection is this file's own PAV,
+    so the oracle shares no code with `permflow.projection`.
     """
     x0 = as_state(x0)
     tol = 1e-9 * x0.n
@@ -68,13 +94,7 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
 
     def sample(t, coords):
         state = StateVector(coords)
-        blocks = reference_blocks(state.coords, tol)
-        return (
-            t,
-            state.coords,
-            0.5 * disorder_squared(state),
-            sum(1 for b in blocks if len(b) > 1),
-        )
+        return (t, state.coords, 0.5 * disorder_squared(state), reference_block_count(coords))
 
     targets = np.arange(1, x0.n + 1, dtype=float)
     x = x0.coords.copy()
@@ -82,7 +102,7 @@ def reference_integrate(x0, t_end, step=MAX_STEP):
     prev = 0.0
     for t in times:
         g = targets - x
-        p = project_velocity(StateVector(x), g, reference_blocks(x, tol))
+        p = reference_project(g, reference_blocks(x, tol))
         x = x + (t - prev) * p
         prev = t
         samples.append(sample(t, x))
@@ -173,95 +193,45 @@ def starts(draw):
     return block_average(perm, [low])
 
 
-class TestActiveTies:
-    def test_all_equal_is_one_block(self):
-        assert active_ties([2.0, 2.0, 2.0]) == ((1, 2, 3),)
+def block_count(x):
+    """`active_block_count` of a sample at state x."""
+    return ProjectedSample(t=0.0, state=StateVector(x)).active_block_count
 
-    def test_strict_order_is_singletons(self):
-        assert active_ties([1.0, 2.0, 3.0]) == ((1,), (2,), (3,))
 
-    def test_partial_tie(self):
-        assert active_ties([2.0, 2.0, 3.0]) == ((1, 2), (3,))
-
-    def test_blocks_partition_all_indices(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            x = [rng.choice([1.0, 1.0, 2.0, 3.5]) for _ in range(6)]
-            flat = sorted(i for block in active_ties(x) for i in block)
-            assert flat == list(range(1, 7))
+class TestActiveBlockCount:
+    @pytest.mark.parametrize(
+        "x, count",
+        [([2.0, 2.0, 2.0], 1), ([1.0, 2.0, 3.0], 0), ([2.0, 2.0, 3.0], 1), ([3.0, 1.0, 3.0], 1)],
+    )
+    def test_small_cases(self, x, count):
+        assert block_count(x) == reference_block_count(x) == count
 
     def test_transitive_chaining(self):
         # consecutive gaps within 1e-9 * n = 4e-9 chain into one block even
-        # though the extremes differ by more than that
+        # though the extremes differ by more than that; 3e-9 is over 1e-9 * 3
         x = [1.0, 1.0 + 3e-9, 1.0 + 6e-9, 2.0]
-        assert active_ties(x) == ((1, 2, 3), (4,))
-        assert active_ties(x[:3]) == ((1,), (2,), (3,))  # 3e-9 is over 1e-9 * 3
+        assert reference_blocks(x, 4e-9) == ((1, 2, 3), (4,))
+        assert block_count(x) == 1
+        assert block_count(x[:3]) == 0
+        # four values 4e-9 apart at n = 5 are one block, not two pairs
+        assert block_count([1.0, 1.0 + 4e-9, 1.0 + 8e-9, 1.0 + 12e-9, 11.0]) == 1
 
-    def test_grouping_ignores_position(self):
-        assert active_ties([3.0, 1.0, 3.0]) == ((2,), (1, 3))
+    def test_count_ignores_position(self):
+        # where the tied coordinates sit in index order does not matter
+        x = [1.0, 1.0, 2.0, 2.0, 2.0, 5.0]
+        assert {block_count(list(y)) for y in itertools.permutations(x)} == {2}
 
-
-class TestProjectVelocity:
-    def test_no_ties_passes_through(self):
-        x = [1.0, 2.0, 3.0]
-        g = [0.5, 0.25, -0.75]
-        assert np.allclose(project_velocity(x, g), g)
-
-    def test_order_preserving_velocity_untouched(self):
-        # within the block the components already increase with the index
-        p = project_velocity([2.0, 2.0, 2.0], [-1.0, 0.0, 1.0])
-        assert np.allclose(p, [-1.0, 0.0, 1.0])
-
-    def test_violating_pair_pools_to_average(self):
-        p = project_velocity([2.0, 2.0, 3.0], [0.5, -0.5, 0.0])
-        assert np.allclose(p, [0.0, 0.0, 0.0])
-
-    def test_pooling_is_blockwise(self):
-        # two separate ties; only the violating one pools
-        x = [1.0, 1.0, 4.0, 4.0]
-        g = [-0.5, 0.5, 1.0, -1.0]
-        p = project_velocity(x, g)
-        assert np.allclose(p, [-0.5, 0.5, 0.0, 0.0])
-
-    def test_block_sum_preserved(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            x = sorted(rng.choice([1.0, 1.0, 2.0, 2.0, 5.0]) for _ in range(5))
-            g = np.array([rng.uniform(-1, 1) for _ in range(5)])
-            g -= g.mean()
-            p = project_velocity(x, g)
-            for block in active_ties(x):
-                idx = np.array(block) - 1
-                assert math.isclose(float(p[idx].sum()), float(g[idx].sum()), abs_tol=1e-12)
-
-    def test_projection_identity_and_idempotence(self):
-        # <g, p> = |p|^2 and projecting twice changes nothing
-        rng = random.Random(23)
-        for _ in range(200):
-            x = [rng.choice([1.0, 1.0, 1.0, 3.0, 3.0]) for _ in range(5)]
-            g = np.array([rng.uniform(-2, 2) for _ in range(5)])
-            g -= g.mean()
-            blocks = active_ties(x)
-            p = project_velocity(x, g, blocks)
-            assert math.isclose(float(np.dot(g, p)), float(np.dot(p, p)), abs_tol=1e-10)
-            assert np.allclose(project_velocity(x, p, blocks), p, atol=1e-12)
-
-    def test_pooled_components_non_decreasing(self):
-        rng = random.Random(37)
-        for _ in range(100):
-            x = [2.0] * 6
-            g = np.array([rng.uniform(-1, 1) for _ in range(6)])
-            g -= g.mean()
-            p = project_velocity(x, g)
-            assert all(p[k] <= p[k + 1] + 1e-12 for k in range(5))
-
-    def test_rejects_non_tangent_velocity(self):
-        with pytest.raises(ValueError):
-            project_velocity([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project_velocity([1.0, 2.0, 3.0], [0.5, -0.5])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(
+            st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 1.0 + 5e-9, 2.0, 3.5, -1.0]),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_matches_reference_grouping(self, x):
+        # 1 + 5e-9 joins 1 only from n = 5 on
+        assert block_count(x) == reference_block_count(x)
 
 
 class TestIntegrateProjected:
@@ -367,6 +337,32 @@ class TestIntegrateProjected:
         assert len(trace.samples) == 4  # t = 0, 0.01, 0.02, 0.025
 
 
+class TestReferenceProjection:
+    """The test-side PAV that the reference loop projects with on every step."""
+
+    def test_pools_only_violating_blocks(self):
+        # two ties; only the second breaks its index order, and pools to its mean
+        assert reference_project([-0.5, 0.5, 1.0, -1.0], ((1, 2), (3, 4))).tolist() == [
+            -0.5, 0.5, 0.0, 0.0,
+        ]
+        assert reference_pav([0.8, -1.0, 0.2]) == pytest.approx([-0.1, -0.1, 0.2])
+
+    def test_projection_identity_and_idempotence(self):
+        # <g, p> = |p|^2, each block ends non-decreasing with its sum kept, and
+        # projecting twice changes nothing
+        rng = random.Random(23)
+        blocks = ((1, 2, 3), (4,), (5, 6))
+        for _ in range(200):
+            g = np.array([rng.uniform(-2, 2) for _ in range(6)])
+            p = reference_project(g, blocks)
+            assert math.isclose(float(np.dot(g, p)), float(np.dot(p, p)), abs_tol=1e-10)
+            assert np.allclose(reference_project(p, blocks), p, atol=1e-12)
+            for block in blocks:
+                idx = [k - 1 for k in block]
+                assert all(a <= b + 1e-12 for a, b in zip(p[idx], p[idx][1:]))
+                assert math.isclose(float(p[idx].sum()), float(g[idx].sum()), abs_tol=1e-12)
+
+
 class TestMatchesReferenceLoop:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -394,7 +390,7 @@ class TestMatchesReferenceLoop:
         # ties, so the closed form follows the unpooled pull as the oracle does
         g = np.arange(1.0, len(x0) + 1) - np.asarray(x0)
         wide = reference_blocks(np.asarray(x0), gap)
-        assert not np.array_equal(project_velocity(x0, g, wide), g)
+        assert not np.array_equal(reference_project(g, wide), g)
         assert_matches_reference(x0, 1.0)
 
     @settings(max_examples=80, deadline=None)
@@ -426,18 +422,6 @@ class TestMatchesReferenceLoop:
             want = targets + (x0 - targets) * factor
             assert np.allclose(s.state.coords, want, rtol=1e-12, atol=1e-12)
             assert s.potential <= v0 * math.exp(-2 * s.t) * (1 + 1e-9)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        x=st.lists(
-            st.sampled_from([0.5, 1.0, 1.0 + 1e-10, 1.0 + 5e-9, 2.0, 3.5, -1.0]),
-            min_size=1,
-            max_size=12,
-        ),
-    )
-    def test_active_ties_matches_reference_grouping(self, x):
-        # 1 + 5e-9 joins 1 only from n = 5 on
-        assert active_ties(x) == reference_blocks(np.asarray(x), 1e-9 * len(x))
 
 
 class TestAgainstExactFlow:
