@@ -17,31 +17,30 @@ point toward the sorted vertex v_s = (1, ..., n).
 - `cli`: the `permflow` command.
 
 Each public name is listed once, in the `__all__` of the module that
-defines it. `perms`, `dtree` and `slicing` load with the package. The
-first use of any other public name, or of `__all__`, imports the numpy
-layers `core`, `flow` and `projection` (PEP 562), so `permflow slice` and
-`permflow dtree` start without numpy. `__all__` is the sorted union of
-the six modules' lists, then `__version__`.
+defines it. Importing the package loads none of the layers: the first use
+of a public name (PEP 562) imports the layers in the order `perms`,
+`dtree`, `slicing`, `core`, `flow`, `projection` until one lists it, so a
+name of the three numpy-free layers, or a layer itself (`from permflow
+import dtree`), loads no numpy. `__all__` is the sorted union of the six
+modules' lists, then `__version__`.
 """
 
 import importlib
 
-from . import dtree, perms, slicing
-from .dtree import *  # noqa: F403
-from .perms import *  # noqa: F403
-from .slicing import *  # noqa: F403
-
 __version__ = "0.1.0"
+
+_LAYERS = ("perms", "dtree", "slicing", "core", "flow", "projection")
 
 
 def __getattr__(name):
-    # probes such as `__wrapped__` must not load numpy
+    # probes such as `__wrapped__` must not load a layer
     if name.startswith("_") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    layers = [importlib.import_module(f".{m}", __name__) for m in ("core", "flow", "projection")]
+    if name in _LAYERS:
+        return importlib.import_module(f".{name}", __name__)
+    layers = (importlib.import_module(f".{m}", __name__) for m in _LAYERS)
     if name == "__all__":
-        names = {n for m in (perms, dtree, slicing, *layers) for n in m.__all__}
-        value = [*sorted(names), "__version__"]
+        value = [*sorted({n for m in layers for n in m.__all__}), "__version__"]
     else:
         home = next((m for m in layers if name in m.__all__), None)
         if home is None:

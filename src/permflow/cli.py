@@ -17,18 +17,12 @@ Exit codes: 0 success, 2 usage, parse or write errors, 3 deliberate size limits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import importlib
 import json
 import math
 import sys
 from typing import Optional, Sequence
 
-from .dtree import (
-    build_optimal,
-    info_lower_bound,
-    tree_to_json,
-)
 from .perms import (
     MAX_STEP,
     Permutation,
@@ -36,15 +30,36 @@ from .perms import (
     require_finite_positive,
     reverse_disorder,
 )
-from .slicing import (
-    ALGORITHMS,
-    feasible_count,
-    instrument,
-    isolates_sorted,
-    parse_constraints,
-)
 
 __all__ = ["main"]
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for `module.name` here: the module loads on the first call.
+
+    So a command imports only the layers it calls. The name stays an
+    attribute of this module, where a test or a tracer may patch it. The
+    first call rebinds the name to the function itself unless the name was
+    patched meanwhile, so the handlers then call the patch.
+    """
+
+    def call(*args, **kwargs):
+        fn = getattr(importlib.import_module(module, __package__), name)
+        if globals()[name] is call:
+            globals()[name] = fn
+        return fn(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+build_optimal = _on_first_call(".dtree", "build_optimal")
+info_lower_bound = _on_first_call(".dtree", "info_lower_bound")
+tree_to_json = _on_first_call(".dtree", "tree_to_json")
+feasible_count = _on_first_call(".slicing", "feasible_count")
+instrument = _on_first_call(".slicing", "instrument")
+isolates_sorted = _on_first_call(".slicing", "isolates_sorted")
+parse_constraints = _on_first_call(".slicing", "parse_constraints")
 
 DEFAULT_PRECISION = 6
 #: Most rows `flow trace --samples` or a `bench` growth table may hold. A
@@ -203,8 +218,10 @@ def _write(text: str, output: Optional[str]) -> None:
 
 # --- subcommand handlers ------------------------------------------------------
 #
-# The flow, trace, report and bench handlers import `core`, `flow` and
-# `projection` when they run, so `slice` and `dtree` start without numpy.
+# Each command loads only the layers it uses. The flow, trace and report
+# handlers import `core`, `flow` and `projection` when they run, so `slice`,
+# `dtree` and `bench` start without numpy; `dtree` and `slicing` load on the
+# first call of a name bound above, and `bench` loads neither.
 
 
 def _cmd_flow_events(args, spec: str) -> str:
@@ -471,6 +488,9 @@ def _cmd_report(args, spec: str) -> str:
             }
         )
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(
@@ -584,6 +604,8 @@ def _dtree_options(dtree: argparse.ArgumentParser) -> None:
 
 
 def _slice_options(slc: argparse.ArgumentParser) -> None:
+    from .slicing import ALGORITHMS
+
     _add_common(slc, ("json", "csv"))
     slc.add_argument("--n", type=int, required=True)
     group = slc.add_mutually_exclusive_group(required=True)

@@ -134,29 +134,29 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     the inversion count of the underlying permutation. A start off the
     hyperplane raises ValueError, also at n = 1.
 
-    The ratio (j - i) / (a_i - a_j) of every pair comes from numpy passes
-    over blocks of `_PAIR_BLOCK // n` rows of the upper triangle (a row
-    holds at most n - 1 pairs, so a block at most `_PAIR_BLOCK`), the same
-    IEEE subtraction and division as the per-pair loop of the test oracle
-    in `tests/crossing_oracle.py`; a zero denominator gives an infinite
-    ratio and drops out with the others outside (0, 1).
     In exact arithmetic a pair meets iff x_i > x_j, for any start, since
-    a_i - a_j = x_i - x_j + (j - i): a_i - a_j > j - i <=> x_i > x_j.
-    Off the vertices the rounded ratio can pass the test where x_i < x_j
-    (at n = 39, for x_16 one ulp below x_38, with t = 1.1e-16), so a
-    candidate is kept only if also x_i > x_j, an O(1) test per candidate.
-    A pair with x_i > x_j whose rounded ratio is not below 1 is still not
-    listed; it would meet within a few ulp of t = 0.
+    a_i - a_j = x_i - x_j + (j - i): the meeting ratio
+    exp(-t) = (j - i) / (a_i - a_j) lies in (0, 1) <=> x_i > x_j. So the
+    pairs are chosen by x_i > x_j alone, in numpy passes over blocks of
+    `_PAIR_BLOCK // n` rows of the upper triangle (a row holds at most
+    n - 1 pairs, so a block at most `_PAIR_BLOCK`), and only they take a
+    ratio, by the same IEEE subtraction and division as the per-pair loop
+    of the test oracle in `tests/crossing_oracle.py`. Rounding keeps that
+    denominator positive (exactly it exceeds j - i >= 1), so every ratio
+    is finite and positive. A ratio test would drop a pair with x_i > x_j
+    by an ulp, whose rounded ratio can reach 1, and list one with x_i < x_j
+    by an ulp; the comparison of the start does neither.
+    t = max(+0.0, -ln(ratio)), with `math.log`, so each time matches that
+    oracle bit for bit (numpy's `log` may differ in the last ulp), and a
+    pair whose rounded ratio is not below 1 meets at t = +0.0, never at a
+    negative time or -0.0.
     Each block keeps the ratio, i and j of its crossing pairs, so memory is
-    O(n * rows per block + events), not O(n^2). Only the crossing ratios
-    take t = -ln(ratio), with `math.log`, so each time matches that
-    oracle bit for bit (numpy's `log` may differ in the last ulp).
+    O(n * rows per block + events), not O(n^2).
     The blocks walk the triangle row by row, and `np.triu_indices` and
-    `np.flatnonzero` keep each block's pairs in row-major order, so the
+    the boolean selection keep each block's pairs in row-major order, so the
     rows arrive sorted by (i, j). One stable `np.argsort` of t then orders
-    them by (t, i, j): equal times keep their (i, j) order, and no NaN
-    passes the ratio test, so that is the order of sorted (t, i, j)
-    tuples. An enumeration that emits pairs in another order (such as a
+    them by (t, i, j): equal times keep their (i, j) order, and no t is
+    NaN, so that is the order of sorted (t, i, j) tuples. An enumeration that emits pairs in another order (such as a
     bottom-up merge that finds only the inversion pairs) must restore the
     (i, j) order before this sort, or go back to `np.lexsort((j, i, t))`.
 
@@ -178,14 +178,13 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     for r0 in range(0, x0.n - 1, step):
         i, j = np.triu_indices(min(step, x0.n - 1 - r0), k=r0 + 1, m=x0.n)
         i += r0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (j - i) / (a[i] - a[j])
-        cross = np.flatnonzero((0.0 < ratio) & (ratio < 1.0))
-        cross = cross[x[i[cross]] > x[j[cross]]]
-        blocks.append((ratio[cross], i[cross], j[cross]))
+        cross = x[i] > x[j]
+        i, j = i[cross], j[cross]
+        blocks.append(((j - i) / (a[i] - a[j]), i, j))
     ratio, i, j = (np.concatenate(column) for column in zip(*blocks))
     del blocks
     t = -np.fromiter(map(math.log, ratio.tolist()), dtype=float, count=ratio.size)
+    t[t <= 0.0] = 0.0  # also turns -ln(1.0) = -0.0 into +0.0
     order = np.argsort(t, kind="stable")
     i = i[order]
     return CrossingSchedule(t=t[order], i=i + 1, j=j[order] + 1, offset=a[i])

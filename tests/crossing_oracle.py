@@ -17,20 +17,17 @@ from permflow import sample_trace
 
 
 def _meeting_time(x, a, i, j):
-    """-ln((j - i) / (a_i - a_j)) for 1-based i < j, start x and offsets a, or None.
+    """max(+0.0, -ln((j - i) / (a_i - a_j))) for 1-based i < j, start x and offsets a, or None.
 
     exp(-t) = (j - i) / (a_i - a_j) is the meeting condition; the pair
     meets, once, exactly when that ratio lies in (0, 1), which in exact
-    arithmetic is x_i > x_j. A rounded ratio can pass where x_i < x_j, so
-    both must hold.
+    arithmetic is x_i > x_j. A rounded ratio can pass where x_i < x_j, or
+    reach 1 where x_i > x_j by an ulp, so the pair is decided by x_i > x_j
+    alone, and a rounded ratio of 1 or more meets at t = +0.0.
     """
-    denom = a[i - 1] - a[j - 1]
-    if denom == 0:
+    if not x[i - 1] > x[j - 1]:
         return None
-    ratio = (j - i) / denom
-    if not (0.0 < ratio < 1.0 and x[i - 1] > x[j - 1]):
-        return None
-    return -math.log(ratio)
+    return max(0.0, -math.log((j - i) / (a[i - 1] - a[j - 1])))
 
 
 def _start(x0):

@@ -50,6 +50,21 @@ def random_hyperplane_state(n, rng):
     return x
 
 
+def ulp_apart_start(rng):
+    """A random hyperplane start, n = 3-39, with x_i one ulp above x_j for i < j: (x, i, j).
+
+    A third coordinate takes up the change, so the sum stays on the hyperplane.
+    """
+    n = rng.randint(3, 39)
+    x = random_hyperplane_state(n, rng)
+    i, j, k = rng.sample(range(n), 3)
+    i, j = min(i, j), max(i, j)
+    was = x[i]
+    x[i] = np.nextafter(x[j], np.inf)
+    x[k] += was - x[i]
+    return x.tolist(), i + 1, j + 1
+
+
 def bits(events):
     """(t, i, j, value) rows with each real as its exact hex."""
     return [(t.hex(), i, j, value.hex()) for t, i, j, value in events]
@@ -375,10 +390,33 @@ class TestCrossingEvents:
     @given(st.one_of(hyperplane_starts(), tied_starts()))
     @example(x0=ULP_APART)
     def test_every_pair_is_inverted_on_the_start(self, x0):
-        # in exact arithmetic i < j meet iff x_i > x_j; no rounding lists a pair that does not
+        # in exact arithmetic i < j meet iff x_i > x_j; no rounding lists a
+        # pair that does not, or drops one that does
         events = crossing_events(x0)
-        for i, j in zip(events.i.tolist(), events.j.tolist()):
-            assert x0[i - 1] > x0[j - 1], (i, j)
+        pairs = list(zip(events.i.tolist(), events.j.tolist()))
+        assert sorted(pairs) == [
+            (i, j)
+            for i, j in itertools.combinations(range(1, len(x0) + 1), 2)
+            if x0[i - 1] > x0[j - 1]
+        ]
+
+    def test_ulp_apart_pairs_are_listed_at_nonnegative_times(self):
+        # fl(x_i - i) - fl(x_j - j) can round to j - i or below, so a ratio
+        # test would drop the pair; it meets, at t = +0.0 or a few ulp later
+        rng = random.Random(4711)
+        for _ in range(300):
+            x0, i, j = ulp_apart_start(rng)
+            events = crossing_events(x0)
+            pairs = list(zip(events.i.tolist(), events.j.tolist()))
+            inverted = [
+                (p, q)
+                for p, q in itertools.combinations(range(1, len(x0) + 1), 2)
+                if x0[p - 1] > x0[q - 1]
+            ]
+            assert (i, j) in pairs, (x0, i, j)
+            assert sorted(pairs) == inverted, x0
+            assert not np.signbit(events.t).any(), x0
+            assert event_bits(events) == reference_bits(x0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
     def test_matches_reference_loop_on_reverse(self, n):

@@ -9,6 +9,7 @@ import pytest
 
 import permflow
 import permflow.cli
+import permflow.slicing
 
 SRC = str(Path(permflow.__file__).resolve().parent.parent)
 MODULES = ("perms", "core", "flow", "projection", "dtree", "slicing")
@@ -53,6 +54,88 @@ class TestNumpyFreeStart:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "True\n"
+
+
+class TestLayersLoadWithTheirCommands:
+    """Each command loads the layers it uses: `dtree`, `slicing` and `csv` only with theirs."""
+
+    LOADED = (
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('permflow.') or m in ('csv', 'numpy')))\n"
+    )
+
+    def loaded_after(self, body: str) -> list:
+        done = run_fresh(body + self.LOADED)
+        assert done.returncode == 0, done.stderr
+        return eval(done.stdout)
+
+    def test_package_loads_no_layer(self):
+        assert self.loaded_after("import permflow\n") == []
+
+    def test_cli_loads_perms_alone(self):
+        assert self.loaded_after("import permflow.cli\n") == ["permflow.cli", "permflow.perms"]
+
+    @pytest.mark.parametrize(
+        "argv, layer",
+        [
+            (["dtree", "--n", "4"], ["permflow.dtree"]),
+            (["slice", "--n", "6", "--constraints", "1<2,3<4"], ["permflow.slicing"]),
+            (["slice", "--n", "5", "--instrument", "heap", "--input", "3,1,5,2,4"], ["permflow.slicing"]),
+            (["bench", "--n-min", "2", "--n-max", "9"], []),
+        ],
+    )
+    def test_command_loads_its_layer_alone(self, argv, layer):
+        loaded = self.loaded_after(
+            "import contextlib, io\n"
+            "import permflow.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert permflow.cli.main({argv!r}) == 0\n"
+        )
+        assert loaded == sorted(["permflow.cli", "permflow.perms", *layer])
+
+    def test_layer_name_loads_that_layer_and_perms(self):
+        loaded = self.loaded_after("from permflow import dtree\n")
+        assert loaded == ["permflow.dtree", "permflow.perms"]
+
+    def test_patch_of_cli_instrument_is_what_slice_calls(self, monkeypatch, capsys):
+        argv = ["slice", "--n", "3", "--instrument", "merge", "--input", "3,1,2"]
+        calls = []
+
+        def patched(algorithm, start):
+            calls.append(algorithm)
+            return permflow.slicing.instrument(algorithm, start)
+
+        assert permflow.cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(permflow.cli, "instrument", patched)
+        assert permflow.cli.main(argv) == 0
+        assert permflow.cli.main(argv) == 0
+        assert calls == ["merge", "merge"]
+        assert capsys.readouterr().out == plain * 2
+
+    def test_wrapper_of_a_first_call_binding_sees_every_call(self):
+        # a tracer wraps the binding before its module has loaded; the first
+        # call must not rebind the name past the wrapper
+        done = run_fresh(
+            "import contextlib, io\n"
+            "import permflow.cli as cli\n"
+            "calls = []\n"
+            "first = cli.instrument\n"
+            "def wrapper(*args):\n"
+            "    calls.append(args[0])\n"
+            "    return first(*args)\n"
+            "cli.instrument = wrapper\n"
+            "argv = ['slice', '--n', '3', '--instrument', 'quick', '--input', '2,3,1']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(argv) == 0 and cli.main(argv) == 0\n"
+            "cli.instrument = first\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(argv) == 0\n"
+            "import permflow.slicing\n"
+            "print(calls, cli.instrument is permflow.slicing.instrument)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['quick', 'quick'] True\n"
 
 
 class TestLazyNames:
