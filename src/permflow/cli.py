@@ -37,10 +37,12 @@ __all__ = ["main"]
 def _on_first_call(module: str, name: str):
     """A stand-in for `module.name` here: the module loads on the first call.
 
-    So a command imports only the layers it calls. The name stays an
-    attribute of this module, where a test or a tracer may patch it. The
-    first call rebinds the name to the function itself unless the name was
-    patched meanwhile, so the handlers then call the patch.
+    Every layer function a handler calls is bound this way, so a command
+    imports only the layers it calls. The name is an attribute of this
+    module, and a test or a tracer patches it here: a patch of the layer's
+    own attribute misses a binding already resolved. The first call
+    rebinds the name to the function itself unless the name was patched
+    meanwhile, so the handlers then call the patch.
     """
 
     def call(*args, **kwargs):
@@ -53,6 +55,12 @@ def _on_first_call(module: str, name: str):
     return call
 
 
+vertex_of = _on_first_call(".core", "vertex_of")
+disorder_squared = _on_first_call(".core", "disorder_squared")
+crossing_events = _on_first_call(".flow", "crossing_events")
+estimate_sorting = _on_first_call(".flow", "estimate_sorting")
+sample_trace = _on_first_call(".flow", "sample_trace")
+integrate_projected = _on_first_call(".projection", "integrate_projected")
 build_optimal = _on_first_call(".dtree", "build_optimal")
 info_lower_bound = _on_first_call(".dtree", "info_lower_bound")
 tree_to_json = _on_first_call(".dtree", "tree_to_json")
@@ -218,16 +226,11 @@ def _write(text: str, output: Optional[str]) -> None:
 
 # --- subcommand handlers ------------------------------------------------------
 #
-# Each command loads only the layers it uses. The flow, trace and report
-# handlers import `core`, `flow` and `projection` when they run, so `slice`,
-# `dtree` and `bench` start without numpy; `dtree` and `slicing` load on the
-# first call of a name bound above, and `bench` loads neither.
+# A handler reaches a layer only through the names bound above, so `slice`,
+# `dtree` and `bench` start without numpy and `bench` loads no layer.
 
 
 def _cmd_flow_events(args, spec: str) -> str:
-    from .core import disorder_squared, vertex_of
-    from .flow import crossing_events, estimate_sorting
-
     pairs = args.n * (args.n - 1) // 2
     if args.n >= 1 and pairs > PAIR_LIMIT:  # _parse_start refuses n < 1
         raise SizeLimitError(
@@ -297,10 +300,6 @@ def _cmd_flow_events(args, spec: str) -> str:
 
 
 def _cmd_flow_trace(args, spec: str) -> str:
-    from .core import vertex_of
-    from .flow import sample_trace
-    from .projection import integrate_projected
-
     if args.samples < 2:
         raise ValueError(f"--samples must be >= 2, got {args.samples}")
     if args.samples > SAMPLE_LIMIT:
@@ -447,9 +446,6 @@ def _cmd_slice(args, spec: str) -> str:
 
 
 def _cmd_report(args, spec: str) -> str:
-    from .core import disorder_squared, vertex_of
-    from .flow import crossing_events, estimate_sorting
-
     start = Permutation.reverse(3)
     x0 = vertex_of(start)
     d0 = disorder_squared(x0)

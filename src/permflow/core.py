@@ -40,7 +40,10 @@ class StateVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float, copy=True).reshape(-1)
+        coords = np.array(self.coords, dtype=float, copy=True)
+        if coords.ndim > 1:
+            raise ValueError(f"state vector must have one axis, got shape {coords.shape}")
+        coords = coords.reshape(-1)
         if coords.size < 1:
             raise ValueError("state vector must have at least one coordinate")
         coords.setflags(write=False)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -225,7 +225,7 @@ def lemma_lower_bound(n: int, d0: float, epsilon: float, c: float) -> float:
     return bound
 
 
-def sample_trace(x0: StateVector | Sequence[float], times: Sequence[float]) -> Trace:
+def sample_trace(x0: StateVector | Sequence[float], times: Iterable[float]) -> Trace:
     """Evaluate the closed-form flow at the given strictly increasing times.
 
     The package's one evaluator of the closed-form flow: the sample at t holds

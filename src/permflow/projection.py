@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def integrate_projected(
     x0: StateVector | Sequence[float],
     t_end: float,
     step: float = MAX_STEP,
-    times: Sequence[float] | None = None,
+    times: Iterable[float] | None = None,
 ) -> Trace:
     """Explicit Euler on the pull toward the sorted vertex, in closed form.
 
@@ -152,6 +152,7 @@ def integrate_projected(
     x0 = as_state(x0)
     _require_hyperplane(x0)
     steps = _step_count(t_end, step)
+    times = None if times is None else list(times)
     count = steps + 1 if times is None else len(times)
     if count * (x0.n + _SAMPLE_WORDS) > COORDINATE_LIMIT:
         raise SizeLimitError(

@@ -210,7 +210,7 @@ class TestFlowEvents:
         def no_events(*args, **kwargs):
             raise AssertionError("examined pairs of a request beyond the event limit")
 
-        monkeypatch.setattr(permflow.flow, "crossing_events", no_events)
+        monkeypatch.setattr(permflow.cli, "crossing_events", no_events)
         # reverse n = 708 has 250,278 events
         code, out, err = run(["flow", "events", "--n", "708", "--format", fmt], capsys)
         assert code == 3
@@ -222,8 +222,8 @@ class TestFlowEvents:
         def refuse(*args, **kwargs):
             raise AssertionError("worked on a request beyond the pair limit")
 
-        monkeypatch.setattr(permflow.flow, "crossing_events", refuse)
-        monkeypatch.setattr(permflow.flow, "estimate_sorting", refuse)
+        monkeypatch.setattr(permflow.cli, "crossing_events", refuse)
+        monkeypatch.setattr(permflow.cli, "estimate_sorting", refuse)
         # sorted n = 10,001 has no events but 50,005,000 pairs
         code, out, err = run(
             ["flow", "events", "--n", "10001", "--start", "sorted", "--format", fmt], capsys
@@ -249,7 +249,7 @@ class TestFlowEvents:
             assert x0.n == 10_000 and x0.n * (x0.n - 1) // 2 <= PAIR_LIMIT
             raise Examined
 
-        monkeypatch.setattr(permflow.flow, "crossing_events", examined)
+        monkeypatch.setattr(permflow.cli, "crossing_events", examined)
         with pytest.raises(Examined):
             main(["flow", "events", "--n", "10000", "--start", "sorted"])
 
@@ -521,8 +521,8 @@ class TestFlowTrace:
         def no_trace(*args, **kwargs):
             raise AssertionError("traced a request beyond the sample limit")
 
-        monkeypatch.setattr(permflow.flow, "sample_trace", no_trace)
-        monkeypatch.setattr(permflow.projection, "integrate_projected", no_trace)
+        monkeypatch.setattr(permflow.cli, "sample_trace", no_trace)
+        monkeypatch.setattr(permflow.cli, "integrate_projected", no_trace)
         code, out, err = run(
             ["flow", "trace", *mode, "--n", "3", "--t-end", "1000",
              "--samples", str(SAMPLE_LIMIT + 1)],
@@ -541,8 +541,8 @@ class TestFlowTrace:
             raise AssertionError("worked on a request beyond the cell limit")
 
         monkeypatch.setattr(permflow.cli, "_parse_start", refuse)
-        monkeypatch.setattr(permflow.flow, "sample_trace", refuse)
-        monkeypatch.setattr(permflow.projection, "integrate_projected", refuse)
+        monkeypatch.setattr(permflow.cli, "sample_trace", refuse)
+        monkeypatch.setattr(permflow.cli, "integrate_projected", refuse)
         code, out, err = run(
             ["flow", "trace", *mode, "--n", str(n), "--t-end", "1", "--samples", str(samples)],
             capsys,
@@ -560,7 +560,7 @@ class TestFlowTrace:
             assert x0.n * len(times) == CELL_LIMIT
             raise Traced
 
-        monkeypatch.setattr(permflow.flow, "sample_trace", traced)
+        monkeypatch.setattr(permflow.cli, "sample_trace", traced)
         with pytest.raises(Traced):
             main(["flow", "trace", "--n", "2000", "--t-end", "1", "--samples", "500"])
 
@@ -572,7 +572,7 @@ class TestFlowTrace:
             assert len(times) == SAMPLE_LIMIT
             raise Traced
 
-        monkeypatch.setattr(permflow.flow, "sample_trace", traced)
+        monkeypatch.setattr(permflow.cli, "sample_trace", traced)
         with pytest.raises(Traced):
             main(["flow", "trace", "--n", "3", "--t-end", "1", "--samples", str(SAMPLE_LIMIT)])
 

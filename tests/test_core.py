@@ -12,6 +12,7 @@ from permflow import (
     Permutation,
     StateVector,
     Trace,
+    crossing_events,
     disorder_squared,
     hyperplane_sum,
     in_hyperplane,
@@ -101,6 +102,22 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(np.array([]))
 
+    @pytest.mark.parametrize("coords", [[[1.0, 2.0], [4.0, 3.0]], [[1.0], [2.0]], np.ones((1, 3))])
+    def test_rejects_more_than_one_axis(self, coords):
+        # a matrix is not flattened into a longer state
+        shape = re.escape(str(np.shape(coords)))
+        with pytest.raises(ValueError, match=f"one axis, got shape {shape}$"):
+            StateVector(coords)
+        with pytest.raises(ValueError, match=shape):
+            in_hyperplane(coords)
+        with pytest.raises(ValueError, match=shape):
+            crossing_events(coords)
+
+    def test_one_axis_and_a_scalar_are_kept(self):
+        assert StateVector([3.0, 1.0, 2.0]).coords.tolist() == [3.0, 1.0, 2.0]
+        assert StateVector(np.float64(1.0)).coords.tolist() == [1.0]
+        assert StateVector(np.array(2.0)).n == 1
+
     def test_copies_input(self):
         raw = np.array([2.0, 1.0])
         s = StateVector(raw)
@@ -189,7 +206,7 @@ class TestDisorder:
 class TestTrace:
     EVALUATORS = {
         "closed-form": sample_trace,
-        "euler": lambda x0, times: integrate_projected(x0, max(times, default=1.0), times=times),
+        "euler": lambda x0, times: integrate_projected(x0, 1.0, times=times),
     }
 
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
@@ -205,6 +222,16 @@ class TestTrace:
         # every sample answers its disorder, whichever evaluator recorded it
         for s in trace.samples:
             assert s.disorder == pytest.approx(disorder_squared(s.state), rel=1e-12)
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_both_evaluators_read_a_generator_of_times(self, evaluator):
+        # `times` is read once, so any iterable gives the trace of its list
+        x0 = vertex_of(Permutation.of((3, 1, 4, 2)))
+        want = self.EVALUATORS[evaluator](x0, [0.0, 0.5, 1.0])
+        got = self.EVALUATORS[evaluator](x0, (k / 2 for k in range(3)))
+        assert [(s.t, s.state.coords.tolist()) for s in got.samples] == [
+            (s.t, s.state.coords.tolist()) for s in want.samples
+        ]
 
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
     def test_both_evaluators_refuse_empty_times(self, evaluator):

@@ -1,6 +1,7 @@
 """The package's import graph: numpy-free start for the discrete commands, stable names."""
 
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,21 @@ import pytest
 
 import permflow
 import permflow.cli
-import permflow.slicing
 
 SRC = str(Path(permflow.__file__).resolve().parent.parent)
 MODULES = ("perms", "core", "flow", "projection", "dtree", "slicing")
+#: Each command, and every layer function it calls through a `cli` binding.
+BINDINGS_CALLED = {
+    "flow events --n 5": ("vertex_of", "disorder_squared", "crossing_events", "estimate_sorting"),
+    "flow trace --n 4 --t-end 1": ("vertex_of", "sample_trace"),
+    "flow trace --projected --n 4 --t-end 1": ("vertex_of", "integrate_projected"),
+    "report": (
+        "vertex_of", "disorder_squared", "crossing_events", "estimate_sorting", "info_lower_bound"
+    ),
+    "dtree --n 3": ("info_lower_bound", "build_optimal"),
+    "slice --n 4 --constraints 1<2": ("parse_constraints", "feasible_count", "isolates_sorted"),
+    "slice --n 3 --instrument merge --input 3,1,2": ("instrument", "isolates_sorted"),
+}
 
 
 def run_fresh(body: str) -> subprocess.CompletedProcess:
@@ -97,21 +109,33 @@ class TestLayersLoadWithTheirCommands:
         loaded = self.loaded_after("from permflow import dtree\n")
         assert loaded == ["permflow.dtree", "permflow.perms"]
 
-    def test_patch_of_cli_instrument_is_what_slice_calls(self, monkeypatch, capsys):
-        argv = ["slice", "--n", "3", "--instrument", "merge", "--input", "3,1,2"]
-        calls = []
-
-        def patched(algorithm, start):
-            calls.append(algorithm)
-            return permflow.slicing.instrument(algorithm, start)
-
+    @pytest.mark.parametrize(
+        "command, name",
+        [(command, name) for command, names in BINDINGS_CALLED.items() for name in names],
+    )
+    def test_patch_of_a_cli_binding_is_what_the_command_calls(
+        self, command, name, monkeypatch, capsys
+    ):
+        argv = command.split()
         assert permflow.cli.main(argv) == 0
         plain = capsys.readouterr().out
-        monkeypatch.setattr(permflow.cli, "instrument", patched)
+        calls = []
+        bound = getattr(permflow.cli, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return bound(*args, **kwargs)
+
+        monkeypatch.setattr(permflow.cli, name, spy)
         assert permflow.cli.main(argv) == 0
         assert permflow.cli.main(argv) == 0
-        assert calls == ["merge", "merge"]
+        assert calls == [name, name]
         assert capsys.readouterr().out == plain * 2
+
+    @pytest.mark.parametrize("handler", [h for h in vars(permflow.cli) if h.startswith("_cmd_")])
+    def test_handler_imports_no_layer(self, handler):
+        # a handler-local import would hide the layer function from a patch of `cli`
+        assert "from ." not in inspect.getsource(getattr(permflow.cli, handler))
 
     def test_wrapper_of_a_first_call_binding_sees_every_call(self):
         # a tracer wraps the binding before its module has loaded; the first
