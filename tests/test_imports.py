@@ -15,12 +15,10 @@ SRC = str(Path(permflow.__file__).resolve().parent.parent)
 MODULES = ("perms", "core", "flow", "projection", "dtree", "slicing")
 #: Each command, and every layer function it calls through a `cli` binding.
 BINDINGS_CALLED = {
-    "flow events --n 5": ("vertex_of", "disorder_squared", "crossing_events", "estimate_sorting"),
+    "flow events --n 5": ("vertex_of", "crossing_events", "estimate_sorting"),
     "flow trace --n 4 --t-end 1": ("vertex_of", "sample_trace"),
     "flow trace --projected --n 4 --t-end 1": ("vertex_of", "integrate_projected"),
-    "report": (
-        "vertex_of", "disorder_squared", "crossing_events", "estimate_sorting", "info_lower_bound"
-    ),
+    "report": ("vertex_of", "crossing_events", "estimate_sorting", "info_lower_bound"),
     "dtree --n 3": ("info_lower_bound", "build_optimal"),
     "slice --n 4 --constraints 1<2": ("parse_constraints", "feasible_count", "isolates_sorted"),
     "slice --n 3 --instrument merge --input 3,1,2": ("instrument", "isolates_sorted"),

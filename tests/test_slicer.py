@@ -556,6 +556,18 @@ class TestInstrument:
             run = instrument(algorithm, (2, 4, 1, 3))
             assert math.isclose(run.total_bits, math.log2(24), abs_tol=1e-9)
 
+    def test_total_bits_is_log2_n_factorial_exactly(self):
+        # from the exact counts, not a float sum of the steps' bits, which drifts
+        rng = random.Random(2718)
+        for n in range(1, 15):
+            inputs = [tuple(range(n, 0, -1))]
+            inputs += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(4)]
+            for algorithm in ALGORITHMS:
+                for ranks in inputs:
+                    run = instrument(algorithm, ranks)
+                    assert run.final_feasible == 1
+                    assert run.total_bits == math.log2(math.factorial(n)), (algorithm, ranks)
+
     def test_duplicate_comparisons_carry_zero_bits(self):
         # a pair asked about twice must contract nothing the second time;
         # note the converse fails: a fresh constraint already implied by
