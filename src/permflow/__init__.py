@@ -6,7 +6,7 @@ vertex of the polytope whose vertices are all rearrangements of
 point toward the sorted vertex v_s = (1, ..., n).
 
 - `perms`: permutations, inversions, the hyperplane sum, the size guard
-  (no numpy).
+  (no numpy, no `dataclasses`).
 - `core`: state vectors, polytope vertices, the disorder measure.
 - `flow`: the closed-form flow, its crossing events, time/operation
   estimates.
@@ -21,8 +21,10 @@ defines it. Importing the package loads none of the layers: the first use
 of a public name (PEP 562) imports the layers in the order `perms`,
 `dtree`, `slicing`, `core`, `flow`, `projection` until one lists it, so a
 name of the three numpy-free layers, or a layer itself (`from permflow
-import dtree`), loads no numpy. `__all__` is the sorted union of the six
-modules' lists, then `__version__`.
+import dtree`), loads no numpy. Those three also define their records
+without `dataclasses` (which imports `inspect`), so they start without
+either. `__all__` is the sorted union of the six modules' lists, then
+`__version__`.
 """
 
 import importlib

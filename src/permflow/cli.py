@@ -521,7 +521,9 @@ def _cmd_bench(args, spec: str) -> str:
         d0 = reverse_disorder(n)
         # time_to_epsilon(d0, 1.0), bit for bit: d0 >= 2 exceeds epsilon^2 = 1
         t = 0.5 * math.log(d0)
-        n_t = n * t
+        # estimate_sorting's count t / (c/n) at c = 1, bit for bit (n * t
+        # differs from it in the last ulp at some n)
+        n_t = t / (1 / n)
         asymptote = 1.5 * n * math.log(n)
         cells += (n, d0, t, n_t, asymptote, n_t / asymptote)
     if args.format == "json":

@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .perms import SizeLimitError
 
@@ -38,8 +37,7 @@ __all__ = [
 BUILD_LIMIT = 5
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """Terminal node: `output` lists input positions in ascending value order.
 
     Applying a leaf to an input x yields (x[output[0]], x[output[1]], ...)
@@ -50,8 +48,7 @@ class Leaf:
     output: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Internal:
+class Internal(NamedTuple):
     """Comparison of input positions i, j (1-based): low if x_i < x_j, else high."""
 
     compare: tuple[int, int]
@@ -62,14 +59,12 @@ class Internal:
 Node = Union[Leaf, Internal]
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(NamedTuple):
     height: int
     leaf_count: int
 
 
-@dataclass(frozen=True)
-class OptimalTree:
+class OptimalTree(NamedTuple):
     root: Node
     stats: TreeStats
 

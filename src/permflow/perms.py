@@ -3,10 +3,12 @@
 The discrete half of the package: a permutation, its inversion count,
 the exact disorder of the reversed order, the coordinate sum of the
 rank polytope's hyperplane, and the input checks and size guard
-shared by every layer. Nothing here imports numpy, so `slicing`, `dtree`
-and the `permflow slice` / `permflow dtree` commands start without it.
-The numpy state half (state vectors, vertices, the disorder potential)
-is `core`.
+shared by every layer. Nothing here imports numpy or `dataclasses` (which
+imports `inspect`), so `slicing`, `dtree` and the `permflow slice` /
+`permflow dtree` commands start without either: their records are
+`typing.NamedTuple` classes, or `FrozenRecord` classes where construction
+validates. The numpy state half (state vectors, vertices, the disorder
+potential) is `core`.
 
 Indices and ranks are 1-based throughout the public API.
 """
@@ -14,7 +16,6 @@ Indices and ranks are 1-based throughout the public API.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
@@ -35,26 +36,63 @@ class SizeLimitError(ValueError):
     """An input exceeds the deliberate size guard of an operation."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class FrozenRecord:
+    """Base of a validated immutable record whose fields are its `__slots__`.
+
+    It behaves as a frozen dataclass does: it compares (only with its own
+    class) and hashes by its fields, prints as `Name(field=value, ...)`,
+    and raises AttributeError on assignment. A subclass's `__init__`
+    validates and stores each field with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Permutation(FrozenRecord):
     """An arrangement of the ranks 1..n, e.g. (3, 1, 2)."""
 
+    __slots__ = ("ranks",)
     ranks: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.ranks)
+    def __init__(self, ranks: tuple[int, ...]):
+        n = len(ranks)
         if n < 1:
             raise ValueError("permutation must have length >= 1")
-        if sorted(self.ranks) != list(range(1, n + 1)):
+        if sorted(ranks) != list(range(1, n + 1)):
             allowed = set(range(1, n + 1))
             seen = set()
-            for r in self.ranks:
+            for r in ranks:
                 if r in seen or r not in allowed:
                     fault = "appears twice" if r in seen else "is not one of them"
                     raise ValueError(
                         f"ranks must contain each of 1..{n} exactly once: rank {r!r} {fault}"
                     )
                 seen.add(r)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def n(self) -> int:

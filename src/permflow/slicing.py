@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .perms import Permutation, SizeLimitError
+from .perms import FrozenRecord, Permutation, SizeLimitError
 
 __all__ = [
     "Constraint",
@@ -49,22 +48,26 @@ __all__ = [
 DP_LIMIT = 18
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """The key labeled `lo` must rank below the key labeled `hi`: x_lo < x_hi."""
 
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(FrozenRecord):
     """An ordered, duplicate-free sequence of constraints over labels 1..n."""
 
+    __slots__ = ("n", "constraints")
     n: int
     constraints: tuple[Constraint, ...]
 
-    def __post_init__(self):
+    def __init__(self, n: int, constraints: tuple[Constraint, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "constraints", constraints)
+        self._validate()
+
+    def _validate(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         seen = set()
@@ -322,8 +325,7 @@ _SORTS: dict[str, Callable[[list, Less], list]] = {
 ALGORITHMS = tuple(_SORTS)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One comparison: the constraint it fixed and the count contraction."""
 
     constraint: Constraint
@@ -332,8 +334,7 @@ class TraceStep:
     bits: float
 
 
-@dataclass(frozen=True)
-class InstrumentedRun:
+class InstrumentedRun(NamedTuple):
     """One instrumented sort: its trace and the ledger summed over it."""
 
     algorithm: str

@@ -1204,6 +1204,24 @@ class TestBench:
         for d0, t in rows:
             assert t == permflow.flow.time_to_epsilon(float(d0), 1.0)
 
+    def test_n_t_is_the_flow_events_estimate(self, capsys, monkeypatch):
+        # one operation count: at 17 digits bench's n_t is the estimate that
+        # `flow events` prints for the reversed start, n * t differed from it
+        # in the last ulp at some n. The schedule is not what is compared, so
+        # each start's events are those of the sorted start: none.
+        code, out, _ = run(
+            ["bench", "--n-min", "2", "--n-max", "300", "--precision", "17"], capsys
+        )
+        assert code == 0
+        n_t = {r["n"]: r["n_t"] for r in json.loads(out)["rows"]}
+        schedule = permflow.flow.crossing_events
+        monkeypatch.setattr(permflow.cli, "crossing_events", lambda x: schedule(sorted(x)))
+        for n in range(2, 301):
+            argv = ["flow", "events", "--n", str(n), "--start", "reverse", "--precision", "17"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert json.loads(out)["estimate"] == n_t[n], n
+
     # sha256 of stdout for fixed argv
     GOLDEN = [
         (
@@ -1216,12 +1234,12 @@ class TestBench:
         ),
         (
             ["--n-min", "999990", "--n-max", "1000000", "--precision", "17"],
-            "26e1cb27f19d2ac32871ba4b5c322ad4bd35d060b0452cfe5ccef175913eb9cd",
+            "61e293d6e5f524a609c3b0d393bd5ce4bd0b9d63c9bd0da73f04203fa29c5f4d",
         ),
         (
             ["--n-min", "999990", "--n-max", "1000000", "--precision", "17",
              "--format", "csv"],
-            "1309005b9cf6bd6211809c21b995a0fcd474b0e77f52fd39e04f1b7f3688153c",
+            "cb393ea708c2ffb5833c1be9a272d2fe574e9c3ab8bb22fb86ac38347ab6f4fc",
         ),
         # n_t and asymptote print with a positive exponent at 6 digits
         (

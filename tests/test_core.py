@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 import warnings
 
@@ -90,6 +92,34 @@ class TestPermutation:
     def test_identity_and_reverse(self):
         assert Permutation.identity(4).ranks == (1, 2, 3, 4)
         assert Permutation.reverse(4).ranks == (4, 3, 2, 1)
+
+    def test_equal_and_hashed_by_ranks(self):
+        # permutations are dict keys: equal ranks are one key, other ranks another
+        keys = {Permutation((3, 1, 2)): "a", Permutation.reverse(3): "b"}
+        assert keys[Permutation.of([3, 1, 2])] == "a"
+        assert keys[Permutation((3, 2, 1))] == "b"
+        assert Permutation((2, 1)) != Permutation((1, 2))
+        # a record, not a 1-tuple of its ranks
+        assert Permutation((2, 1)) != ((2, 1),)
+        assert Permutation((2, 1)) != (2, 1)
+        assert not isinstance(Permutation((2, 1)), tuple)
+
+    def test_repr_names_the_field(self):
+        assert repr(Permutation((3, 1, 2))) == "Permutation(ranks=(3, 1, 2))"
+
+    @pytest.mark.parametrize("name", ["ranks", "n", "other"])
+    def test_assignment_raises_attribute_error(self, name):
+        p = Permutation((2, 1))
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(p, name, (1, 2))
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            delattr(p, name)
+        assert p.ranks == (2, 1)
+
+    def test_pickle_and_copy_keep_it(self):
+        p = Permutation((2, 3, 1))
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert type(twin) is Permutation and twin == p and hash(twin) == hash(p)
 
 
 class TestStateVector:

@@ -67,11 +67,15 @@ class TestNumpyFreeStart:
 
 
 class TestLayersLoadWithTheirCommands:
-    """Each command loads the layers it uses: `dtree`, `slicing` and `csv` only with theirs."""
+    """Each command loads the layers it uses: `dtree`, `slicing` and `csv` only with theirs.
+
+    No discrete command loads `dataclasses` or `inspect`: their layers
+    define their records without them.
+    """
 
     LOADED = (
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith('permflow.') or m in ('csv', 'numpy')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('permflow.')"
+        " or m in ('csv', 'numpy', 'dataclasses', 'inspect')))\n"
     )
 
     def loaded_after(self, body: str) -> list:
@@ -84,6 +88,11 @@ class TestLayersLoadWithTheirCommands:
 
     def test_cli_loads_perms_alone(self):
         assert self.loaded_after("import permflow.cli\n") == ["permflow.cli", "permflow.perms"]
+
+    def test_probe_sees_an_import_of_dataclasses(self):
+        # the checks here are not vacuous: `dataclasses` and `inspect` show up
+        loaded = self.loaded_after("import dataclasses\n")
+        assert loaded == ["dataclasses", "inspect"]
 
     @pytest.mark.parametrize(
         "argv, layer",

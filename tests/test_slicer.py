@@ -224,22 +224,56 @@ class TestConstraintSet:
         assert len(s2.constraints) == 2
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^constraint 1<4 out of range 1..3$"):
             ConstraintSet(3, (Constraint(1, 4),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^constraint 0<2 out of range 1..3$"):
             ConstraintSet(3, (Constraint(0, 2),))
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^constraint 2<2 relates a label to itself$"):
             ConstraintSet(3, (Constraint(2, 2),))
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            ConstraintSet(3, (Constraint(1, 2), Constraint(1, 2)))
+        with pytest.raises(ValueError, match="^constraint 1<2 appears twice$"):
+            ConstraintSet(3, (Constraint(1, 2), Constraint(2, 3), Constraint(1, 2)))
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
             ConstraintSet(0, ())
+
+    def test_equal_and_hashed_by_fields(self):
+        a = ConstraintSet(3, (Constraint(1, 2), Constraint(2, 3)))
+        b = parse_constraints("1<2,2<3", 3)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "chain"}[b] == "chain"
+        assert a != ConstraintSet(4, a.constraints)
+        assert a != ConstraintSet(3, a.constraints[::-1])
+        assert a != (3, a.constraints)
+
+    def test_repr_and_assignment(self):
+        s = ConstraintSet(2, (Constraint(1, 2),))
+        assert repr(s) == "ConstraintSet(n=2, constraints=(Constraint(lo=1, hi=2),))"
+        for name in ("n", "constraints"):
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                setattr(s, name, 3)
+        assert s.n == 2
+
+
+class TestConstraint:
+    def test_equal_and_hashed_by_labels(self):
+        # the pairs of a run are dict keys, so equal labels must be one key
+        seen = {Constraint(1, 2): None, Constraint(2, 1): None}
+        seen[Constraint(1, 2)] = None
+        assert list(seen) == [Constraint(1, 2), Constraint(2, 1)]
+        assert Constraint(1, 2) != Constraint(2, 1)
+
+    def test_is_a_named_pair(self):
+        c = Constraint(lo=3, hi=5)
+        assert repr(c) == "Constraint(lo=3, hi=5)"
+        lo, hi = c
+        assert (lo, hi) == (3, 5) == c
+        with pytest.raises(AttributeError):
+            c.lo = 4
 
 
 class TestParseConstraints:
@@ -274,13 +308,13 @@ class TestParseConstraints:
 
     def test_builds_one_set(self, monkeypatch):
         built = []
-        check = ConstraintSet.__post_init__
+        check = ConstraintSet._validate
 
         def counted(self):
             built.append(len(self.constraints))
             check(self)
 
-        monkeypatch.setattr(ConstraintSet, "__post_init__", counted)
+        monkeypatch.setattr(ConstraintSet, "_validate", counted)
         s = parse_constraints(chain_text(101), 101)
         assert len(s.constraints) == 100
         assert built == [100]
@@ -637,13 +671,13 @@ class TestInstrument:
 
     def test_builds_one_set(self, monkeypatch):
         built = []
-        check = ConstraintSet.__post_init__
+        check = ConstraintSet._validate
 
         def counted(self):
             built.append(len(self.constraints))
             check(self)
 
-        monkeypatch.setattr(ConstraintSet, "__post_init__", counted)
+        monkeypatch.setattr(ConstraintSet, "_validate", counted)
         run = instrument("quick", tuple(range(DP_LIMIT, 0, -1)))
         assert run.comparisons == math.comb(DP_LIMIT, 2)
         assert built == [len(run.constraints.constraints)]
