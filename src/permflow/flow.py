@@ -24,11 +24,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import StateVector, Trace, as_state, disorder_squared, vertex_of
-from .core import _contract, _offsets, _require_hyperplane
+from .core import _offsets, _require_hyperplane, _sample_times, _trace
 from .perms import Permutation, inversions, require_finite_positive
 
 __all__ = [
-    "FlowSample",
     "CrossingSchedule",
     "SortingEstimate",
     "flow_state",
@@ -38,13 +37,6 @@ __all__ = [
     "sample_trace",
     "estimate_sorting",
 ]
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    t: float
-    state: StateVector
-    disorder: float
 
 
 @dataclass(frozen=True)
@@ -196,26 +188,15 @@ def sample_trace(x0: StateVector | Sequence[float], times: Iterable[float]) -> T
     The package's one evaluator of the closed-form flow: the sample at t holds
     the state v_s + (x0 - v_s) * exp(-t) and the disorder d0 * exp(-2t),
     and `flow_state` and `disorder_at` read the single sample at their t.
-    A time must be >= 0, so NaN raises ValueError; t = 0 gives the start
-    itself and t = inf the sorted vertex. The start is checked and its
-    offsets and d0 are computed once per trace. An off-hyperplane start,
-    and an empty `times`, raise ValueError.
+    t = 0 gives the start itself and t = inf the sorted vertex. The start
+    must lie on the hyperplane and the times pass `core._sample_times`
+    (ValueError, or SizeLimitError past COORDINATE_LIMIT) before any state
+    is built.
     """
     x0 = as_state(x0)
-    ts = [float(t) for t in times]
-    for t in ts:
-        if not (t >= 0):
-            raise ValueError(f"t must be >= 0, got {t}")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("sample times must be strictly increasing")
     _require_hyperplane(x0)
-    states = _contract(x0, [math.exp(-t) for t in ts])
-    d0 = disorder_squared(x0)
-    samples = tuple(
-        FlowSample(t=t, state=state, disorder=d0 * math.exp(-2.0 * t))
-        for t, state in zip(ts, states)
-    )
-    return Trace(samples=samples)
+    ts = _sample_times(times, x0.n)
+    return _trace(x0, ts, [-t for t in ts])
 
 
 def estimate_sorting(

@@ -78,7 +78,8 @@ class Permutation(FrozenRecord):
     __slots__ = ("ranks",)
     ranks: tuple[int, ...]
 
-    def __init__(self, ranks: tuple[int, ...]):
+    def __init__(self, ranks: Iterable[int]):
+        ranks = tuple(ranks)  # a list is copied; a tuple is kept as it is
         n = len(ranks)
         if n < 1:
             raise ValueError("permutation must have length >= 1")

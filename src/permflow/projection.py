@@ -15,37 +15,22 @@ An explicit Euler step x <- x + h*(v_s - x) maps x - v_s to
 (1 - h)*(x - v_s), so it contracts V = 0.5*||x - v_s||^2 by exactly
 (1 - h)^2 <= exp(-2h), and after steps h_1..h_k the state is
 v_s + (x0 - v_s)*prod(1 - h_i).
-Each recorded state is computed from the start by that product
-(`core._contract`, which also builds the exact flow's states from
-exp(-t)), so no step is run one by one. Step k ends at k*step and the
-last exactly at t_end; this module alone maps a requested sample time to
-its state on that grid. A recorded sample of the returned `core.Trace` is
-a time and a state: its disorder, potential and count of tie blocks are
-computed, and the state sorted, only when they are read.
+Each sample is built from the start by `core._trace`, from the log of
+that product, as the exact flow's are, and holds the disorder
+d0 * prod(1 - h_i)^2; no step is run one by one. This module keeps the
+Euler factors and the grid alone: step k ends at k*step, the last at t_end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
+from .core import StateVector, Trace, as_state
+from .core import _require_hyperplane, _require_samples, _sample_times, _trace
+from .perms import MAX_STEP, require_finite_positive
 
-from .core import StateVector, Trace, as_state, disorder_squared
-from .core import _contract, _require_hyperplane
-from .perms import MAX_STEP, SizeLimitError, require_finite_positive
-
-__all__ = [
-    "ProjectedSample",
-    "COORDINATE_LIMIT",
-    "integrate_projected",
-]
-
-_SAMPLE_WORDS = 54  # a sample's own objects: about 430 bytes (Python 3.11)
-#: Most float64 words one integration records, samples x (n + 54): about
-#: 320 MB, or two samples at n = 20,000,000. A run costs what it records.
-COORDINATE_LIMIT = 2 * (20_000_000 + _SAMPLE_WORDS)
+__all__ = ["integrate_projected"]
 
 
 def _step_count(t_end: float, step: float) -> int:
@@ -69,54 +54,19 @@ def _step_count(t_end: float, step: float) -> int:
 def _grid_index(t: float, t_end: float, step: float, steps: int) -> int:
     """Index k of the Euler state at sample time t: the state after k steps.
 
-    A time within 1e-9 * t of t_end is the last state; any other time must
-    lie within 1e-9 * t of its nearest multiple of step (ValueError).
+    A time (>= 0, `core._sample_times`) within 1e-9 * t of t_end is the
+    last state; any other must lie within 1e-9 * t of its nearest multiple
+    of step (ValueError). The grid ends at t_end, so t = inf, whose
+    tolerance would be inf, lies near no grid time.
     """
-    if not (0 <= t < math.inf):
-        raise ValueError(f"sample times must be finite and >= 0, got {t}")
-    if abs(t - t_end) <= 1e-9 * t:
-        return steps
-    k = round(t / step) if t < t_end else steps
+    k = round(t / step) if t < t_end and abs(t - t_end) > 1e-9 * t else steps
     near = t_end if k == steps else k * step
-    if abs(near - t) > 1e-9 * t:
+    if not abs(near - t) <= 1e-9 * t < math.inf:
         raise ValueError(
             f"sample time {t:g} is off the Euler grid (nearest step time {near:g}, "
             f"step {step:g}); choose sample times at t_end or on multiples of the step"
         )
     return k
-
-
-def _group(coords: np.ndarray) -> np.ndarray:
-    """Which neighbour gaps of the sorted coords join a tie: those of at most 1e-9 * n."""
-    values = np.sort(coords)
-    return values[1:] - values[:-1] <= 1e-9 * coords.size
-
-
-@dataclass(frozen=True)
-class ProjectedSample:
-    t: float
-    state: StateVector
-
-    @property
-    def disorder(self) -> float:
-        """d0 = ||x - v_s||^2, `disorder_squared` of the state."""
-        return disorder_squared(self.state)
-
-    @property
-    def potential(self) -> float:
-        """V = 0.5*||x - v_s||^2."""
-        return 0.5 * self.disorder
-
-    @property
-    def active_block_count(self) -> int:
-        """Tie blocks of two or more coordinates: runs of joining gaps.
-
-        Neighbours in value order within 1e-9 * n join one block, so a
-        block's spread may exceed that through chaining.
-        """
-        joined = _group(self.state.coords)
-        # each run of k joining gaps holds k - 1 adjacent joining pairs
-        return int(np.count_nonzero(joined)) - int(np.count_nonzero(joined[1:] & joined[:-1]))
 
 
 def integrate_projected(
@@ -131,51 +81,34 @@ def integrate_projected(
     The state after k full steps is v_s + (x0 - v_s)*(1 - step)^k and the
     last takes (1 - h) for one (1 - step) (module docstring); each factor
     is exp(k*log1p(-step)), a few ulp off however many steps it stands
-    for, and the state at t = 0 is x0 itself. The pull keeps every tie's
-    target order, so projecting it onto the tie blocks would return it
-    unchanged. Requires a start on the hyperplane (`in_hyperplane`, so
-    also finite; a contraction toward v_s keeps the coordinate sum),
-    finite 0 < t_end, 0 < step <= MAX_STEP and a finite t_end / step, so
-    each step contracts the potential by exactly (1 - h)^2 <= exp(-2h).
+    for, and the state at t = 0 is x0 itself. Requires a start on the
+    hyperplane (`in_hyperplane`; a contraction toward v_s keeps the
+    coordinate sum), finite 0 < t_end, 0 < step <= MAX_STEP and a finite
+    t_end / step, so each step contracts the potential by exactly
+    (1 - h)^2 <= exp(-2h).
 
-    A sample records its grid time and state; its disorder, potential and
-    tie-block count are computed when read, so no state is sorted.
     times=None records every state, from t = 0 to t_end. Otherwise each of
-    the strictly increasing `times` records a state bit for bit as
-    times=None does: the last if the time is within 1e-9 * t of t_end,
-    else the one at the nearest multiple of `step`, which must lie within
-    1e-9 * t of it; no two times may take one state (ValueError). More
-    than COORDINATE_LIMIT words, samples x (n + 54), raise SizeLimitError.
-    Every check runs before the first state is built, and a run costs
-    O(samples x n) whatever t_end is.
+    the `times`, read as `sample_trace` reads them, records a state bit for
+    bit as times=None does: the last if the time is within 1e-9 * t of
+    t_end, else the one at the nearest multiple of `step`, which must lie
+    within 1e-9 * t of it; no two times may take one state (ValueError).
+    Every check, COORDINATE_LIMIT's too, runs before the first factor is
+    taken, and a run costs O(samples x n) whatever t_end is.
     """
     x0 = as_state(x0)
     _require_hyperplane(x0)
     steps = _step_count(t_end, step)
-    times = None if times is None else list(times)
-    count = steps + 1 if times is None else len(times)
-    if count * (x0.n + _SAMPLE_WORDS) > COORDINATE_LIMIT:
-        raise SizeLimitError(
-            f"projected traces are limited to {COORDINATE_LIMIT} words "
-            f"(samples x (n + {_SAMPLE_WORDS})), got {count} samples at n = {x0.n}"
-        )
     if times is None:
+        _require_samples(steps + 1, x0.n)
         wanted = range(steps + 1)
     else:
-        wanted = [_grid_index(float(t), t_end, step, steps) for t in times]
+        times = _sample_times(times, x0.n)
+        wanted = [_grid_index(t, t_end, step, steps) for t in times]
         for s, t, j, k in zip(times, times[1:], wanted, wanted[1:]):
-            if t <= s:
-                raise ValueError("sample times must be strictly increasing")
             if k <= j:
-                raise ValueError(f"sample times {float(s)!r} and {float(t)!r} take one grid state")
+                raise ValueError(f"sample times {s!r} and {t!r} take one grid state")
     # the last step is h = t_end - (steps - 1) * step, so that it ends at t_end
     per_step = math.log1p(-step)
     last = math.log1p(-(t_end - (steps - 1) * step))
-    factors = [math.exp(k * per_step if k < steps else (k - 1) * per_step + last) for k in wanted]
-    states = _contract(x0, factors)
-    return Trace(
-        samples=tuple(
-            ProjectedSample(t=t_end if k == steps else k * step, state=state)
-            for k, state in zip(wanted, states)
-        )
-    )
+    logs = [k * per_step if k < steps else (k - 1) * per_step + last for k in wanted]
+    return _trace(x0, [t_end if k == steps else k * step for k in wanted], logs)

@@ -25,8 +25,9 @@ reads the pairs alone.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .perms import FrozenRecord, Permutation, SizeLimitError
 
@@ -55,16 +56,24 @@ class Constraint(NamedTuple):
     hi: int
 
 
+def _label(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"constraint labels must be integers, got {x!r}") from None
+
+
 class ConstraintSet(FrozenRecord):
-    """An ordered, duplicate-free sequence of constraints over labels 1..n."""
+    """An ordered, duplicate-free tuple of constraints over labels 1..n, from (lo, hi) pairs."""
 
     __slots__ = ("n", "constraints")
     n: int
     constraints: tuple[Constraint, ...]
 
-    def __init__(self, n: int, constraints: tuple[Constraint, ...]):
+    def __init__(self, n: int, constraints: Iterable[tuple[int, int]]):
+        pairs = tuple(Constraint(_label(lo), _label(hi)) for lo, hi in constraints)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constraints", pairs)
         self._validate()
 
     def _validate(self) -> None:
@@ -95,7 +104,7 @@ def parse_constraints(text: str, n: int) -> ConstraintSet:
     """
     if not text or not text.strip():
         return ConstraintSet.empty(n)
-    pairs: list[Constraint] = []
+    pairs: list[tuple[int, int]] = []
     for chunk in text.split(","):
         part = chunk.strip()
         pieces = part.split("<")
@@ -105,8 +114,8 @@ def parse_constraints(text: str, n: int) -> ConstraintSet:
             lo, hi = int(pieces[0]), int(pieces[1])
         except ValueError:
             raise ValueError(f"expected integer labels in {part!r}") from None
-        pairs.append(Constraint(lo, hi))
-    return ConstraintSet(n, tuple(dict.fromkeys(pairs)))
+        pairs.append((lo, hi))
+    return ConstraintSet(n, dict.fromkeys(pairs))
 
 
 def feasible_count(s: ConstraintSet) -> int:
@@ -423,5 +432,5 @@ def instrument(algorithm: str, p: Permutation | Sequence[int]) -> InstrumentedRu
         algorithm=algorithm,
         input=p,
         trace=tuple(steps),
-        constraints=ConstraintSet(p.n, tuple(seen)),
+        constraints=ConstraintSet(p.n, seen),
     )

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import permflow.cli
+import permflow.core
 import permflow.flow
 import permflow.projection
 from permflow import (
@@ -457,7 +458,7 @@ class TestFlowTrace:
         def no_state(*args, **kwargs):
             raise AssertionError("built an Euler state for a refused request")
 
-        monkeypatch.setattr(permflow.projection, "ProjectedSample", no_state)
+        monkeypatch.setattr(permflow.projection, "_trace", no_state)
 
     def test_off_grid_time_rejected_before_integrating(self, capsys, monkeypatch):
         self.refuse_states(monkeypatch)
@@ -470,26 +471,26 @@ class TestFlowTrace:
         assert "off the Euler grid" in err
 
     # the two requests that once took the most Euler steps, one by one: at
-    # their own samples x (n + 54) as the limit they run, one word under it
+    # their own samples x (n + 58) as the limit they run, one word under it
     # they are refused before any state is built
     @pytest.mark.parametrize(
         "n, t_end", [(5, "1000.01"), (100_000, "1000")]
     )
     def test_coordinate_limit_at_its_edge(self, n, t_end, capsys, monkeypatch):
         argv = ["flow", "trace", "--projected", "--n", str(n), "--t-end", t_end, "--samples", "2"]
-        words = 2 * (n + 54)
-        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", words)
+        words = 2 * (n + 58)
+        monkeypatch.setattr(permflow.core, "COORDINATE_LIMIT", words)
         code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
         rows = json.loads(out)["rows"]
         assert [r["t"] for r in rows] == [0.0, float(t_end)]
         assert rows[1]["x"] == [float(k) for k in range(1, n + 1)]
-        monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", words - 1)
+        monkeypatch.setattr(permflow.core, "COORDINATE_LIMIT", words - 1)
         self.refuse_states(monkeypatch)
         code, out, err = run(argv, capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and f"{words - 1} words (samples x (n + 54))" in err
+        assert err.startswith("error:") and f"{words - 1} words (samples x (n + 58))" in err
 
     def test_overflowing_step_count_exits_two_before_integrating(self, capsys, monkeypatch):
         # t_end / step is inf: a usage error, not an OverflowError traceback
@@ -608,17 +609,17 @@ class TestFlowTrace:
         (
             ["--n", "40", "--start", "reverse", "--t-end", "3", "--format", "csv",
              "--precision", "17"],
-            "b630e557d10a2bacf787b792f7084e68c938d492dedff17d818d8cd06ac30bfc",
+            "111b3e61b18a97eb88a29218617daf26f3ea2d757da9e9f0ffa6517540d45abd",
         ),
         (
             ["--n", "25", "--start", "random:7", "--t-end", "0.8", "--step", "0.005",
              "--precision", "17"],
-            "bbe37b8379640de6d4828c9a0182e40fe54d2d4361ebcc8d6fcbb31a60173a40",
+            "8b277c985d644050634694e10979bb8a5a8516daff2e591acbbcfafccebcc174",
         ),
         (
             ["--n", "30", "--start", "random:3", "--t-end", "0.5", "--samples", "6",
              "--precision", "16"],
-            "ddae2d7e45af6ce4f6a4e59a90fbcc13acfb5afe241d625edec1d0b1ee7289b2",
+            "1222965176b028d24ebea435e7dbb198f8cbeb24d6cee39d171ae703181bacaf",
         ),
     ]
 
@@ -873,6 +874,14 @@ class TestSlice:
             {"step": 2, "lo": 1, "hi": 3, "feasible_before": 3, "feasible_after": 2, "bits": 0.584963},
             {"step": 3, "lo": 2, "hi": 3, "feasible_before": 2, "feasible_after": 1, "bits": 1.0},
         ]
+
+    def test_instrument_input_that_is_not_integers_exits_two(self, capsys):
+        code, out, err = run(
+            ["slice", "--n", "3", "--instrument", "merge", "--input", "3,x,1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --input must be a comma-separated permutation, got '3,x,1'\n"
 
     def test_instrument_csv(self, capsys):
         code, out, _ = run(

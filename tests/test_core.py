@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permflow.core
+import permflow.flow
+import permflow.projection
 from permflow import (
+    FlowSample,
     Permutation,
+    SizeLimitError,
     StateVector,
     Trace,
     crossing_events,
@@ -32,6 +37,17 @@ class TestPermutation:
         p = Permutation((3, 1, 2))
         assert p.n == 3
         assert p.ranks == (3, 1, 2)
+
+    def test_keeps_its_own_tuple(self):
+        # a list is copied into a tuple, so a later change to it does not
+        # reach the permutation, which hashes and compares as the tuple's
+        ranks = [3, 1, 2]
+        p = Permutation(ranks)
+        ranks[0] = 9
+        assert p.ranks == (3, 1, 2)
+        assert p == Permutation((3, 1, 2)) and hash(p) == hash(Permutation((3, 1, 2)))
+        given = (2, 1)
+        assert Permutation(given).ranks is given  # a tuple is not copied
 
     def test_of_coerces_iterables(self):
         assert Permutation.of([2, 1]).ranks == (2, 1)
@@ -268,3 +284,53 @@ class TestTrace:
         # one rule: no sample time is a ValueError, not a trace whose .final fails
         with pytest.raises(ValueError, match="^sample times must hold at least one time$"):
             self.EVALUATORS[evaluator](vertex_of(Permutation.of((3, 1, 4, 2))), [])
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    def test_both_evaluators_record_one_sample_type(self, evaluator):
+        # a sample stores its disorder, and half of it is the potential
+        trace = self.EVALUATORS[evaluator]([2.0, 2.0, 2.0], [0.0, 1.0])
+        assert [type(s) for s in trace.samples] == [FlowSample, FlowSample]
+        first = trace.samples[0]
+        assert (first.disorder, first.potential, first.active_block_count) == (2.0, 1.0, 1)
+
+    @staticmethod
+    def refuse_traces(monkeypatch):
+        def no_trace(*args):
+            raise AssertionError("built the samples of a refused trace")
+
+        monkeypatch.setattr(permflow.flow, "_trace", no_trace)
+        monkeypatch.setattr(permflow.projection, "_trace", no_trace)
+
+    def test_both_evaluators_refuse_one_oversized_trace_alike(self, monkeypatch):
+        # 11 samples at n = 4 take 11 x (4 + 58) = 682 words, one over a
+        # limit of 681; 10 samples fit
+        monkeypatch.setattr(permflow.core, "COORDINATE_LIMIT", 681)
+        x0 = vertex_of(Permutation.of((3, 1, 4, 2)))
+        times = [k / 10 for k in range(11)]
+        for evaluator in sorted(self.EVALUATORS):
+            assert len(self.EVALUATORS[evaluator](x0, times[:10]).samples) == 10
+        self.refuse_traces(monkeypatch)
+        refusals = []
+        for evaluator in sorted(self.EVALUATORS):
+            with pytest.raises(SizeLimitError) as refused:
+                self.EVALUATORS[evaluator](x0, times)
+            refusals.append(str(refused.value))
+        assert refusals == [
+            "traces are limited to 681 words (samples x (n + 58)): at most 10 samples at n = 4"
+        ] * 2
+
+    def test_closed_form_refuses_forty_million_samples_unread(self, monkeypatch):
+        # at n = 1 they would hold about 18.6 GB; 677,968 samples are the
+        # most that fit, and no time past the first one over is read
+        self.refuse_traces(monkeypatch)
+        read = 0
+
+        def times():
+            nonlocal read
+            for k in range(40_000_000):
+                read += 1
+                yield float(k)
+
+        with pytest.raises(SizeLimitError, match="at most 677968 samples at n = 1$"):
+            sample_trace([1.0], times())
+        assert read == 677_969

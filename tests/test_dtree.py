@@ -130,6 +130,10 @@ class TestVerifyTree:
         with pytest.raises(ValueError):
             verify_tree("not a tree", 2)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            verify_tree(Leaf((1,)), 0)
+
 
 class TestTreeStats:
     def test_leaf(self):
@@ -140,6 +144,11 @@ class TestTreeStats:
         for n in range(1, BUILD_LIMIT + 1):
             stats = build_optimal(n).stats
             assert stats.leaf_count <= 2**stats.height
+
+    def test_rejects_non_node(self):
+        # a malformed child is found when the walk reaches it
+        with pytest.raises(ValueError, match="^not a tree node: 'x'$"):
+            tree_stats(Internal((1, 2), Leaf((1, 2)), "x"))
 
     def test_unbalanced_tree(self):
         chain = Internal((1, 2), Internal((1, 3), Leaf((1, 2, 3)), Leaf((1, 3, 2))), Leaf((2, 1, 3)))
@@ -156,6 +165,10 @@ class TestSerialization:
             "lo": {"out": [1, 2]},
             "hi": {"out": [2, 1]},
         }
+
+    def test_rejects_non_node(self):
+        with pytest.raises(ValueError, match="^not a tree node: None$"):
+            tree_to_dict(Internal((1, 2), None, Leaf((2, 1))))
 
     def test_json_is_the_dict_form(self):
         for n in range(1, BUILD_LIMIT + 1):

@@ -112,6 +112,27 @@ class TestLayersLoadWithTheirCommands:
         )
         assert loaded == sorted(["permflow.cli", "permflow.perms", *layer])
 
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["flow", "trace", "--projected", "--n", "4", "--t-end", "1"], ["core", "projection"]),
+            (["flow", "trace", "--n", "4", "--t-end", "1"], ["core", "flow"]),
+            (["flow", "events", "--n", "5"], ["core", "flow"]),
+            (["report"], ["core", "dtree", "flow"]),
+        ],
+    )
+    def test_flow_command_loads_its_layers(self, argv, layers):
+        # both evaluators' sample type, bound and time reader live in `core`,
+        # so a projected trace loads no `flow` and an exact one no `projection`
+        loaded = self.loaded_after(
+            "import contextlib, io\n"
+            "import permflow.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert permflow.cli.main({argv!r}) == 0\n"
+        )
+        modules = [m for m in loaded if m.startswith("permflow.")]
+        assert modules == sorted(f"permflow.{m}" for m in ["cli", "perms", *layers])
+
     def test_layer_name_loads_that_layer_and_perms(self):
         loaded = self.loaded_after("from permflow import dtree\n")
         assert loaded == ["permflow.dtree", "permflow.perms"]

@@ -1,19 +1,20 @@
-import dataclasses
 import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import permflow.core
 import permflow.projection
 from permflow import (
     MAX_STEP,
+    FlowSample,
     Permutation,
-    ProjectedSample,
     SizeLimitError,
     StateVector,
     as_state,
@@ -195,7 +196,7 @@ def starts(draw):
 
 def block_count(x):
     """`active_block_count` of a sample at state x."""
-    return ProjectedSample(t=0.0, state=StateVector(x)).active_block_count
+    return FlowSample(t=0.0, state=StateVector(x), disorder=0.0).active_block_count
 
 
 class TestActiveBlockCount:
@@ -301,16 +302,6 @@ class TestIntegrateProjected:
         trace = integrate_projected([2.0, 2.0, 2.0], 0.05)
         assert trace.samples[0].active_block_count == 1
         assert trace.samples[-1].active_block_count == 0
-
-    def test_sample_is_a_time_and_a_state(self):
-        # the disorder, the potential and the tie-block count are read from the state
-        assert [f.name for f in dataclasses.fields(ProjectedSample)] == ["t", "state"]
-        s = ProjectedSample(t=0.0, state=StateVector([2.0, 2.0, 2.0]))
-        assert s.disorder == 2.0  # 1 + 0 + 1
-        assert s.potential == 1.0
-        assert s.active_block_count == 1
-        for s in integrate_projected([4.0, 1.0, 3.0, 2.0], 1.0).samples:
-            assert s.disorder == disorder_squared(s.state) == 2 * s.potential
 
     def test_step_guard(self):
         with pytest.raises(ValueError):
@@ -424,6 +415,57 @@ class TestMatchesReferenceLoop:
             assert s.potential <= v0 * math.exp(-2 * s.t) * (1 + 1e-9)
 
 
+def exact_disorder(x0, t_end, step, k):
+    """d0 * prod(1 - h_i)^2 over the first k Euler steps to t_end, rounded once.
+
+    Each full step is the double `step` exactly, and the last one is
+    t_end - (steps - 1) * step, so that it ends at t_end.
+    """
+    d0 = sum((Fraction(v) - i) ** 2 for i, v in enumerate(x0, 1))
+    steps = len(reference_grid(t_end, step))
+    j = min(k, steps - 1)
+    last = 1 - (Fraction(t_end) - j * Fraction(step)) if k == steps else Fraction(1)
+    (a, b), (c, d), (p, q) = (r.as_integer_ratio() for r in (d0, 1 - Fraction(step), last))
+    # unreduced integer products (reducing fractions this long costs seconds);
+    # the quotient of two ints is correctly rounded however long they are
+    return a * (c**j * p) ** 2 / (b * (d**j * q) ** 2)
+
+
+class TestDisorderIsExact:
+    """A sample's disorder is d0 * prod(1 - h)^2, not one recomputed from a rounded state.
+
+    Once a_i * f is below an ulp of i the state rounds to the sorted vertex,
+    so the disorder of the state says nothing about the run's.
+    """
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("t_end", [30.0, 40.0])
+    def test_reversed_start(self, n, t_end):
+        x0 = vertex_of(Permutation.reverse(n))
+        times = [t_end * k / 10 for k in range(11)]
+        trace = integrate_projected(x0, t_end, times=times)
+        for s in trace.samples:
+            want = exact_disorder(x0.coords.tolist(), t_end, MAX_STEP, round(s.t / MAX_STEP))
+            assert math.isclose(s.disorder, want, rel_tol=1e-12), (s.t, s.disorder, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        perm=st.integers(1, 30).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        t_end=st.sampled_from([0.37, 2.3, 30.0, 40.0, 40.003]),
+        step=st.sampled_from([MAX_STEP, 0.005, 0.0037]),
+        data=st.data(),
+    )
+    def test_vertex_starts(self, perm, t_end, step, data):
+        x0 = [float(r) for r in perm]
+        steps = len(reference_grid(t_end, step))
+        ks = sorted(data.draw(st.sets(st.integers(0, steps), min_size=1, max_size=6), label="k"))
+        times = [t_end if k == steps else k * step for k in ks]
+        trace = integrate_projected(x0, t_end, step=step, times=times)
+        for s, k in zip(trace.samples, ks):
+            want = exact_disorder(x0, t_end, step, k)
+            assert math.isclose(s.disorder, want, rel_tol=1e-12), (k, s.disorder, want)
+
+
 class TestAgainstExactFlow:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -477,7 +519,7 @@ def refuse_states(monkeypatch):
     def no_state(*args, **kwargs):
         raise AssertionError("built an Euler state for a refused request")
 
-    monkeypatch.setattr(permflow.projection, "ProjectedSample", no_state)
+    monkeypatch.setattr(permflow.projection, "_trace", no_state)
 
 
 class TestTimes:
@@ -514,7 +556,7 @@ class TestTimes:
             ([0.0, 0.0149], "off the Euler grid"),
             ([-0.01, 0.0], ">= 0"),
             ([0.0, math.nan], ">= 0"),
-            ([0.0, math.inf], ">= 0"),
+            ([0.0, math.inf], "sample time inf is off the Euler grid"),
             ([0.0, 0.06], "off the Euler grid"),
         ],
     )
@@ -540,13 +582,13 @@ class TestTimes:
         # no step is run one by one: 1e302 steps cost what one does, and the
         # start and the sorted vertex are the two states built
         built = []
-        contract = permflow.projection._contract
+        trace = permflow.projection._trace
 
-        def spy(x0, factors):
-            built.extend(factors)
-            return contract(x0, factors)
+        def spy(x0, times, logs):
+            built.extend(map(math.exp, logs))
+            return trace(x0, times, logs)
 
-        monkeypatch.setattr(permflow.projection, "_contract", spy)
+        monkeypatch.setattr(permflow.projection, "_trace", spy)
         x0 = vertex_of(Permutation.reverse(30))
         trace = integrate_projected(x0, t_end, times=[0.0, t_end])
         assert [s.t for s in trace.samples] == [0.0, t_end]
@@ -558,20 +600,18 @@ class TestTimes:
         # integration sorts no state; each read of a sample's tie-block count
         # sorts that sample's state once, and reading its potential sorts none
         calls = []
-        group = permflow.projection._group
+        group = permflow.core._group
 
         def spy(coords):
             calls.append(coords.size)
             return group(coords)
 
-        monkeypatch.setattr(permflow.projection, "_group", spy)
+        monkeypatch.setattr(permflow.core, "_group", spy)
         times = [0.0, 0.07, 2.5, 5.0]
         trace = integrate_projected(vertex_of(Permutation.reverse(30)), 5.0, times=times)
         assert [s.t for s in trace.samples] == times
         assert calls == []
-        assert [s.potential for s in trace.samples] == [
-            0.5 * disorder_squared(s.state) for s in trace.samples
-        ]
+        assert [s.potential for s in trace.samples] == [0.5 * s.disorder for s in trace.samples]
         assert calls == []
         for k, s in enumerate(trace.samples, 1):
             assert s.active_block_count == 0  # the reversed start ties only at c = 1/2
@@ -613,22 +653,22 @@ def grid_times(count):
 
 
 class TestCoordinateLimit:
-    # each sample counts n + 54 words: its coordinates and its own objects.
-    # 100 samples at n = 399,946 record 40,000,000 words, 108 under the limit;
-    # 101 samples at n = 200 record 25,654, the limit when it is patched to that
+    # each sample counts n + 58 words: its coordinates and its own objects.
+    # 100 samples at n = 399,942 record 40,000,000 words, 116 under the limit;
+    # 101 samples at n = 200 record 26,058, the limit when it is patched to that
     @pytest.mark.parametrize("times", [None, "grid"])
-    @pytest.mark.parametrize("n, samples, limit", [(399_946, 100, None), (200, 101, 25_654)])
+    @pytest.mark.parametrize("n, samples, limit", [(399_942, 100, None), (200, 101, 26_058)])
     def test_limit_is_reachable(self, n, samples, limit, times, monkeypatch):
         class Accepted(Exception):
             pass
 
-        def accepted(x0, factors):
-            assert len(factors) == samples
+        def accepted(x0, times, logs):
+            assert len(logs) == samples
             raise Accepted
 
         if limit is not None:
-            monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", limit)
-        monkeypatch.setattr(permflow.projection, "_contract", accepted)
+            monkeypatch.setattr(permflow.core, "COORDINATE_LIMIT", limit)
+        monkeypatch.setattr(permflow.projection, "_trace", accepted)
         x0 = StateVector(np.arange(1.0, n + 1.0))
         times = grid_times(samples) if times else None
         with pytest.raises(Accepted):
@@ -637,30 +677,26 @@ class TestCoordinateLimit:
     @pytest.mark.parametrize(
         "n, times, t_end, limit",
         [
-            (200, None, 100 * EXACT_STEP, 25_653),
-            (200, grid_times(101), 100 * EXACT_STEP, 25_653),
+            (200, None, 100 * EXACT_STEP, 26_057),
+            (200, grid_times(101), 100 * EXACT_STEP, 26_057),
             (400_000, None, 99 * EXACT_STEP, None),
             (400_000, grid_times(100), 99 * EXACT_STEP, None),
-            (1, None, 727_274 * EXACT_STEP, None),
+            (1, None, 677_968 * EXACT_STEP, None),
             (1, None, 312_499.99, None),
             (3, None, 1e300, None),
         ],
     )
     def test_over_limit_raises_before_building(self, n, times, t_end, limit, monkeypatch):
         # one word over a patched limit; 100 samples at n = 400,000 take
-        # 40,005,400 words; at n = 1, 727,275 samples are the fewest over the
+        # 40,005,800 words; at n = 1, 677,969 samples are the fewest over the
         # limit, and the 40,000,000 samples of t_end = 312,499.99 would hold
-        # about 17 GB of objects for 320 MB of coordinates
-        def no_states(*args, **kwargs):
-            raise AssertionError("built the states of a refused request")
-
+        # about 18.6 GB of objects for 320 MB of coordinates
         if limit is not None:
-            monkeypatch.setattr(permflow.projection, "COORDINATE_LIMIT", limit)
-        monkeypatch.setattr(permflow.projection, "_contract", no_states)
+            monkeypatch.setattr(permflow.core, "COORDINATE_LIMIT", limit)
         refuse_states(monkeypatch)
         x0 = StateVector(np.arange(1.0, n + 1.0))
-        words = permflow.projection.COORDINATE_LIMIT
-        with pytest.raises(SizeLimitError, match=rf"{words} words \(samples x \(n \+ 54\)\)"):
+        words = permflow.core.COORDINATE_LIMIT
+        with pytest.raises(SizeLimitError, match=rf"{words} words \(samples x \(n \+ 58\)\)"):
             integrate_projected(x0, t_end, step=EXACT_STEP, times=times)
 
     @pytest.mark.parametrize("times", [None, [0.0]])

@@ -259,6 +259,24 @@ class TestConstraintSet:
         assert s.n == 2
 
 
+    def test_keeps_its_own_tuple_of_constraints(self):
+        # a list is copied, plain (lo, hi) pairs become Constraints, and the
+        # set hashes and compares as one built from Constraints
+        pairs = [(1, 2), Constraint(2, 3)]
+        s = ConstraintSet(3, pairs)
+        pairs.append((1, 3))
+        want = ConstraintSet(3, (Constraint(1, 2), Constraint(2, 3)))
+        assert s.constraints == want.constraints
+        assert all(type(c) is Constraint for c in s.constraints)
+        assert s == want and hash(s) == hash(want)
+        assert feasible_count(ConstraintSet(3, ((1, 2),))) == 3
+
+    @pytest.mark.parametrize("pair, named", [(Constraint(1.0, 2), "1.0"), ((1, "3"), "'3'")])
+    def test_rejects_non_integer_labels(self, pair, named):
+        with pytest.raises(ValueError, match=f"^constraint labels must be integers, got {named}$"):
+            ConstraintSet(3, (pair,))
+
+
 class TestConstraint:
     def test_equal_and_hashed_by_labels(self):
         # the pairs of a run are dict keys, so equal labels must be one key
@@ -772,6 +790,12 @@ class TestReductionReport:
         run = instrument("merge", (3, 1, 2))
         # the trace contracts 6 -> 3 -> 2 -> 1: bits 1, 0.585, 1
         assert math.isclose(run.halving_fraction, 2 / 3, abs_tol=1e-12)
+
+    def test_run_without_comparisons(self):
+        # n = 1 is sorted as given: no step, so no share of halving steps
+        run = instrument("merge", (1,))
+        assert run.trace == ()
+        assert (run.halving_fraction, run.max_bits, run.final_feasible) == (0.0, 0.0, 1)
 
     def test_max_bits_can_exceed_one(self):
         found = False
