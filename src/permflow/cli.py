@@ -81,7 +81,10 @@ SAMPLE_LIMIT = 10_000
 #: bounds rows, not their width: n = 200 x 10,000 samples took 1.4-2.1 s
 #: and 88 MB peak RSS (JSON), and n = 200,000 x 11 samples 2.4-2.8 s and
 #: 112 MB, where n = 2000 x 500 samples, at this limit, took 0.7-1.0 s and
-#: 55 MB (2-vCPU VM).
+#: 55 MB (2-vCPU VM). It bounds the n printed start coordinates of `flow
+#: events` too, from n alone before the start is built: `--n 1000000
+#: --start sorted` took 2.6-3.0 s and 143 MB peak RSS in a fresh process
+#: on that VM, 1.6 s of it counting inversions.
 CELL_LIMIT = 1_000_000
 #: Most crossing events `flow events` may print. For a vertex start the
 #: count is the inversion count, which `estimate_sorting` finds in
@@ -89,13 +92,6 @@ CELL_LIMIT = 1_000_000
 #: --n 707`, 249,571 events) a fresh process took 0.3 s and 73 MB peak
 #: RSS for JSON and 0.4-0.6 s and 97 MB for CSV on a shared 2-vCPU VM.
 EVENT_LIMIT = 250_000
-#: Most coordinate pairs `flow events` may examine. The crossing kernel
-#: looks at all n(n - 1)/2 pairs however few of them cross: with no
-#: events at all (`--start sorted`) n = 10,000 took 0.85 s, 16,000 1.74 s
-#: and 32,000 7.7 s on a 2-vCPU VM. The limit admits n = 10,000
-#: (49,995,000 pairs) and is checked from n alone, before the start is
-#: built.
-PAIR_LIMIT = 50_000_000
 #: Most reals one `flow trace` fill formats at once. A trace of more
 #: cells fills one row template per block of rows, so its floats and JSON
 #: tokens (about 80 bytes a real) stay near 5 MB, and n <= 200 with 21
@@ -230,11 +226,9 @@ def _write(text: str, output: Optional[str]) -> None:
 
 
 def _cmd_flow_events(args, spec: str) -> str:
-    pairs = args.n * (args.n - 1) // 2
-    if args.n >= 1 and pairs > PAIR_LIMIT:  # _parse_start refuses n < 1
+    if args.n > CELL_LIMIT:
         raise SizeLimitError(
-            f"crossing schedules are limited to {PAIR_LIMIT} coordinate pairs, "
-            f"got {pairs} at n = {args.n}"
+            f"crossing schedules are limited to {CELL_LIMIT} coordinates, got n = {args.n}"
         )
     start = _parse_start(args.start, args.n)
     est = estimate_sorting(start, epsilon=args.epsilon, c=args.c)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -92,14 +94,6 @@ def time_to_epsilon(d0: float, epsilon: float) -> float:
     return max(0.0, 0.5 * (math.log(d0) - 2.0 * math.log(epsilon)))
 
 
-#: Most pairs i < j that one block of the triangle pass holds (at least one
-#: row per block). Each pair costs about 50 bytes of index, ratio and mask
-#: arrays, so a block peaks near 3 MB, and n <= 256 is a single block. The
-#: crossing pairs of every block are kept as three 8-byte columns (ratio,
-#: i, j) until the one sort at the end.
-_PAIR_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True, eq=False)
 class CrossingSchedule:
     """Columns t, i, j and offset of the meetings that `crossing_events` lists."""
@@ -129,28 +123,28 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     In exact arithmetic a pair meets iff x_i > x_j, for any start, since
     a_i - a_j = x_i - x_j + (j - i): the meeting ratio
     exp(-t) = (j - i) / (a_i - a_j) lies in (0, 1) <=> x_i > x_j. So the
-    pairs are chosen by x_i > x_j alone, in numpy passes over blocks of
-    `_PAIR_BLOCK // n` rows of the upper triangle (a row holds at most
-    n - 1 pairs, so a block at most `_PAIR_BLOCK`), and only they take a
-    ratio, by the same IEEE subtraction and division as the per-pair loop
-    of the test oracle in `tests/crossing_oracle.py`. Rounding keeps that
-    denominator positive (exactly it exceeds j - i >= 1), so every ratio
-    is finite and positive. A ratio test would drop a pair with x_i > x_j
-    by an ulp, whose rounded ratio can reach 1, and list one with x_i < x_j
-    by an ulp; the comparison of the start does neither.
-    t = max(+0.0, -ln(ratio)), with `math.log`, so each time matches that
-    oracle bit for bit (numpy's `log` may differ in the last ulp), and a
-    pair whose rounded ratio is not below 1 meets at t = +0.0, never at a
-    negative time or -0.0.
-    Each block keeps the ratio, i and j of its crossing pairs, so memory is
-    O(n * rows per block + events), not O(n^2).
-    The blocks walk the triangle row by row, and `np.triu_indices` and
-    the boolean selection keep each block's pairs in row-major order, so the
-    rows arrive sorted by (i, j). One stable `np.argsort` of t then orders
-    them by (t, i, j): equal times keep their (i, j) order, and no t is
-    NaN, so that is the order of sorted (t, i, j) tuples. An enumeration that emits pairs in another order (such as a
-    bottom-up merge that finds only the inversion pairs) must restore the
-    (i, j) order before this sort, or go back to `np.lexsort((j, i, t))`.
+    pairs are found by one pass over the positions in stable value order,
+    which keeps the positions visited so far in a sorted list: those after
+    position p are exactly its partners j > p with x_j < x_p (a tied j > p
+    comes later in the stable order, so ties never meet). `bisect_right`
+    finds them, and inserting p shifts exactly them, so the pass costs
+    O(n log n + K) time and O(n + K) memory for K meetings. Only those
+    pairs take a ratio, by the same IEEE subtraction and division as the
+    per-pair loop of the test oracle in `tests/crossing_oracle.py`.
+    Rounding keeps that denominator positive (exactly it exceeds
+    j - i >= 1), so every ratio is finite and positive. A ratio test would
+    drop a pair with x_i > x_j by an ulp, whose rounded ratio can reach 1,
+    and list one with x_i < x_j by an ulp; the comparison of the start does
+    neither. t = max(+0.0, -ln(ratio)), with `math.log`, so each time
+    matches that oracle bit for bit (numpy's `log` may differ in the last
+    ulp), and a pair whose rounded ratio is not below 1 meets at t = +0.0,
+    never at a negative time or -0.0.
+    Each position's partners come out j-ascending into its own slot, so the
+    slots read in index order, with `np.repeat` of their lengths for i, give
+    the rows sorted by (i, j) in O(n + K), without a sort. One stable
+    `np.argsort` of t then orders them by (t, i, j): equal times keep their
+    (i, j) order, and no t is NaN, so that is the order of sorted (t, i, j)
+    tuples.
 
     For a vertex start that float order is the exact order. There
     a_i - a_j is the integer d = p_i - p_j + j - i, so a crossing pair has
@@ -163,18 +157,16 @@ def crossing_events(x0: StateVector | Sequence[float]) -> CrossingSchedule:
     x0 = as_state(x0)
     _require_hyperplane(x0)
     x, a = x0.coords, _offsets(x0)
-    # an empty first block lets n = 1, which has no row, concatenate too
-    index = np.empty(0, dtype=np.intp)
-    blocks = [(np.empty(0), index, index)]
-    step = max(1, _PAIR_BLOCK // x0.n)
-    for r0 in range(0, x0.n - 1, step):
-        i, j = np.triu_indices(min(step, x0.n - 1 - r0), k=r0 + 1, m=x0.n)
-        i += r0
-        cross = x[i] > x[j]
-        i, j = i[cross], j[cross]
-        blocks.append(((j - i) / (a[i] - a[j]), i, j))
-    ratio, i, j = (np.concatenate(column) for column in zip(*blocks))
-    del blocks
+    seen = []  # the positions visited so far, ascending
+    partners = [()] * x0.n
+    for p in np.argsort(x, kind="stable").tolist():
+        k = bisect_right(seen, p)
+        if k < len(seen):  # an empty slot stays the shared ()
+            partners[p] = seen[k:]
+        seen.insert(k, p)
+    i = np.repeat(np.arange(x0.n), [len(js) for js in partners])
+    j = np.fromiter(chain.from_iterable(partners), dtype=np.intp, count=i.size)
+    ratio = (j - i) / (a[i] - a[j])
     t = -np.fromiter(map(math.log, ratio.tolist()), dtype=float, count=ratio.size)
     t[t <= 0.0] = 0.0  # also turns -ln(1.0) = -0.0 into +0.0
     order = np.argsort(t, kind="stable")

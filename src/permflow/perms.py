@@ -16,6 +16,7 @@ Indices and ranks are 1-based throughout the public API.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 __all__ = [
@@ -79,7 +80,9 @@ class Permutation(FrozenRecord):
     ranks: tuple[int, ...]
 
     def __init__(self, ranks: Iterable[int]):
-        ranks = tuple(ranks)  # a list is copied; a tuple is kept as it is
+        ranks = tuple(ranks)  # a list is copied; a tuple of ints is kept as it is
+        if any(type(r) is not int for r in ranks):
+            ranks = tuple(map(_rank, ranks))
         n = len(ranks)
         if n < 1:
             raise ValueError("permutation must have length >= 1")
@@ -102,15 +105,7 @@ class Permutation(FrozenRecord):
     @classmethod
     def of(cls, ranks: Iterable[int]) -> "Permutation":
         """Permutation of integral ranks; another rank (2.5, "3", inf, nan) raises ValueError."""
-        given = tuple(ranks)
-        try:
-            ints = tuple(map(int, given))
-        except (TypeError, ValueError, OverflowError):
-            ints = None
-        if ints != given:
-            bad = next(r for r in given if not _is_integral(r))
-            raise ValueError(f"ranks must be integers, got {bad!r}")
-        return cls(ints)
+        return cls(map(_integral, ranks))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -121,12 +116,22 @@ class Permutation(FrozenRecord):
         return cls(tuple(range(n, 0, -1)))
 
 
-def _is_integral(r) -> bool:
-    """True when int(r) succeeds and equals r."""
+def _rank(r) -> int:
+    """r as an int by `operator.index`, the rule for every stored rank; ValueError naming r otherwise."""
     try:
-        return int(r) == r
+        return operator.index(r)
+    except TypeError:
+        raise ValueError(f"ranks must be integers, got {r!r}") from None
+
+
+def _integral(r) -> int:
+    """int(r) when it equals r, as 2.0 -> 2; ValueError naming r otherwise."""
+    try:
+        if int(r) == r:
+            return int(r)
     except (TypeError, ValueError, OverflowError):
-        return False
+        pass
+    raise ValueError(f"ranks must be integers, got {r!r}")
 
 
 def require_finite_positive(name: str, value: float) -> None:

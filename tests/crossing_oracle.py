@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from permflow import sample_trace
+from permflow import inversions, sample_trace
 
 
 def _meeting_time(x, a, i, j):
@@ -76,7 +76,10 @@ def replay_schedule(x0, schedule):
     n = len(x0)
     rows = list(zip(schedule.t.tolist(), schedule.i.tolist(), schedule.j.tolist()))
     assert len(set((i, j) for _, i, j in rows)) == len(rows), "a pair meets twice"
-    inverted = sum(x0[a] > x0[b] for a, b in itertools.combinations(range(n), 2))
+    ranks = [0] * n  # the value-order rank of each index: x0 has the same inversions
+    for rank, m in enumerate(_value_order(x0), 1):
+        ranks[m] = rank
+    inverted = inversions(ranks)
     assert len(rows) == inverted, f"{len(rows)} rows for {inverted} inversions"
     groups = [
         (t, [(i - 1, j - 1) for _, i, j in rows_at])

@@ -26,7 +26,6 @@ from permflow import (
 from permflow.cli import (
     CELL_LIMIT,
     EVENT_LIMIT,
-    PAIR_LIMIT,
     SAMPLE_LIMIT,
     _json_reals,
     _seeded_shuffle,
@@ -221,40 +220,48 @@ class TestFlowEvents:
         assert err.startswith("error:") and f"{EVENT_LIMIT} events, got 250278" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_over_pair_limit_exits_three_before_any_pair(self, fmt, capsys, monkeypatch):
+    def test_over_cell_limit_exits_three_before_the_start(self, fmt, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("worked on a request beyond the pair limit")
+            raise AssertionError("worked on a request beyond the coordinate limit")
 
         monkeypatch.setattr(permflow.cli, "crossing_events", refuse)
         monkeypatch.setattr(permflow.cli, "estimate_sorting", refuse)
-        # sorted n = 10,001 has no events but 50,005,000 pairs
+        n = CELL_LIMIT + 1
         code, out, err = run(
-            ["flow", "events", "--n", "10001", "--start", "sorted", "--format", fmt], capsys
+            ["flow", "events", "--n", str(n), "--start", "sorted", "--format", fmt], capsys
         )
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("error:") and f"{PAIR_LIMIT} coordinate pairs, got 50005000" in err
+        assert err.startswith("error:") and f"{CELL_LIMIT} coordinates, got n = {n}" in err
 
     @pytest.mark.parametrize("n", [-10001, -10000, -5, 0])
-    def test_nonpositive_n_exits_two_before_the_pair_limit(self, n, capsys):
-        # n(n - 1)/2 of n <= -10,000 passes PAIR_LIMIT, but no such n is a size
+    def test_nonpositive_n_exits_two_not_three(self, n, capsys):
+        # an n below 1 passes the coordinate limit, but no such n is a size
         code, out, err = run(["flow", "events", "--n", str(n)], capsys)
         assert code == 2
         assert out == ""
         assert err == f"error: --n must be >= 1, got {n}\n"
 
-    def test_pair_limit_admits_n_10000(self, monkeypatch):
+    def test_cell_limit_admits_its_own_n(self, monkeypatch):
         class Examined(Exception):
             pass
 
-        def examined(x0):
-            assert x0.n == 10_000 and x0.n * (x0.n - 1) // 2 <= PAIR_LIMIT
+        def examined(start, **kwargs):
+            assert start.n == CELL_LIMIT
             raise Examined
 
-        monkeypatch.setattr(permflow.cli, "crossing_events", examined)
+        # the start is built and handed on, before its inversions are counted
+        monkeypatch.setattr(permflow.cli, "estimate_sorting", examined)
         with pytest.raises(Examined):
-            main(["flow", "events", "--n", "10000", "--start", "sorted"])
+            main(["flow", "events", "--n", str(CELL_LIMIT), "--start", "sorted"])
+
+    def test_sorted_n_100000_prints_no_events(self, capsys):
+        # no pair crosses, so the schedule costs O(n log n), not n(n - 1)/2 pairs
+        code, out, err = run(["flow", "events", "--n", "100000", "--start", "sorted"], capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["events"] == [] and payload["d0"] == 0.0
 
 
 def reference_events_output(ranks, fmt, spec):

@@ -49,6 +49,28 @@ class TestPermutation:
         given = (2, 1)
         assert Permutation(given).ranks is given  # a tuple is not copied
 
+    def test_integral_float_rank_is_refused(self):
+        # `Permutation.of` takes integral floats; the constructor stores ints only
+        with pytest.raises(ValueError) as err:
+            Permutation((2.0, 1))
+        assert str(err.value) == "ranks must be integers, got 2.0"
+
+    def test_bool_rank_is_stored_as_int(self):
+        p = Permutation((True, 2))
+        assert p.ranks == (1, 2) and all(type(r) is int for r in p.ranks)
+
+    def test_numpy_ranks_are_stored_as_ints(self):
+        for ranks in (np.array([2, 1]), (np.int64(2), np.int32(1))):
+            p = Permutation(ranks)
+            assert p.ranks == (2, 1) and all(type(r) is int for r in p.ranks)
+            assert p == Permutation((2, 1)) and hash(p) == hash(Permutation((2, 1)))
+
+    @pytest.mark.parametrize("bad, named", [(("1", 2), "'1'"), ((2, None), "None")])
+    def test_constructor_names_a_rank_that_is_no_integer(self, bad, named):
+        with pytest.raises(ValueError) as err:
+            Permutation(bad)
+        assert str(err.value) == f"ranks must be integers, got {named}"
+
     def test_of_coerces_iterables(self):
         assert Permutation.of([2, 1]).ranks == (2, 1)
         assert Permutation.of(np.array([1, 3, 2])).ranks == (1, 3, 2)

@@ -1,16 +1,15 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import permflow.flow
 from permflow import (
     Permutation,
     StateVector,
@@ -421,20 +420,62 @@ class TestCrossingEvents:
         assert events.t.dtype == events.meeting_values().dtype == np.float64
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.one_of(vertex_starts(max_n=40), hyperplane_starts(), tied_starts()),
-        st.integers(1, 7) | st.integers(8, 400),
-    )
-    def test_row_blocks_match_reference_loop(self, x0, block):
-        # 1-7 pairs make every block one row but the last; larger budgets
-        # put several rows in the middle blocks too
-        with mock.patch.object(permflow.flow, "_PAIR_BLOCK", block):
-            assert event_bits(crossing_events(x0)) == reference_bits(x0)
+    @given(st.one_of(vertex_starts(max_n=40), hyperplane_starts(), tied_starts()))
+    # runs of equal values visited far from index order
+    @example(x0=[11.0, 11.0, 11.0, 4.0, 4.0, 8.0, 8.0, 4.0, 1.0, 11.0, 4.0, 1.0])
+    def test_value_order_pass_matches_reference_loop(self, x0):
+        # the pass finds each position's partners in value order and
+        # regroups them by position; the rows must still be the loop's bits
+        assert event_bits(crossing_events(x0)) == reference_bits(x0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_start_lists_only_pairs_of_displaced_positions(self, seed):
+        # sorted n = 20,000 with a few near transpositions: every pair of two
+        # undisplaced positions is in order, so the rows are the inverted
+        # pairs that hold a displaced position, each at the loop's time
+        rng = random.Random(seed)
+        n = 20_000
+        ranks = list(range(1, n + 1))
+        for _ in range(6):
+            a = rng.randrange(n - 3)
+            b = a + rng.randint(1, 3)
+            ranks[a], ranks[b] = ranks[b], ranks[a]
+        x0 = [float(r) for r in ranks]
+        displaced = [k for k in range(n) if ranks[k] != k + 1]
+        inverted = {
+            (min(a, b) + 1, max(a, b) + 1)
+            for a in displaced
+            for b in range(n)
+            if ranks[min(a, b)] > ranks[max(a, b)]
+        }
+        events = crossing_events(x0)
+        pairs = list(zip(events.i.tolist(), events.j.tolist()))
+        assert 0 < len(pairs) == len(inverted) and set(pairs) == inverted
+        times = {(i, j): reference_crossing_time(x0, i, j).hex() for i, j in pairs}
+        assert [t.hex() for t in events.t.tolist()] == [times[pair] for pair in pairs]
+        replay_schedule(x0, events)
+
+    def test_sorted_start_within_budget(self):
+        # no pair crosses, so the pass costs O(n log n); the triangle walk
+        # compared all 2e10 pairs of this start
+        x0 = vertex_of(Permutation.identity(200_000))
+        start = time.perf_counter()
+        events = crossing_events(x0)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            crossing_events(x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 0
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        assert peak < 40_000_000, f"{peak / 1e6:.1f} MB"
 
     def test_memory_does_not_grow_with_the_triangle(self):
-        # the whole-triangle pass peaked at 320 MB traced for these 7,998,000
-        # pairs (two int64 index arrays alone are 128 MB); row blocks stay
-        # near 3 MB
+        # a whole-triangle pass peaked at 320 MB traced for these 7,998,000
+        # pairs (two int64 index arrays alone are 128 MB); the value-order
+        # pass holds O(n) words when no pair crosses
         x0 = vertex_of(Permutation.identity(4000))
         tracemalloc.start()
         try:
