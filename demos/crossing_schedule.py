@@ -28,6 +28,5 @@ print()
 est = estimate_sorting(Permutation.reverse(3))
 print(
     f"n=3 reverse: continuous time {est.continuous_time:.5f}, "
-    f"dt = 1/3 gives {est.discrete_estimate:.5f} operations "
-    f"(ceil(log2 3!) = 3, crossings {est.crossing_count})"
+    f"dt = 1/3 gives {est.discrete_estimate:.5f} operations (ceil(log2 3!) = 3)"
 )

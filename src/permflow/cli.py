@@ -83,15 +83,9 @@ SAMPLE_LIMIT = 10_000
 #: 112 MB, where n = 2000 x 500 samples, at this limit, took 0.7-1.0 s and
 #: 55 MB (2-vCPU VM). It bounds the n printed start coordinates of `flow
 #: events` too, from n alone before the start is built: `--n 1000000
-#: --start sorted` took 2.6-3.0 s and 143 MB peak RSS in a fresh process
-#: on that VM, 1.6 s of it counting inversions.
+#: --start sorted` took 1.0-1.2 s and 151 MB peak RSS in a fresh process
+#: on that VM, 0.5 s of it in the schedule's value-order pass.
 CELL_LIMIT = 1_000_000
-#: Most crossing events `flow events` may print. For a vertex start the
-#: count is the inversion count, which `estimate_sorting` finds in
-#: O(n log n) before any pair is examined. At the limit (`--start reverse
-#: --n 707`, 249,571 events) a fresh process took 0.3 s and 73 MB peak
-#: RSS for JSON and 0.4-0.6 s and 97 MB for CSV on a shared 2-vCPU VM.
-EVENT_LIMIT = 250_000
 #: Most reals one `flow trace` fill formats at once. A trace of more
 #: cells fills one row template per block of rows, so its floats and JSON
 #: tokens (about 80 bytes a real) stay near 5 MB, and n <= 200 with 21
@@ -232,11 +226,6 @@ def _cmd_flow_events(args, spec: str) -> str:
         )
     start = _parse_start(args.start, args.n)
     est = estimate_sorting(start, epsilon=args.epsilon, c=args.c)
-    if est.crossing_count > EVENT_LIMIT:
-        raise SizeLimitError(
-            f"crossing schedules are limited to {EVENT_LIMIT} events, "
-            f"got {est.crossing_count}"
-        )
     schedule = crossing_events(vertex_of(start))
     count = len(schedule)
     if args.format == "json":

@@ -114,14 +114,22 @@ def _offsets(x: StateVector) -> np.ndarray:
     return x.coords - np.arange(1, x.n + 1)
 
 
+def _sum_of_squares(a: np.ndarray) -> float:
+    """sum(a * a) by `math.fsum`: the products' sum correctly rounded, in no BLAS.
+
+    So the bits depend on no thread count, and integer offsets below 2**26
+    (a vertex's) give their integer sum rounded once, also past 2**53.
+    """
+    return math.fsum((a * a).tolist())
+
+
 def disorder_squared(x: StateVector | Sequence[float]) -> float:
     """Squared Euclidean distance d0 from x to the sorted vertex.
 
     d0 = sum_i (x_i - i)^2 measures how far a state is from the sorted
     order; it is zero exactly at (1, 2, ..., n).
     """
-    a = _offsets(as_state(x))
-    return float(np.dot(a, a))
+    return _sum_of_squares(_offsets(as_state(x)))
 
 
 def _require_samples(count: int, n: int) -> None:
@@ -155,7 +163,7 @@ def _trace(x0: StateVector, times: Iterable[float], logs: Iterable[float]) -> Tr
     """Either flow at `times`: state v_s + (x0 - v_s) * f, disorder d0 * f^2, f = e^log."""
     targets = np.arange(1, x0.n + 1, dtype=float)
     a = _offsets(x0)
-    d0 = float(np.dot(a, a))
+    d0 = _sum_of_squares(a)
     samples = []
     for t, log in zip(times, logs):
         f = math.exp(log)

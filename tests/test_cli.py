@@ -16,6 +16,7 @@ import permflow.core
 import permflow.flow
 import permflow.projection
 from permflow import (
+    EVENT_LIMIT,
     Permutation,
     build_optimal,
     disorder_squared,
@@ -25,7 +26,6 @@ from permflow import (
 )
 from permflow.cli import (
     CELL_LIMIT,
-    EVENT_LIMIT,
     SAMPLE_LIMIT,
     _json_reals,
     _seeded_shuffle,
@@ -209,15 +209,16 @@ class TestFlowEvents:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_over_event_limit_exits_three_before_any_pair(self, fmt, capsys, monkeypatch):
-        def no_events(*args, **kwargs):
-            raise AssertionError("examined pairs of a request beyond the event limit")
+        def no_rows(*args, **kwargs):
+            raise AssertionError("listed the pairs of a request beyond the event limit")
 
-        monkeypatch.setattr(permflow.cli, "crossing_events", no_events)
+        # the pass refuses before its partners are gathered into rows
+        monkeypatch.setattr(permflow.flow, "chain", no_rows)
         # reverse n = 708 has 250,278 events
         code, out, err = run(["flow", "events", "--n", "708", "--format", fmt], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and f"{EVENT_LIMIT} events, got 250278" in err
+        assert err.startswith("error:") and f"more than {EVENT_LIMIT}\n" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_over_cell_limit_exits_three_before_the_start(self, fmt, capsys, monkeypatch):
@@ -251,7 +252,7 @@ class TestFlowEvents:
             assert start.n == CELL_LIMIT
             raise Examined
 
-        # the start is built and handed on, before its inversions are counted
+        # the start is built and handed on, before the schedule's pass counts its events
         monkeypatch.setattr(permflow.cli, "estimate_sorting", examined)
         with pytest.raises(Examined):
             main(["flow", "events", "--n", str(CELL_LIMIT), "--start", "sorted"])

@@ -1,9 +1,13 @@
 import copy
 import itertools
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,40 @@ class TestDisorder:
     def test_reverse_disorder_validates(self):
         with pytest.raises(ValueError):
             reverse_disorder(0)
+
+    def test_vertex_disorder_is_exact_past_2_to_the_53(self):
+        # about 1e17 to 3e17: the integer sum rounded once; BLAS's np.dot
+        # missed the shuffled one by an ulp, and the reverse one with one
+        # thread
+        n = 10**6
+        assert disorder_squared(vertex_of(Permutation.reverse(n))) == float(reverse_disorder(n))
+        ranks = np.random.default_rng(1).permutation(n) + 1
+        exact = int(((ranks - np.arange(1, n + 1)) ** 2).sum())
+        assert disorder_squared(vertex_of(Permutation.of(ranks))) == float(exact)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        body = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from permflow import Permutation, disorder_squared, vertex_of\n"
+            "from permflow.cli import _seeded_shuffle\n"
+            "n = 10**6\n"
+            "for p in (Permutation.reverse(n), _seeded_shuffle(n, 1)):\n"
+            "    exact = sum((r - k) ** 2 for k, r in enumerate(p.ranks, 1))\n"
+            "    print(disorder_squared(vertex_of(p)).hex(), float(exact).hex())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", body], env=e, stdout=subprocess.PIPE, text=True
+            )
+            for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+        ]
+        outs = [run.communicate(timeout=120)[0] for run in runs]
+        assert all(run.returncode == 0 for run in runs)
+        assert outs[0] == outs[1]
+        lines = [line.split() for line in outs[0].splitlines()]
+        assert len(lines) == 2 and all(got == exact for got, exact in lines)
 
 
 class TestTrace:

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permflow import (
+    EVENT_LIMIT,
     Permutation,
+    SizeLimitError,
     StateVector,
     crossing_events,
     disorder_at,
@@ -507,6 +509,73 @@ class TestCrossingEvents:
             k == m for k, m in zip(keys, keys[1:])
         ]
 
+    @staticmethod
+    def check_found_by_ln_n(ranks):
+        # every ratio (j - i) / (p_i - p_j + j - i) is at least 1/n, with
+        # equality exactly for j = i + 1, p_i = n, p_j = 1
+        n = len(ranks)
+        t = crossing_events([float(r) for r in ranks]).t
+        if t.size == 0:
+            assert list(ranks) == sorted(ranks)
+            return
+        ln_n = math.log(n)
+        assert t[-1] <= ln_n + 4 * math.ulp(ln_n), (ranks, t[-1])
+        adjacent = any(a == n and b == 1 for a, b in zip(ranks, ranks[1:]))
+        assert (t[-1] >= ln_n - 4 * math.ulp(ln_n)) == adjacent, ranks
+
+    def test_order_is_found_by_ln_n_exhaustive(self):
+        for n in range(1, 8):
+            for ranks in itertools.permutations(range(1, n + 1)):
+                self.check_found_by_ln_n(ranks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vertex_starts(max_n=200))
+    @example([*range(2, 100), 200, 1, *range(100, 200)])
+    @example([200, *range(1, 200)])
+    def test_order_is_found_by_ln_n(self, x0):
+        self.check_found_by_ln_n([int(v) for v in x0])
+
+
+def with_inversions(n, count):
+    """The permutation of n whose Lehmer code takes count greedily from the front."""
+    values = list(range(1, n + 1))
+    ranks = []
+    for k in range(n):
+        code = min(n - 1 - k, count)
+        count -= code
+        ranks.append(values.pop(code))
+    return Permutation.of(ranks)
+
+
+class TestEventLimit:
+    def test_admits_exactly_the_limit(self):
+        p = with_inversions(708, EVENT_LIMIT)
+        assert inversions(p) == EVENT_LIMIT
+        assert len(crossing_events(vertex_of(p))) == EVENT_LIMIT
+
+    # one event past the limit, and reverse n = 708: 708 * 707 / 2 = 250,278 events
+    @pytest.mark.parametrize(
+        "p", [with_inversions(708, EVENT_LIMIT + 1), Permutation.reverse(708)]
+    )
+    def test_refuses_more(self, p):
+        assert inversions(p) > EVENT_LIMIT
+        message = f"limited to {EVENT_LIMIT} events; this start has more than {EVENT_LIMIT}$"
+        with pytest.raises(SizeLimitError, match=message):
+            crossing_events(vertex_of(p))
+
+    def test_refusal_stops_early(self):
+        # reverse n = 5000 has 12,497,500 crossing pairs, 100 MB of list
+        # slots alone; the pass stops at the 708th position it visits
+        x0 = vertex_of(Permutation.reverse(5000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                crossing_events(x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, f"{peak / 1e6:.1f} MB"
+
 
 class TestCrossingReplay:
     """The schedule told as the flow and as a sort: oracles that share no pair loop."""
@@ -582,13 +651,11 @@ class TestEstimates:
         assert math.isclose(est.continuous_time, 1.5 * LN2, rel_tol=1e-12)
         assert math.isclose(est.discrete_estimate, 4.5 * LN2, rel_tol=1e-12)
         assert est.d0 == 8.0
-        assert est.crossing_count == 3
 
     def test_estimate_sorting_sorted_start_is_all_zero(self):
         for n in (1, 5):
             est = estimate_sorting(Permutation.identity(n), c=5e-324)
             assert (est.continuous_time, est.discrete_estimate, est.d0) == (0.0, 0.0, 0.0)
-            assert est.crossing_count == 0
 
     def test_estimate_is_time_over_the_step_c_over_n(self):
         # t / (c/n), the count of dt = c/n steps in t, bit for bit
@@ -657,12 +724,6 @@ class TestEstimates:
             return
         figures = (est.continuous_time, est.discrete_estimate, est.d0)
         assert all(math.isfinite(v) for v in figures)
-
-    def test_estimate_counts_match_events(self):
-        for ranks in itertools.permutations(range(1, 5)):
-            p = Permutation.of(ranks)
-            est = estimate_sorting(p)
-            assert est.crossing_count == len(crossing_events(vertex_of(p)))
 
 
 class TestSampleTrace:
